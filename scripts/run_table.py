@@ -29,22 +29,20 @@ import numpy as np
 
 from form_lab.datasets import KINDS, DatasetSpec, generate, holdout_split
 from form_lab.dynamics import DEFAULT_UNITS
-from form_lab.evaluate import config_digest, evaluate_model, make_report, render_table
+from form_lab.evaluate import config_digest, evaluate_model, make_report, render_table, sample_model
 from form_lab.formats import write_checkpoint, write_dataset, write_report
 from form_lab.figures import scatter_svg, write_svg
 from form_lab.relativity import DEFAULT_PHYSICS
-from form_lab.sampling import SamplerConfig, sample_form, sample_o1, sample_o1o2
+from form_lab.sampling import SamplerConfig
 from form_lab.training import METHODS, TrainConfig, train
-
-SAMPLERS = {"o1": sample_o1, "o1o2": sample_o1o2, "form": sample_form}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     parser.add_argument("--seed", type=int, default=0, help="dataset and training seed")
-    parser.add_argument("--steps", type=int, default=20000, help="training steps per model")
-    parser.add_argument("--M", type=int, default=100, help="sampler steps at evaluation time")
+    parser.add_argument("--steps", type=int, default=TrainConfig.steps, help="training steps per model")
+    parser.add_argument("--M", type=int, default=SamplerConfig.n_steps, help="sampler steps at evaluation time")
     parser.add_argument(
         "--quick",
         action="store_true",
@@ -71,7 +69,7 @@ def main(argv=None) -> int:
         n_steps, train_steps, batch = 50, 300, 32
     else:
         n_points = {kind: None for kind in KINDS}  # per-kind defaults
-        n_steps, train_steps, batch = 200, args.steps, 128
+        n_steps, train_steps, batch = DatasetSpec.n_steps, args.steps, TrainConfig.batch_size
 
     cells = []
     for kind in KINDS:
@@ -103,7 +101,7 @@ def main(argv=None) -> int:
 
             x0 = np.stack([r.x0 for r in heldout])
             heldout_targets = np.stack([r.endpoint for r in heldout])
-            path = SAMPLERS[method](model, x0, sampler)
+            path = sample_model(model, x0, sampler)
             shown_paths = [path.x[:, i, :] for i in range(0, x0.shape[0], max(1, x0.shape[0] // 8))][:8]
             write_svg(
                 outdir / "figures" / f"{kind}-{method}.svg",

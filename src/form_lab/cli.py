@@ -3,6 +3,9 @@
 Option precedence per subcommand: explicit flags beat the optional JSON
 config file (``--config``), which beats built-in defaults.  The config file
 maps option names (with underscores) to values, e.g. ``{"steps": 500}``.
+Each value is converted and checked by its flag's type and choices, and
+``null`` leaves the option unset.  An option that maps onto a dataclass
+field is passed on only when set, so the dataclass default is the default.
 
 Exit codes: 0 success; 2 usage, validation, or file-format problems;
 3 numerical failures (speed-limit, degenerate velocity, non-finite values).
@@ -13,18 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .datasets import (
-    DEFAULT_N_POINTS,
-    DatasetSpec,
-    HOLDOUT_FRACTION,
-    generate,
-    holdout_split,
-    initial_velocity,
-    source_points,
-)
+from .datasets import HOLDOUT_FRACTION, KINDS, DatasetSpec, generate, holdout_split, source_points
 from .dynamics import DEFAULT_UNITS
 from .errors import (
     DegenerateVelocityError,
@@ -33,10 +29,17 @@ from .errors import (
     ShapeError,
     SpeedLimitError,
 )
-from .evaluate import SamplerConfig, config_digest, evaluate_model, make_report, render_table
+from .evaluate import (
+    EVAL_MODES,
+    SamplerConfig,
+    config_digest,
+    evaluate_model,
+    make_report,
+    render_table,
+    sample_model,
+)
 from .figures import scatter_svg, write_svg
 from .formats import (
-    dataset_spec_from_header,
     physics_from_header,
     read_checkpoint,
     read_dataset,
@@ -47,118 +50,89 @@ from .formats import (
     write_samples,
 )
 from .relativity import PhysicsConfig
-from .sampling import sample_form, sample_o1, sample_o1o2
-from .training import TrainConfig, steps_for_epochs, train
+from .sampling import VELOCITY_UPDATES
+from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, steps_for_epochs, train
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 2, 3
 
 HANDEDNESS = {"ccw": 1, "cw": -1}
 
-GEN_DEFAULTS = {
-    "n": None,
-    "steps": 200,
-    "duration": 1.0,
-    "seed": 0,
-    "variance": 0.3,
-    "velocity_scale": 4.0,
-    "initial_speed": 4.0,
-    "core_speed": 2.0,
-    "ring_speed": 6.0,
-    "disc_radius": 1.0,
-    "force_scale": 1.0,
-    "perp_handedness": "ccw",
-    "c": 10.0,
-    "mass": 1.0,
-    "threads": None,
+# Options that name a run's inputs and outputs; --config may set any other.
+NOT_IN_CONFIG = {"help", "config", "data", "dataset", "method", "model", "out", "report", "samples"}
+
+# Option name -> dataclass field, where the public flag name differs.
+FIELD_NAMES = {
+    DatasetSpec: {
+        "dataset": "kind",
+        "n": "n_points",
+        "steps": "n_steps",
+        "variance": "source_variance",
+        "perp_handedness": "handedness",
+    },
+    PhysicsConfig: {"mass": "m"},
+    TrainConfig: {"lr": "learning_rate", "hidden": "hidden_dims"},
+    SamplerConfig: {"sampler_steps": "n_steps", "update": "velocity_update"},
 }
 
-TRAIN_DEFAULTS = {
-    "steps": 20000,
-    "epochs": None,
-    "batch_size": 128,
-    "lr": 1e-3,
-    "seed": 0,
-    "hidden": "64,64",
-    "form_input_mode": "time",
-    "o1o2_coupling": "detached",
-    "holdout_fraction": HOLDOUT_FRACTION,
-}
 
-SAMPLE_DEFAULTS = {
-    "n": None,
-    "sampler_steps": 100,
-    "seed": 0,
-    "source": "heldout",
-    "init_velocity": "dataset",
-    "v0": None,
-    "paths": False,
-    "update": "momentum-exact",
-}
-
-EVAL_DEFAULTS = {"sampler_steps": 100, "mode": "paired", "reference": False}
-
-PLOT_DEFAULTS = {"trajectories": 0, "title": None}
+def _from_options(cls, args: argparse.Namespace):
+    """Build ``cls`` from the options a flag or the config set; ``cls`` defaults the rest."""
+    names = {f.name for f in fields(cls)}
+    given = {FIELD_NAMES[cls].get(k, k): v for k, v in vars(args).items() if v is not None}
+    return cls(**{k: v for k, v in given.items() if k in names})
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > --config file > defaults; rejects unknown config keys."""
-    file_cfg: dict = {}
-    if getattr(args, "config", None) is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"config file has unknown keys: {sorted(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, default)
-        resolved[key] = value
-    return resolved
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The --config file's options, each converted and checked as its flag would be."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest not in NOT_IN_CONFIG}
+    unknown = set(cfg) - set(actions)
+    if unknown:
+        raise ValueError(f"config file has unknown keys: {sorted(unknown)}")
+    return {key: _config_value(actions[key], key, value) for key, value in cfg.items() if value is not None}
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
+def _config_value(action: argparse.Action, key: str, value):
+    if isinstance(action, argparse.BooleanOptionalAction):
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
     try:
-        dims = tuple(int(p) for p in str(text).split(","))
+        value = action.type(text) if action.type is not None else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
+        raise ValueError(f"config key {key!r}: {e}") from e
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r} must be one of {list(action.choices)}, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
     except ValueError as e:
-        raise ValueError(f"--hidden must be comma-separated integers, got {text!r}") from e
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"--hidden needs positive dims, got {text!r}")
-    return dims
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from e
 
 
-def _parse_v0(text: str) -> np.ndarray:
-    parts = str(text).split(",")
+def _vector(text: str) -> np.ndarray:
+    parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"--v0 must be 'vx,vy', got {text!r}")
-    return np.array([float(parts[0]), float(parts[1])], dtype=np.float64)
+        raise argparse.ArgumentTypeError(f"expected 'vx,vy', got {text!r}")
+    return np.array([float(p) for p in parts], dtype=np.float64)
 
 
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    opt = _resolve(args, GEN_DEFAULTS)
-    spec = DatasetSpec(
-        kind=args.dataset,
-        n_points=opt["n"],
-        n_steps=opt["steps"],
-        duration=opt["duration"],
-        seed=opt["seed"],
-        source_variance=opt["variance"],
-        velocity_scale=opt["velocity_scale"],
-        initial_speed=opt["initial_speed"],
-        core_speed=opt["core_speed"],
-        ring_speed=opt["ring_speed"],
-        disc_radius=opt["disc_radius"],
-        force_scale=opt["force_scale"],
-        handedness=HANDEDNESS[opt["perp_handedness"]],
-    )
-    physics = PhysicsConfig(c=opt["c"], m=opt["mass"])
-    records = generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=opt["threads"])
+    if args.perp_handedness is not None:
+        args.perp_handedness = HANDEDNESS[args.perp_handedness]
+    spec = _from_options(DatasetSpec, args)
+    physics = _from_options(PhysicsConfig, args)
+    records = generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=args.threads)
     write_dataset(args.out, records, spec, physics, DEFAULT_UNITS)
     max_speed = max(float(np.max(np.sqrt(np.sum(r.v * r.v, axis=-1)))) for r in records)
     print(
@@ -170,32 +144,19 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opt = _resolve(args, TRAIN_DEFAULTS)
+    if args.steps is not None and args.epochs is not None:
+        raise ValueError("--steps and --epochs are mutually exclusive")
     header, records = read_dataset(args.data)
     physics = physics_from_header(header)
 
-    fraction = float(opt["holdout_fraction"])
-    if fraction > 0.0:
-        train_records, _ = holdout_split(records, fraction)
+    if args.holdout_fraction > 0.0:
+        train_records, _ = holdout_split(records, args.holdout_fraction)
     else:
         train_records = records
 
-    steps = int(opt["steps"])
-    if opt["epochs"] is not None:
-        if args.steps is not None:
-            raise ValueError("--steps and --epochs are mutually exclusive")
-        steps = steps_for_epochs(float(opt["epochs"]), len(train_records), int(opt["batch_size"]))
-
-    config = TrainConfig(
-        method=args.method,
-        steps=steps,
-        batch_size=int(opt["batch_size"]),
-        learning_rate=float(opt["lr"]),
-        seed=int(opt["seed"]),
-        hidden_dims=_parse_hidden(opt["hidden"]),
-        form_input_mode=opt["form_input_mode"],
-        o1o2_coupling=opt["o1o2_coupling"],
-    )
+    config = _from_options(TrainConfig, args)
+    if args.epochs is not None:
+        config = replace(config, steps=steps_for_epochs(args.epochs, len(train_records), config.batch_size))
     model = train(train_records, config, physics=physics, dataset_info=header["spec"])
     write_checkpoint(args.out, model)
     print(
@@ -206,46 +167,36 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    opt = _resolve(args, SAMPLE_DEFAULTS)
     model = read_checkpoint(args.model)
 
-    if opt["source"] == "heldout":
+    if args.source == "heldout":
         if args.data is None:
             raise ValueError("--source heldout needs --data to supply held-out source points")
         _, records = read_dataset(args.data)
         _, heldout = holdout_split(records)
-        if opt["n"] is not None:
-            heldout = heldout[: int(opt["n"])]
+        heldout = heldout[: args.n]
         indices = [r.index for r in heldout]
         x0 = np.stack([r.x0 for r in heldout])
         dataset_seed = None
     else:  # fresh draws from the model's source distribution
         if model.dataset_info is None:
             raise ValueError("--source noise needs a model trained with dataset info")
-        n = int(opt["n"]) if opt["n"] is not None else 100
-        base = DatasetSpec.from_dict(model.dataset_info)
-        from dataclasses import replace
-
-        spec = replace(base, seed=int(opt["seed"]), n_points=n)
+        n = args.n if args.n is not None else 100
+        spec = replace(DatasetSpec.from_dict(model.dataset_info), seed=args.seed, n_points=n)
         indices = list(range(n))
         x0 = source_points(spec, indices)
-        dataset_seed = int(opt["seed"])
+        dataset_seed = args.seed
 
-    sampler = SamplerConfig(n_steps=int(opt["sampler_steps"]), velocity_update=opt["update"])
-    v0_arg = None
+    sampler = _from_options(SamplerConfig, args)
+    v0 = None
     if model.method == "form":
-        if opt["init_velocity"] == "zero":
-            v0_arg = "zero"
-        elif opt["init_velocity"] == "explicit":
-            if opt["v0"] is None:
+        if args.init_velocity == "zero":
+            v0 = "zero"
+        elif args.init_velocity == "explicit":
+            if args.v0 is None:
                 raise ValueError("--init-velocity explicit needs --v0 'vx,vy'")
-            v0_arr = _parse_v0(opt["v0"])
-            v0_arg = np.broadcast_to(v0_arr, x0.shape)
-        path = sample_form(model, x0, sampler, v0=v0_arg)
-    elif model.method == "o1":
-        path = sample_o1(model, x0, sampler)
-    else:
-        path = sample_o1o2(model, x0, sampler)
+            v0 = np.broadcast_to(args.v0, x0.shape)
+    path = sample_model(model, x0, sampler, v0=v0)
 
     entries = []
     for row, index in enumerate(indices):
@@ -253,18 +204,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if path.v is not None:
             entry["v0"] = path.v[0, row]
         entry["endpoint"] = path.x[-1, row]
-        if opt["paths"]:
+        if args.paths:
             entry["path"] = path.x[:, row]
         entries.append(entry)
     header_extra = {
         "method": model.method,
         "dataset": (model.dataset_info or {}).get("kind"),
-        "source": opt["source"],
+        "source": args.source,
         "seed": dataset_seed,
         "sampler_steps": sampler.n_steps,
         "duration": model.duration,
-        "init_velocity": opt["init_velocity"] if model.method == "form" else None,
-        "velocity_update": opt["update"] if model.method == "form" else None,
+        "init_velocity": args.init_velocity if model.method == "form" else None,
+        "velocity_update": sampler.velocity_update if model.method == "form" else None,
     }
     write_samples(args.out, header_extra, entries)
     print(f"wrote {args.out}: {len(entries)} {model.method} endpoints ({sampler.n_steps} steps)")
@@ -275,7 +226,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    opt = _resolve(args, EVAL_DEFAULTS)
     datasets_by_kind: dict[str, tuple[dict, list]] = {}
     for path in args.data:
         header, records = read_dataset(path)
@@ -285,7 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         datasets_by_kind[kind] = (header, records)
 
     heldouts = {kind: holdout_split(records)[1] for kind, (header, records) in datasets_by_kind.items()}
-    sampler = SamplerConfig(n_steps=int(opt["sampler_steps"]))
+    sampler = _from_options(SamplerConfig, args)
     cells = []
     for model_path in args.model:
         model = read_checkpoint(model_path)
@@ -297,12 +247,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"model {model_path} was trained on {kind!r}, but no such dataset was given"
             )
         cells.append(
-            evaluate_model(model, heldouts[kind], sampler, mode=opt["mode"], dataset_name=kind)
+            evaluate_model(model, heldouts[kind], sampler, mode=args.mode, dataset_name=kind)
         )
 
     metadata = {
         "sampler_steps": sampler.n_steps,
-        "mode": opt["mode"],
+        "mode": args.mode,
         "datasets": {
             kind: {
                 "n_points": header["n_trajectories"],
@@ -311,25 +261,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
             }
             for kind, (header, _) in datasets_by_kind.items()
         },
-        "config_digest": config_digest({"sampler_steps": sampler.n_steps, "mode": opt["mode"]}),
+        "config_digest": config_digest({"sampler_steps": sampler.n_steps, "mode": args.mode}),
     }
     report = make_report(cells, metadata)
     write_report(args.report, report)
-    table = render_table(report, include_reference=bool(opt["reference"]))
+    table = render_table(report, include_reference=args.reference)
     print(table, end="")
     print(f"wrote {args.report}")
     return EXIT_OK
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    opt = _resolve(args, PLOT_DEFAULTS)
-    n_traj = int(opt["trajectories"])
+    n_traj = args.trajectories
     if args.data is not None:
         header, records = read_dataset(args.data)
         source = np.stack([r.x0 for r in records])
         target = np.stack([r.endpoint for r in records])
         trajectories = [r.x for r in records[:n_traj]] if n_traj > 0 else []
-        title = opt["title"] if opt["title"] is not None else header["dataset"]
+        title = args.title if args.title is not None else header["dataset"]
     else:
         header, entries = read_samples(args.samples)
         source = np.array([e["x0"] for e in entries], dtype=np.float64)
@@ -337,7 +286,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         with_paths = [e for e in entries if "path" in e][:n_traj] if n_traj > 0 else []
         trajectories = [np.asarray(e["path"], dtype=np.float64) for e in with_paths]
         default_title = f"{header.get('method', '?')} samples ({header.get('dataset') or 'custom'})"
-        title = opt["title"] if opt["title"] is not None else default_title
+        title = args.title if args.title is not None else default_title
     write_svg(args.out, scatter_svg(source, target, trajectories, title=title))
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -355,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     btrue = argparse.BooleanOptionalAction
 
     g = sub.add_parser("gen-data", help="simulate a toy dataset and write NDJSON")
-    g.add_argument("--dataset", required=True, choices=sorted(DEFAULT_N_POINTS))
+    g.add_argument("--dataset", required=True, choices=KINDS)
     g.add_argument("--out", required=True)
     g.add_argument("--n", type=int)
     g.add_argument("--steps", type=int)
@@ -373,28 +322,29 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mass", type=float)
     g.add_argument("--threads", type=int, help="worker threads (default: FORM_LAB_THREADS or CPU count)")
     g.add_argument("--config")
-    g.set_defaults(func=cmd_gen_data)
+    g.set_defaults(func=cmd_gen_data, parser=g)
 
     t = sub.add_parser("train", help="train o1 / o1o2 / form on a dataset file")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--method", required=True, choices=("o1", "o1o2", "form"))
+    t.add_argument("--method", required=True, choices=METHODS)
     t.add_argument("--steps", type=int)
     t.add_argument("--epochs", type=float, help="alternative budget; steps = ceil(epochs*N/batch)")
     t.add_argument("--batch-size", type=int, dest="batch_size")
     t.add_argument("--lr", type=float)
     t.add_argument("--seed", type=int)
-    t.add_argument("--hidden", help="comma-separated hidden widths, e.g. 64,64")
-    t.add_argument("--form-input-mode", choices=("time", "time-position"), dest="form_input_mode")
-    t.add_argument("--o1o2-coupling", choices=("detached", "joint"), dest="o1o2_coupling")
+    t.add_argument("--hidden", type=_int_list, help="comma-separated hidden widths, e.g. 64,64")
+    t.add_argument("--form-input-mode", choices=FORM_INPUT_MODES, dest="form_input_mode")
+    t.add_argument("--o1o2-coupling", choices=O1O2_COUPLINGS, dest="o1o2_coupling")
     t.add_argument(
         "--holdout-fraction",
         type=float,
+        default=HOLDOUT_FRACTION,
         dest="holdout_fraction",
         help="fraction of trailing indices reserved for eval (0 trains on all)",
     )
     t.add_argument("--config")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, parser=t)
 
     s = sub.add_parser("sample", help="run a trained model's sampler and write endpoints")
     s.add_argument("--model", required=True)
@@ -402,41 +352,48 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", help="dataset file for held-out source points")
     s.add_argument("--n", type=int)
     s.add_argument("--sampler-steps", "--M", type=int, dest="sampler_steps")
-    s.add_argument("--seed", type=int, help="seed for --source noise draws")
-    s.add_argument("--source", choices=("heldout", "noise"))
-    s.add_argument("--init-velocity", choices=("dataset", "zero", "explicit"), dest="init_velocity")
-    s.add_argument("--v0", help="explicit initial velocity 'vx,vy'")
-    s.add_argument("--paths", action=btrue, help="store full paths, not just endpoints")
-    s.add_argument("--update", choices=("momentum-exact", "euler"), help="force-sampler velocity update")
+    s.add_argument("--seed", type=int, default=0, help="seed for --source noise draws")
+    s.add_argument("--source", choices=("heldout", "noise"), default="heldout")
+    s.add_argument(
+        "--init-velocity", choices=("dataset", "zero", "explicit"), default="dataset", dest="init_velocity"
+    )
+    s.add_argument("--v0", type=_vector, help="explicit initial velocity 'vx,vy'")
+    s.add_argument("--paths", action=btrue, default=False, help="store full paths, not just endpoints")
+    s.add_argument("--update", choices=VELOCITY_UPDATES, help="force-sampler velocity update")
     s.add_argument("--config")
-    s.set_defaults(func=cmd_sample)
+    s.set_defaults(func=cmd_sample, parser=s)
 
     e = sub.add_parser("eval", help="score models on held-out endpoints and write a report")
     e.add_argument("--model", required=True, action="append", help="checkpoint (repeatable)")
     e.add_argument("--data", required=True, action="append", help="dataset file (repeatable)")
     e.add_argument("--report", required=True)
     e.add_argument("--sampler-steps", "--M", type=int, dest="sampler_steps")
-    e.add_argument("--mode", choices=("paired", "chamfer"))
-    e.add_argument("--reference", action=btrue, help="append previously reported losses")
+    e.add_argument("--mode", choices=EVAL_MODES, default="paired")
+    e.add_argument("--reference", action=btrue, default=False, help="append previously reported losses")
     e.add_argument("--config")
-    e.set_defaults(func=cmd_eval)
+    e.set_defaults(func=cmd_eval, parser=e)
 
     p = sub.add_parser("plot", help="render a dataset or samples file as an SVG scatter")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data")
     src.add_argument("--samples")
     p.add_argument("--out", required=True)
-    p.add_argument("--trajectories", type=int, help="draw the first K paths")
+    p.add_argument("--trajectories", type=int, default=0, help="draw the first K paths")
     p.add_argument("--title")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_plot)
+    p.set_defaults(func=cmd_plot, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # config values become the subcommand's defaults, so explicit flags still win
+            args.parser.set_defaults(**_config_defaults(args.parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import KINDS
 from .dynamics import TrajectoryRecord
-from .sampling import SamplerConfig, sample_form, sample_o1, sample_o1o2
-from .training import TrainedModel
+from .formats import REPORT_KIND, SCHEMA_VERSION
+from .sampling import SamplePath, SamplerConfig, sample_form, sample_o1, sample_o1o2
+from .training import METHODS, TrainedModel
 
 EVAL_MODES = ("paired", "chamfer")
 
 METHOD_LABELS = {"o1": "O1", "o1o2": "O1+O2", "form": "ForM"}
-DATASET_ORDER = ("onedot", "halfmoons", "spiral")
-METHOD_ORDER = ("o1", "o1o2", "form")
 
 # Previously reported losses for the same experiment layout, kept around as
 # an optional overlay row in rendered tables.
@@ -59,6 +59,23 @@ def euclidean_distance_loss(generated, target, mode: str = "paired") -> float:
         dists = np.sqrt(np.sum(diff * diff, axis=-1))
         return float(np.mean(np.min(dists, axis=1)))
     raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+
+
+def sample_model(model: TrainedModel, x0, sampler: SamplerConfig | None = None, v0=None) -> SamplePath:
+    """Run the sampler that matches ``model.method``.
+
+    ``v0`` is the force sampler's initial velocity (see ``sample_form``);
+    flow models have no velocity state, so they reject it.
+    """
+    if model.method == "form":
+        return sample_form(model, x0, sampler, v0=v0)
+    if v0 is not None:
+        raise ValueError(f"{model.method} models take no initial velocity")
+    if model.method == "o1":
+        return sample_o1(model, x0, sampler)
+    if model.method == "o1o2":
+        return sample_o1o2(model, x0, sampler)
+    raise ValueError(f"unknown model method {model.method!r}")
 
 
 @dataclass(frozen=True)
@@ -96,14 +113,7 @@ def evaluate_model(
     sampler = sampler if sampler is not None else SamplerConfig()
     x0 = np.stack([r.x0 for r in heldout])
     targets = np.stack([r.endpoint for r in heldout])
-    if model.method == "o1":
-        path = sample_o1(model, x0, sampler)
-    elif model.method == "o1o2":
-        path = sample_o1o2(model, x0, sampler)
-    elif model.method == "form":
-        path = sample_form(model, x0, sampler)
-    else:
-        raise ValueError(f"unknown model method {model.method!r}")
+    path = sample_model(model, x0, sampler)
     name = dataset_name or (model.dataset_info or {}).get("kind", "unknown")
     return EvalCell(
         dataset=name,
@@ -131,8 +141,8 @@ def make_report(cells: list[EvalCell], metadata: dict | None = None) -> dict:
         ds: sorted(methods, key=lambda m: methods[m]) for ds, methods in by_dataset.items()
     }
     return {
-        "schema_version": 1,
-        "kind": "form-lab-report",
+        "schema_version": SCHEMA_VERSION,
+        "kind": REPORT_KIND,
         "metadata": dict(metadata or {}),
         "cells": [c.to_dict() for c in cells],
         "ranking": ranking,
@@ -152,9 +162,9 @@ def render_table(report: dict, include_reference: bool = False) -> str:
     ``include_reference`` appends the previously reported losses.
     """
     cells = {(c["dataset"], c["method"]): c["loss"] for c in report["cells"]}
-    datasets = [d for d in DATASET_ORDER if any(k[0] == d for k in cells)]
+    datasets = [d for d in KINDS if any(k[0] == d for k in cells)]
     datasets += sorted({k[0] for k in cells} - set(datasets))
-    methods = [m for m in METHOD_ORDER if any(k[1] == m for k in cells)]
+    methods = [m for m in METHODS if any(k[1] == m for k in cells)]
     methods += sorted({k[1] for k in cells} - set(methods))
 
     marks: dict[tuple[str, str], str] = {}
@@ -174,7 +184,7 @@ def render_table(report: dict, include_reference: bool = False) -> str:
             row.append(_fmt_loss(loss) + marks.get((ds, m), "") if loss is not None else "-")
         rows.append(row)
     if include_reference:
-        for m in METHOD_ORDER:
+        for m in METHODS:
             row = [f"ref {METHOD_LABELS[m]}"]
             for ds in datasets:
                 row.append(_fmt_loss(REFERENCE_LOSSES.get(ds, {}).get(m)))

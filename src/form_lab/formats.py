@@ -25,7 +25,7 @@ from .dynamics import TrajectoryRecord, UnitSystem
 from .errors import NonFiniteError, SchemaError
 from .neural import MlpParams
 from .relativity import PhysicsConfig
-from .training import TrainConfig, TrainedModel
+from .training import METHODS, TrainConfig, TrainedModel
 
 SCHEMA_VERSION = 1
 
@@ -242,10 +242,6 @@ def read_dataset(path) -> tuple[dict, list[TrajectoryRecord]]:
     return header, records
 
 
-def dataset_spec_from_header(header: dict) -> DatasetSpec:
-    return DatasetSpec.from_dict(header["spec"])
-
-
 def physics_from_header(header: dict) -> PhysicsConfig:
     return PhysicsConfig(c=float(header["physics"]["c"]), m=float(header["physics"]["m"]))
 
@@ -314,7 +310,7 @@ def read_checkpoint(path) -> TrainedModel:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{path}: malformed checkpoint ({e})") from e
-    if model.method not in ("o1", "o1o2", "form"):
+    if model.method not in METHODS:
         raise SchemaError(f"{path}: unknown method {model.method!r}")
     return model
 

@@ -48,32 +48,6 @@ def trigflow_schedule() -> Schedule:
     )
 
 
-def linear_schedule() -> Schedule:
-    """alpha = t, sigma = 1 - t on [0, 1]; zero curvature."""
-    return Schedule(
-        alpha=lambda t: t,
-        sigma=lambda t: 1.0 - t,
-        alpha_dot=lambda t: 1.0,
-        sigma_dot=lambda t: -1.0,
-        alpha_ddot=lambda t: 0.0,
-        sigma_ddot=lambda t: 0.0,
-        duration=1.0,
-    )
-
-
-def check_boundary_conditions(schedule: Schedule, atol: float = 1e-12) -> None:
-    """Raise ValueError unless the schedule starts at x0 and ends at x1."""
-    checks = {
-        "alpha(0)": (schedule.alpha(0.0), 0.0),
-        "sigma(0)": (schedule.sigma(0.0), 1.0),
-        "alpha(T)": (schedule.alpha(schedule.duration), 1.0),
-        "sigma(T)": (schedule.sigma(schedule.duration), 0.0),
-    }
-    for name, (got, want) in checks.items():
-        if abs(got - want) > atol:
-            raise ValueError(f"schedule violates boundary condition {name} = {want}, got {got!r}")
-
-
 def _check_time(t: float, schedule: Schedule) -> None:
     if not (0.0 <= t <= schedule.duration):
         raise ValueError(f"time {t!r} outside schedule range [0, {schedule.duration!r}]")
@@ -88,11 +62,6 @@ def interpolate(x0, x1, t: float, schedule: Schedule) -> tuple[np.ndarray, np.nd
     x_dot = schedule.alpha_dot(t) * x1 + schedule.sigma_dot(t) * x0
     x_ddot = schedule.alpha_ddot(t) * x1 + schedule.sigma_ddot(t) * x0
     return x_t, x_dot, x_ddot
-
-
-def fm_target_velocity(x0, x1, t: float, schedule: Schedule) -> np.ndarray:
-    """First-order flow-matching regression target: the path velocity x_dot_t."""
-    return interpolate(x0, x1, t, schedule)[1]
 
 
 def trigflow_force(x0, x1, t: float, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.ndarray:

@@ -27,10 +27,6 @@ class MlpParams:
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 @dataclass(frozen=True)
 class MlpGrads:

@@ -44,28 +44,6 @@ class PhysicsConfig:
 DEFAULT_PHYSICS = PhysicsConfig()
 
 
-@dataclass(frozen=True)
-class ParticleState:
-    """Lab-frame snapshot of one particle: time, position, velocity."""
-
-    t: float
-    x: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
-class ForceComponents:
-    """A force expressed in the co-moving frame of a particle.
-
-    ``f_par`` points along the velocity, ``f_perp`` along the (handedness-
-    dependent) 90-degree rotation of the velocity.  Fields may be scalars or
-    broadcastable arrays.
-    """
-
-    f_par: float | np.ndarray
-    f_perp: float | np.ndarray
-
-
 def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
@@ -94,14 +72,6 @@ def lorentz_factor(v, physics: PhysicsConfig = DEFAULT_PHYSICS) -> float | np.nd
         worst = float(np.sqrt(np.max(s2)))
         raise SpeedLimitError(f"speed {worst!r} >= c = {physics.c!r}")
     return 1.0 / np.sqrt(1.0 - s2 / c2)
-
-
-def proper_time_increment(dt, gamma) -> float | np.ndarray:
-    """Proper-time step dtau = dt / gamma for a clock moving at factor gamma."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if np.any(gamma < 1.0) or not np.all(np.isfinite(gamma)):
-        raise ValueError(f"Lorentz factor must be finite and >= 1, got {gamma!r}")
-    return np.asarray(dt, dtype=np.float64) / gamma
 
 
 def momentum(v, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.ndarray:
@@ -173,25 +143,20 @@ def comoving_frame(v, handedness: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return vhat, rotate90(vhat, handedness)
 
 
-def decompose_parallel_perp(f, v, handedness: int = 1) -> ForceComponents:
-    """Project a lab-frame 2-D force onto the co-moving frame of ``v``."""
+def decompose_parallel_perp(f, v, handedness: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Project a lab-frame 2-D force onto the co-moving frame of ``v``: (f_par, f_perp)."""
     f = _as_float_array(f)
     vhat, vperp = comoving_frame(v, handedness)
-    return ForceComponents(f_par=_dot(f, vhat), f_perp=_dot(f, vperp))
-
-
-def compose_from_components(components: ForceComponents, v, handedness: int = 1) -> np.ndarray:
-    """Rebuild the lab-frame force from co-moving components along ``v``."""
-    vhat, vperp = comoving_frame(v, handedness)
-    return _column(components.f_par) * vhat + _column(components.f_perp) * vperp
+    return _dot(f, vhat), _dot(f, vperp)
 
 
 def compose_lab_force(f_par, f_perp, v, handedness: int = 1) -> np.ndarray:
-    """Like :func:`compose_from_components`, but tolerant of resting particles.
+    """Rebuild the lab-frame force from co-moving components along ``v``.
 
-    Rows where the speed is <= EPS_V are only an error when their components
-    are nonzero; a zero force needs no direction and composes to zero.  This
-    is the composition used inside integrators, where a force schedule may
+    The inverse of :func:`decompose_parallel_perp`, but tolerant of resting
+    particles: rows where the speed is <= EPS_V are only an error when their
+    components are nonzero; a zero force needs no direction and composes to
+    zero.  Integrators rely on this, because a force schedule may
     legitimately pass through exact zero.
     """
     v = _as_float_array(v)
@@ -233,9 +198,3 @@ def velocity_from_celerity(w, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.nd
     if not np.all(np.isfinite(w)):
         raise NonFiniteError("celerity must be finite")
     return w / _column(np.sqrt(1.0 + _dot(w, w) / physics.c**2))
-
-
-def lorentz_factor_from_celerity(w, physics: PhysicsConfig = DEFAULT_PHYSICS) -> float | np.ndarray:
-    """gamma expressed through w: sqrt(1 + |w|^2 / c^2)."""
-    w = _as_float_array(w)
-    return np.sqrt(1.0 + _dot(w, w) / physics.c**2)

@@ -208,26 +208,6 @@ def train(
     )
 
 
-def train_o1(records, config: TrainConfig | None = None, **kwargs) -> TrainedModel:
-    return train(records, _coerce_config(config, "o1"), **kwargs)
-
-
-def train_o1o2(records, config: TrainConfig | None = None, **kwargs) -> TrainedModel:
-    return train(records, _coerce_config(config, "o1o2"), **kwargs)
-
-
-def train_form(records, config: TrainConfig | None = None, **kwargs) -> TrainedModel:
-    return train(records, _coerce_config(config, "form"), **kwargs)
-
-
-def _coerce_config(config: TrainConfig | None, method: str) -> TrainConfig:
-    if config is None:
-        return TrainConfig(method=method)
-    if config.method != method:
-        raise ValueError(f"config.method = {config.method!r} but trainer expects {method!r}")
-    return config
-
-
 def steps_for_epochs(epochs: float, n_train: int, batch_size: int) -> int:
     """Convert an epoch budget to optimizer steps: ceil(epochs * N / batch)."""
     if epochs <= 0.0 or n_train < 1 or batch_size < 1:

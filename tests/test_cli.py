@@ -3,12 +3,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from form_lab import cli
 from form_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from form_lab.formats import read_dataset, read_report, read_samples
+from form_lab.datasets import DatasetSpec
+from form_lab.formats import read_checkpoint, read_dataset, read_report, read_samples
+from form_lab.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +343,123 @@ class TestPlot:
         out = tmp_path / "fig.svg"
         main(["plot", "--data", str(workdir["data"]), "--out", str(out), "--title", "hello"])
         assert ">hello<" in out.read_text()
+
+
+# Every key --config accepts, per subcommand, each set to its default.
+DEFAULT_CONFIGS = {
+    "gen-data": {
+        "n": None, "steps": 200, "duration": 1.0, "seed": 0, "variance": 0.3,
+        "velocity_scale": 4.0, "initial_speed": 4.0, "core_speed": 2.0, "ring_speed": 6.0,
+        "disc_radius": 1.0, "force_scale": 1.0, "perp_handedness": "ccw", "c": 10.0,
+        "mass": 1.0, "threads": None,
+    },
+    "train": {
+        "steps": 20000, "epochs": None, "batch_size": 128, "lr": 1e-3, "seed": 0,
+        "hidden": "64,64", "form_input_mode": "time", "o1o2_coupling": "detached",
+        "holdout_fraction": 0.2,
+    },
+    "sample": {
+        "n": None, "sampler_steps": 100, "seed": 0, "source": "heldout",
+        "init_velocity": "dataset", "v0": None, "paths": False, "update": "momentum-exact",
+    },
+    "eval": {"sampler_steps": 100, "mode": "paired", "reference": False},
+    "plot": {"trajectories": 0, "title": None},
+}
+
+
+def _argv(command, workdir, out):
+    """``command`` with its required arguments only."""
+    data, models = str(workdir["data"]), workdir["models"]
+    return {
+        "gen-data": ["gen-data", "--dataset", "onedot", "--out", out],
+        "train": ["train", "--data", data, "--out", out, "--method", "o1o2"],
+        "sample": ["sample", "--model", str(models["form"]), "--data", data, "--out", out],
+        "eval": ["eval", "--model", str(models["form"]), "--data", data, "--report", out],
+        "plot": ["plot", "--data", data, "--out", out],
+    }[command]
+
+
+# Flags that keep each run small; they override the config's budget keys.
+SMALL_RUN = {
+    "gen-data": ["--n", "6", "--steps", "8"],
+    "train": ["--steps", "5", "--batch-size", "4", "--hidden", "4"],
+    "sample": ["--sampler-steps", "6"],
+    "eval": ["--sampler-steps", "6"],
+    "plot": [],
+}
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["--config", str(path)]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
+    def test_every_key_at_its_default_changes_nothing(self, workdir, tmp_path, command):
+        plain, configured = tmp_path / "plain", tmp_path / "configured"
+        assert main(_argv(command, workdir, str(plain)) + SMALL_RUN[command]) == EXIT_OK
+        cfg = _write_config(tmp_path, DEFAULT_CONFIGS[command])
+        assert main(_argv(command, workdir, str(configured)) + SMALL_RUN[command] + cfg) == EXIT_OK
+        assert configured.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
+    def test_input_and_output_keys_are_rejected(self, workdir, tmp_path, command, capsys):
+        argv = _argv(command, workdir, str(tmp_path / "o")) + _write_config(tmp_path, {"out": "x"})
+        assert main(argv) == EXIT_USAGE
+        assert "unknown keys: ['out']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("gen-data", {"perp_handedness": "up"}),
+            ("gen-data", {"threads": "x"}),
+            ("train", {"batch_size": [1]}),
+            ("train", {"steps": 5, "epochs": 1}),
+            ("sample", {"source": "bogus"}),
+            ("sample", {"init_velocity": "bogus"}),
+            ("sample", {"paths": "false"}),
+            ("eval", {"reference": "no"}),
+        ],
+        ids=lambda v: "+".join(v) if isinstance(v, dict) else v,
+    )
+    def test_malformed_value_is_usage_error(self, workdir, tmp_path, capsys, command, cfg):
+        out = tmp_path / "o"
+        assert main(_argv(command, workdir, str(out)) + _write_config(tmp_path, cfg)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(key in err for key in cfg)
+        assert not out.exists()
+
+    def test_steps_and_epochs_exclusive_across_sources(self, workdir, tmp_path):
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.json"), "--method", "o1"]
+        assert main(argv + ["--epochs", "1"] + _write_config(tmp_path, {"steps": 5})) == EXIT_USAGE
+
+
+class TestDefaults:
+    """With no optional flag, each dataclass default is what the files record."""
+
+    def test_gen_data_spec(self, tmp_path):
+        out = tmp_path / "d.ndjson"
+        assert main(["gen-data", "--dataset", "onedot", "--out", str(out)]) == EXIT_OK
+        header, _ = read_dataset(out)
+        assert header["spec"] == DatasetSpec(kind="onedot").to_dict()
+
+    def test_train_config(self, workdir, tmp_path, monkeypatch):
+        real_train = cli.train
+
+        def one_step_train(records, config, **kwargs):
+            """Train one step, but keep the configuration the CLI asked for."""
+            model = real_train(records, replace(config, steps=1), **kwargs)
+            model.train_config = config
+            return model
+
+        monkeypatch.setattr(cli, "train", one_step_train)
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(out), "--method", "form"]
+        assert main(argv) == EXIT_OK
+        assert asdict(read_checkpoint(out).train_config) == asdict(TrainConfig(method="form"))
 
 
 class TestProcessBoundary:

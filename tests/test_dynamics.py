@@ -91,9 +91,9 @@ class TestRecordConsistency:
         assert_allclose(record.a, expected, rtol=1e-10, atol=1e-12)
 
     def test_components_match_lab_force(self, record):
-        fc = decompose_parallel_perp(record.f, record.v)
-        assert_allclose(fc.f_par, record.f_par, rtol=1e-10, atol=1e-10)
-        assert_allclose(fc.f_perp, record.f_perp, rtol=1e-10, atol=1e-10)
+        f_par, f_perp = decompose_parallel_perp(record.f, record.v)
+        assert_allclose(f_par, record.f_par, rtol=1e-10, atol=1e-10)
+        assert_allclose(f_perp, record.f_perp, rtol=1e-10, atol=1e-10)
 
     def test_work_identity_along_path(self, record):
         """Central differences of |v|^2/2 on the grid match the analytic rate

@@ -12,7 +12,6 @@ from form_lab.datasets import DatasetSpec, generate
 from form_lab.errors import NonFiniteError, SchemaError
 from form_lab.evaluate import EvalCell, make_report
 from form_lab.formats import (
-    dataset_spec_from_header,
     dumps,
     format_float,
     physics_from_header,
@@ -84,7 +83,7 @@ class TestDatasetFiles:
         header, back = read_dataset(path)
         assert header["dataset"] == "halfmoons"
         assert header["n_trajectories"] == len(records)
-        assert dataset_spec_from_header(header).to_dict() == spec.to_dict()
+        assert DatasetSpec.from_dict(header["spec"]).to_dict() == spec.to_dict()
         assert physics_from_header(header) == DEFAULT_PHYSICS
         for a, b in zip(records, back):
             assert a.index == b.index
@@ -95,7 +94,7 @@ class TestDatasetFiles:
         p1, p2 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
         write_dataset(p1, records, spec, DEFAULT_PHYSICS)
         header, back = read_dataset(p1)
-        write_dataset(p2, back, dataset_spec_from_header(header), physics_from_header(header))
+        write_dataset(p2, back, DatasetSpec.from_dict(header["spec"]), physics_from_header(header))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_records_sorted_by_index(self, tmp_path, spec, records):

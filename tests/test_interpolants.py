@@ -7,21 +7,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from form_lab.errors import SpeedLimitError
-from form_lab.interpolants import (
-    check_boundary_conditions,
-    fm_target_velocity,
-    interpolate,
-    linear_schedule,
-    trigflow_schedule,
-    trigflow_force,
-)
+from form_lab.interpolants import interpolate, trigflow_force, trigflow_schedule
 from form_lab.relativity import PhysicsConfig, relativistic_force
 
 
 class TestSchedules:
     def test_boundary_conditions(self):
-        check_boundary_conditions(trigflow_schedule())
-        check_boundary_conditions(linear_schedule())
+        """alpha(0) = 0, sigma(0) = 1 and alpha(T) = 1, sigma(T) = 0."""
+        s = trigflow_schedule()
+        assert (s.alpha(0.0), s.sigma(0.0)) == (0.0, 1.0)
+        assert_allclose([s.alpha(s.duration), s.sigma(s.duration)], [1.0, 0.0], atol=1e-15)
 
     def test_trigflow_duration(self):
         assert trigflow_schedule().duration == math.pi / 2.0
@@ -35,14 +30,11 @@ class TestSchedules:
         assert_allclose(end, x1, atol=1e-15)
 
     def test_time_range_checked(self):
-        s = linear_schedule()
+        s = trigflow_schedule()
         with pytest.raises(ValueError):
-            interpolate([0.0, 0.0], [1.0, 1.0], 1.5, s)
-
-    def test_linear_target_velocity_is_displacement(self):
-        x0, x1 = np.array([1.0, 1.0]), np.array([4.0, -1.0])
-        for t in (0.0, 0.3, 1.0):
-            assert_allclose(fm_target_velocity(x0, x1, t, linear_schedule()), x1 - x0)
+            interpolate([0.0, 0.0], [1.0, 1.0], 1.6, s)
+        with pytest.raises(ValueError):
+            interpolate([0.0, 0.0], [1.0, 1.0], -0.1, s)
 
     def test_derivatives_match_finite_differences(self):
         """The schedule's stated derivatives are the actual derivatives."""

@@ -12,9 +12,6 @@ from form_lab.training import (
     stack_records,
     steps_for_epochs,
     train,
-    train_form,
-    train_o1,
-    train_o1o2,
 )
 
 
@@ -138,15 +135,6 @@ class TestHeads:
     def test_form_heads_time_position_mode(self, records):
         m = train(records, quick("form", form_input_mode="time-position"))
         assert m.heads["F"].layer_dims == (3, 8, 8, 2)
-
-    def test_wrappers(self, records):
-        assert set(train_o1(records, quick("o1")).heads) == {"u1"}
-        assert set(train_o1o2(records, quick("o1o2")).heads) == {"u1", "u2"}
-        assert set(train_form(records, quick("form")).heads) == {"F"}
-
-    def test_wrapper_rejects_method_mismatch(self, records):
-        with pytest.raises(ValueError):
-            train_o1(records, quick("form"))
 
 
 class TestLossBehavior:
