@@ -184,7 +184,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         n = args.n if args.n is not None else 100
         spec = replace(DatasetSpec.from_dict(model.dataset_info), seed=args.seed, n_points=n)
         indices = list(range(n))
-        x0 = source_points(spec, indices)
+        x0 = source_points(spec, indices, model.physics)
         dataset_seed = args.seed
 
     sampler = _from_options(SamplerConfig, args)
@@ -229,7 +229,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     datasets_by_kind: dict[str, tuple[dict, list]] = {}
     for path in args.data:
         header, records = read_dataset(path)
-        kind = header["dataset"]
+        kind = header["spec"]["kind"]
         if kind in datasets_by_kind:
             raise ValueError(f"two datasets of kind {kind!r} given; one per kind, please")
         datasets_by_kind[kind] = (header, records)
@@ -278,7 +278,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         source = np.stack([r.x0 for r in records])
         target = np.stack([r.endpoint for r in records])
         trajectories = [r.x for r in records[:n_traj]] if n_traj > 0 else []
-        title = args.title if args.title is not None else header["dataset"]
+        title = args.title if args.title is not None else header["spec"]["kind"]
     else:
         header, entries = read_samples(args.samples)
         source = np.array([e["x0"] for e in entries], dtype=np.float64)

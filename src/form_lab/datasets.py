@@ -36,6 +36,8 @@ PERP_FORCE_SI = 7.0e8
 
 HOLDOUT_FRACTION = 0.2
 
+SOURCE_REDRAWS = 10
+
 THREADS_ENV_VAR = "FORM_LAB_THREADS"
 
 
@@ -64,8 +66,8 @@ class DatasetSpec:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
-        if not self.duration > 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < np.inf:  # the time grid, also of a dataset read back, is built from it
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if not self.source_variance > 0.0:
             raise ValueError(f"source_variance must be positive, got {self.source_variance}")
         for name in ("initial_speed", "core_speed", "ring_speed", "disc_radius"):
@@ -104,8 +106,14 @@ def force_schedule_for(spec: DatasetSpec, units: UnitSystem = DEFAULT_UNITS) -> 
     return ForceSchedule.sinusoidal(par, 1.0, perp, 1.0)  # spiral
 
 
-def source_points(spec: DatasetSpec, indices) -> np.ndarray:
-    """Draw the source point for each trajectory index; shape (len(indices), 2)."""
+def source_points(spec: DatasetSpec, indices, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.ndarray:
+    """Draw the source point for each trajectory index; shape (len(indices), 2).
+
+    An onedot point whose ``v0 = velocity_scale * x0`` would reach ``c`` is
+    redrawn from its own stream, at most ``SOURCE_REDRAWS`` times: points
+    valid at the first draw are unchanged, and a scale that leaves almost no
+    valid source region still fails the simulator's speed check.
+    """
     out = np.empty((len(indices), 2), dtype=np.float64)
     std = float(np.sqrt(spec.source_variance))
     for row, index in enumerate(indices):
@@ -117,6 +125,11 @@ def source_points(spec: DatasetSpec, indices) -> np.ndarray:
             out[row] = r * np.array([np.cos(theta), np.sin(theta)])
         else:
             out[row] = rng.normal(0.0, std, size=2)
+        if spec.kind == "onedot":  # redraw while v0 = velocity_scale * x0 fails lorentz_factor's |v0|^2 < c^2
+            for _ in range(SOURCE_REDRAWS):
+                if np.sum((spec.velocity_scale * out[row]) ** 2) < physics.c**2:
+                    break
+                out[row] = rng.normal(0.0, std, size=2)
     return out
 
 
@@ -187,7 +200,7 @@ def generate(
     chunks = [c for c in chunks if len(c)]
 
     def run_chunk(indices: np.ndarray) -> list[TrajectoryRecord]:
-        x0 = source_points(spec, indices)
+        x0 = source_points(spec, indices, physics)
         v0 = initial_velocity(spec, x0)
         return simulate_batch(
             x0,

@@ -172,32 +172,33 @@ def simulate_batch(
     if not np.all(np.isfinite(states)):
         raise NonFiniteError("trajectory integration produced non-finite states")
 
-    xs = states[:, :, :2]  # (K+1, N, 2)
-    ws = states[:, :, 2:]
-    vs = velocity_from_celerity(ws, physics)
-
+    vs = velocity_from_celerity(states[:, :, 2:], physics)
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
-    # true force = m * per-unit-mass schedule, composed along each velocity
-    f_lab = physics.m * compose_lab_force(
-        fp_grid[:, None], fq_grid[:, None], vs, handedness
-    )
-    accel = acceleration_from_force(vs, f_lab, physics)
+    # true force = m * per-unit-mass schedule
+    f_par, f_perp = physics.m * fp_grid[:, None], physics.m * fq_grid[:, None]
+    return trajectory_records(indices, times, states[:, :, :2], vs, f_par, f_perp, physics, handedness)
 
-    records = []
-    for j in range(n):
-        records.append(
-            TrajectoryRecord(
-                index=int(indices[j]),
-                times=times.copy(),
-                x=np.ascontiguousarray(xs[:, j]),
-                v=np.ascontiguousarray(vs[:, j]),
-                a=np.ascontiguousarray(accel[:, j]),
-                f=np.ascontiguousarray(f_lab[:, j]),
-                f_par=physics.m * fp_grid,
-                f_perp=physics.m * fq_grid,
-            )
-        )
-    return records
+
+def trajectory_records(
+    indices, times: np.ndarray, x: np.ndarray, v: np.ndarray, f_par, f_perp, physics: PhysicsConfig, handedness: int
+) -> list[TrajectoryRecord]:
+    """Records of N particles from the integrated state on a shared time grid.
+
+    ``x``, ``v`` have shape (K+1, N, 2); ``f_par``, ``f_perp`` broadcast to
+    (K+1, N).  The lab force ``f`` (the co-moving pair composed along ``v``)
+    and acceleration ``a`` (the force law) are derived here for the simulator
+    and the dataset reader alike, so records read back are bit-identical.
+    """
+    f_par, f_perp = (np.broadcast_to(f, x.shape[:-1]) for f in (f_par, f_perp))
+    f_lab = compose_lab_force(f_par, f_perp, v, handedness)
+    accel = acceleration_from_force(v, f_lab, physics)
+    if not (np.all(np.isfinite(f_lab)) and np.all(np.isfinite(accel))):
+        raise NonFiniteError("lab force or acceleration is non-finite")
+    columns = {"x": x, "v": v, "a": accel, "f": f_lab, "f_par": f_par, "f_perp": f_perp}
+    return [
+        TrajectoryRecord(index=int(index), times=times.copy(), **{k: col[:, j].copy() for k, col in columns.items()})
+        for j, index in enumerate(indices)
+    ]
 
 
 def simulate_trajectory(

@@ -28,6 +28,12 @@ def euler_step(f: DerivativeFn, t: float, y: np.ndarray, h: float) -> np.ndarray
     return y + h * f(t, y)
 
 
+def uniform_grid(duration: float, n_steps: int, t0: float = 0.0) -> tuple[np.ndarray, float]:
+    """The ``n_steps + 1`` times ``t0 + k h`` with ``h = duration / n_steps``, and ``h``."""
+    h = duration / n_steps
+    return t0 + h * np.arange(n_steps + 1), h
+
+
 def integrate_fixed_grid(
     f: DerivativeFn,
     y0: np.ndarray,
@@ -51,8 +57,7 @@ def integrate_fixed_grid(
     step = steppers[method]
 
     y = np.array(y0, dtype=np.float64, copy=True)
-    h = duration / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
+    times, h = uniform_grid(duration, n_steps, t0)
     states = np.empty((n_steps + 1, *y.shape), dtype=np.float64)
     states[0] = y
     for k in range(n_steps):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .datasets import DatasetSpec, initial_velocity
 from .errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
-from .ode import integrate_fixed_grid
+from .ode import integrate_fixed_grid, uniform_grid
 from .relativity import (
     DEFAULT_PHYSICS,
     EPS_V,
@@ -83,15 +83,10 @@ class SamplePath:
         return len(self.times) - 1
 
 
-def _grid(duration: float, n_steps: int) -> tuple[np.ndarray, float]:
-    d = duration / n_steps
-    return d * np.arange(n_steps + 1), d
-
-
 def flow_path_o1(velocity_fn: Callable, x0, duration: float, n_steps: int) -> SamplePath:
     """x <- x + d * u1(x, t), the first-order probability-flow sampler."""
     x = np.array(x0, dtype=np.float64, copy=True)
-    times, d = _grid(duration, n_steps)
+    times, d = uniform_grid(duration, n_steps)
     xs = np.empty((n_steps + 1, *x.shape), dtype=np.float64)
     xs[0] = x
     for k in range(n_steps):
@@ -104,7 +99,7 @@ def flow_path_o1(velocity_fn: Callable, x0, duration: float, n_steps: int) -> Sa
 def flow_path_o1o2(velocity_fn: Callable, accel_fn: Callable, x0, duration: float, n_steps: int) -> SamplePath:
     """x <- x + d u1 + (d^2/2) u2(u1, x, t), the second-order refinement."""
     x = np.array(x0, dtype=np.float64, copy=True)
-    times, d = _grid(duration, n_steps)
+    times, d = uniform_grid(duration, n_steps)
     xs = np.empty((n_steps + 1, *x.shape), dtype=np.float64)
     xs[0] = x
     for k in range(n_steps):
@@ -137,7 +132,7 @@ def force_path(
         raise ValueError(f"velocity_update must be one of {VELOCITY_UPDATES}")
     x = np.array(x0, dtype=np.float64, copy=True)
     v = np.broadcast_to(np.asarray(v0, dtype=np.float64), x.shape).copy()
-    times, d = _grid(duration, n_steps)
+    times, d = uniform_grid(duration, n_steps)
     xs = np.empty((n_steps + 1, *x.shape), dtype=np.float64)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v

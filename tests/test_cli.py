@@ -1,9 +1,11 @@
 """CLI: end-to-end pipeline on tiny inputs, precedence rules, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ import pytest
 from form_lab import cli
 from form_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from form_lab.datasets import DatasetSpec
-from form_lab.formats import read_checkpoint, read_dataset, read_report, read_samples
+from form_lab.formats import read_checkpoint, read_dataset, read_report, read_samples, write_samples
 from form_lab.training import TrainConfig
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +52,7 @@ def workdir(tmp_path_factory):
 class TestGenData:
     def test_writes_valid_dataset(self, workdir):
         header, records = read_dataset(workdir["data"])
-        assert header["dataset"] == "onedot"
+        assert header["spec"]["kind"] == "onedot"
         assert len(records) == 10
         assert records[0].n_steps == 20
 
@@ -462,29 +466,77 @@ class TestDefaults:
         assert asdict(read_checkpoint(out).train_config) == asdict(TrainConfig(method="form"))
 
 
+def _with_header(src, dst, mutate):
+    """Copy a file, passing its first line's JSON object through ``mutate``."""
+    first, *rest = src.read_text().splitlines()
+    header = json.loads(first)
+    mutate(header)
+    dst.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+    return dst
+
+
+# Each gave a traceback (exit 1), trained anyway (exit 0) or a self-contradicting message at v1.
+HEADER_PROBES = {
+    "spec-not-object": lambda h: h.update(spec=3),
+    "physics-without-m": lambda h: h.update(physics={"c": 10.0}),
+    "grid-size-string": lambda h: h["spec"].update(n_steps="10"),
+    "unknown-kind": lambda h: h["spec"].update(kind="bogus"),
+    "count-string": lambda h: h.update(n_trajectories="6"),
+}
+
+
+class TestFileValidation:
+    @pytest.mark.parametrize("probe", sorted(HEADER_PROBES))
+    def test_malformed_dataset_header_is_usage_error(self, workdir, tmp_path, capsys, probe):
+        data = _with_header(workdir["data"], tmp_path / "d.ndjson", HEADER_PROBES[probe])
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(data), "--out", str(out), "--method", "o1", "--steps", "1"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sample", "plot"])
+    def test_v1_file_names_schema_version(self, workdir, tmp_path, capsys, command):
+        def v1(header):
+            header["schema_version"] = 1
+
+        out = str(tmp_path / "o")
+        if command == "train":
+            data = _with_header(workdir["data"], tmp_path / "d.ndjson", v1)
+            argv = ["train", "--data", str(data), "--out", out, "--method", "o1", "--steps", "1"]
+        elif command == "sample":
+            model = _with_header(workdir["models"]["o1"], tmp_path / "m.json", v1)
+            argv = ["sample", "--model", str(model), "--data", str(workdir["data"]), "--out", out]
+        else:
+            samples = tmp_path / "s.ndjson"
+            write_samples(samples, {}, [{"index": 0, "x0": [0.5, 1.0], "endpoint": [1.5, 2.0]}])
+            argv = ["plot", "--samples", str(_with_header(samples, samples, v1)), "--out", out]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "schema_version 1" in err
+
+
+def _run_module(*args):
+    """``python -m form_lab.cli ARGS`` with this checkout's package first on the path."""
+    pythonpath = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "form_lab.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 class TestProcessBoundary:
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "d.ndjson"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "form_lab.cli",
-                "gen-data", "--dataset", "onedot",
-                "--out", str(out), "--n", "3", "--steps", "5",
-            ],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("gen-data", "--dataset", "onedot", "--out", str(out), "--n", "3", "--steps", "5")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()
 
     def test_usage_exit_code_through_process(self, tmp_path):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "form_lab.cli",
-                "train", "--data", str(tmp_path / "nope.ndjson"),
-                "--out", str(tmp_path / "m.json"), "--method", "o1",
-            ],
-            capture_output=True,
-            text=True,
+        proc = _run_module(
+            "train", "--data", str(tmp_path / "nope.ndjson"), "--out", str(tmp_path / "m.json"), "--method", "o1"
         )
         assert proc.returncode == EXIT_USAGE

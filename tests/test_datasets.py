@@ -70,6 +70,16 @@ class TestSources:
         assert np.array_equal(source_points(spec, range(6)), full[:6])
         assert np.array_equal(source_points(spec, [7]), full[7:8])
 
+    def test_onedot_default_valid_where_a_first_draw_reaches_c(self):
+        """At seed 63 a first draw lies beyond |x0| = 2.5, so v0 = 4 x0 would reach c; only it is redrawn."""
+        records = generate(DatasetSpec(kind="onedot", seed=63))
+        assert max(float(np.max(np.sum(r.v * r.v, axis=-1))) for r in records) < 10.0**2
+        streams = (np.random.default_rng(np.random.SeedSequence(63, spawn_key=(i,))) for i in range(200))
+        first = np.stack([rng.normal(0.0, np.sqrt(0.3), 2) for rng in streams])
+        kept = np.sum((4.0 * first) ** 2, axis=-1) < 10.0**2
+        assert not kept.all()
+        assert np.array_equal(np.stack([r.x0 for r in records])[kept], first[kept])
+
     def test_gaussian_variance(self):
         spec = DatasetSpec(kind="onedot", n_points=4000, seed=0, source_variance=0.3)
         pts = source_points(spec, range(4000))
