@@ -179,19 +179,27 @@ def simulate_batch(
     return trajectory_records(indices, times, states[:, :, :2], vs, f_par, f_perp, physics, handedness)
 
 
+def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedness: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lab force ``f`` (the co-moving pair composed along ``v``) and the
+    acceleration ``a`` (the force law) that a record carries.
+
+    The simulator, the dataset reader and the dataset writer's check all
+    derive them here, so records read back are bit-identical.
+    """
+    f_lab = compose_lab_force(f_par, f_perp, v, handedness)
+    return f_lab, acceleration_from_force(v, f_lab, physics)
+
+
 def trajectory_records(
     indices, times: np.ndarray, x: np.ndarray, v: np.ndarray, f_par, f_perp, physics: PhysicsConfig, handedness: int
 ) -> list[TrajectoryRecord]:
     """Records of N particles from the integrated state on a shared time grid.
 
     ``x``, ``v`` have shape (K+1, N, 2); ``f_par``, ``f_perp`` broadcast to
-    (K+1, N).  The lab force ``f`` (the co-moving pair composed along ``v``)
-    and acceleration ``a`` (the force law) are derived here for the simulator
-    and the dataset reader alike, so records read back are bit-identical.
+    (K+1, N); ``f`` and ``a`` come from :func:`lab_force_and_acceleration`.
     """
     f_par, f_perp = (np.broadcast_to(f, x.shape[:-1]) for f in (f_par, f_perp))
-    f_lab = compose_lab_force(f_par, f_perp, v, handedness)
-    accel = acceleration_from_force(v, f_lab, physics)
+    f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
     if not (np.all(np.isfinite(f_lab)) and np.all(np.isfinite(accel))):
         raise NonFiniteError("lab force or acceleration is non-finite")
     columns = {"x": x, "v": v, "a": accel, "f": f_lab, "f_par": f_par, "f_perp": f_perp}

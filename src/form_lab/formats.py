@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DatasetSpec
-from .dynamics import TrajectoryRecord, UnitSystem, trajectory_records
+from .dynamics import TrajectoryRecord, UnitSystem, lab_force_and_acceleration, trajectory_records
 from .errors import DegenerateVelocityError, NonFiniteError, SchemaError, SpeedLimitError
 from .neural import MlpParams
 from .ode import uniform_grid
@@ -209,6 +209,9 @@ def write_dataset(
 
     Records are written in index order and must be exactly trajectories
     0..N-1 on the spec's time grid, because that is what the reader accepts.
+    Their ``f`` and ``a`` must be the ones ``physics`` and the spec's
+    handedness rebuild from ``v``, ``f_par`` and ``f_perp``, bit for bit,
+    because the reader rebuilds them that way.
     """
     if not records:
         raise ValueError("refusing to write an empty dataset")
@@ -219,6 +222,7 @@ def write_dataset(
     off_grid = [r.index for r in records if not np.array_equal(r.times, times)]
     if off_grid:
         raise ValueError(f"records {off_grid[:5]} are off the spec's grid ({spec.n_steps} steps, {spec.duration} s)")
+    _check_rebuilt(records, physics, spec.handedness)
     units = units if units is not None else UnitSystem()
     header = {
         "schema_version": SCHEMA_VERSION,
@@ -230,6 +234,28 @@ def write_dataset(
     }
     rows = [{"index": r.index, "x": r.x, "v": r.v, "f_par": r.f_par, "f_perp": r.f_perp} for r in records]
     _write_json_lines(path, [header, *rows])
+
+
+_REBUILD_CHECK_CHUNK = 128  # records per vectorised writer check: a few MB of temporaries, not tens
+
+
+def _check_rebuilt(records: list[TrajectoryRecord], physics: PhysicsConfig, handedness: int) -> None:
+    """Raise ValueError unless each record's ``f`` and ``a`` are what :func:`read_dataset` will rebuild."""
+    at = f"physics c={physics.c!r}, m={physics.m!r} and handedness {handedness}"
+    for start in range(0, len(records), _REBUILD_CHECK_CHUNK):
+        chunk = records[start : start + _REBUILD_CHECK_CHUNK]
+        v, f_par, f_perp, f, a = (np.stack([getattr(r, k) for r in chunk]) for k in ("v", "f_par", "f_perp", "f", "a"))
+        try:
+            f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
+        except (SpeedLimitError, DegenerateVelocityError) as e:
+            raise ValueError(f"records cannot be rebuilt at {at}: {e}") from e
+        for name, stored, rebuilt in (("f", f, f_lab), ("a", a, accel)):
+            bad = np.flatnonzero(np.any(stored != rebuilt, axis=(1, 2)))
+            if bad.size:
+                raise ValueError(
+                    f"records {[chunk[i].index for i in bad[:5]]} carry an {name} that {at} do not give; "
+                    "write them with the physics they were generated at"
+                )
 
 
 def read_dataset(path) -> tuple[dict, list[TrajectoryRecord]]:

@@ -18,12 +18,17 @@ their comparison a controlled experiment rather than a reseeding accident.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .dynamics import TrajectoryRecord
 from .errors import NonFiniteError
-from .neural import MlpGrads, MlpParams, adam_init, adam_step, mlp_backward, mlp_forward, mlp_init
+from .neural import MlpParams, adam_init, adam_step, mlp_init, mlp_value_and_grad
+
+# Uncalled here, but importable at this site: the benchmark's traced run
+# (perfbench/workloads.py TRACE_SITES) wraps these attributes.
+from .neural import mlp_backward, mlp_forward  # noqa: F401
 from .relativity import DEFAULT_PHYSICS, PhysicsConfig
 
 METHODS = ("o1", "o1o2", "form")
@@ -171,27 +176,29 @@ def train(
                 [data.f_par[traj_idx, knot_idx], data.f_perp[traj_idx, knot_idx]], axis=-1
             )
             inp = t_col if config.form_input_mode == "time" else np.concatenate([x_t, t_col], axis=1)
-            pred = mlp_forward(heads["F"], inp)
-            loss, dpred = _squared_error_loss(pred, target)
-            grads, _ = mlp_backward(heads["F"], inp, dpred)
+            loss, grads, _ = mlp_value_and_grad(heads["F"], inp, partial(_squared_error_loss, target=target))
             heads["F"], opt["F"] = adam_step(heads["F"], grads, opt["F"])
         else:
             v_t = data.v[traj_idx, knot_idx]
+
+            def u1_loss(pred1):
+                """Velocity loss on u1's output, plus u2's acceleration loss for o1o2."""
+                loss, dpred1 = _squared_error_loss(pred1, v_t)
+                if config.method == "o1o2":
+                    a_t = data.a[traj_idx, knot_idx]
+                    inp2 = np.concatenate([pred1, x_t, t_col], axis=1)
+                    loss2, grads2, dinp2 = mlp_value_and_grad(
+                        heads["u2"], inp2, partial(_squared_error_loss, target=a_t)
+                    )
+                    loss += loss2
+                    if config.o1o2_coupling == "joint":
+                        # acceleration loss also shapes u1 through u2's first input slot
+                        dpred1 = dpred1 + dinp2[:, :2]
+                    heads["u2"], opt["u2"] = adam_step(heads["u2"], grads2, opt["u2"])
+                return loss, dpred1
+
             inp1 = np.concatenate([x_t, t_col], axis=1)
-            pred1 = mlp_forward(heads["u1"], inp1)
-            loss, dpred1 = _squared_error_loss(pred1, v_t)
-            if config.method == "o1o2":
-                a_t = data.a[traj_idx, knot_idx]
-                inp2 = np.concatenate([pred1, x_t, t_col], axis=1)
-                pred2 = mlp_forward(heads["u2"], inp2)
-                loss2, dpred2 = _squared_error_loss(pred2, a_t)
-                loss += loss2
-                grads2, dinp2 = mlp_backward(heads["u2"], inp2, dpred2)
-                if config.o1o2_coupling == "joint":
-                    # acceleration loss also shapes u1 through u2's first input slot
-                    dpred1 = dpred1 + dinp2[:, :2]
-                heads["u2"], opt["u2"] = adam_step(heads["u2"], grads2, opt["u2"])
-            grads1, _ = mlp_backward(heads["u1"], inp1, dpred1)
+            loss, grads1, _ = mlp_value_and_grad(heads["u1"], inp1, u1_loss)
             heads["u1"], opt["u1"] = adam_step(heads["u1"], grads1, opt["u1"])
 
         _check_finite(loss, step, config.method)

@@ -216,6 +216,37 @@ class TestDatasetFiles:
             write_dataset(path, holdout_split(records)[1], spec, DEFAULT_PHYSICS)
         assert not path.exists()
 
+    def test_write_rejects_records_made_at_other_physics(self, tmp_path):
+        """m = 3 records written as DEFAULT_PHYSICS would read back with another a: refused, no file."""
+        spec = DatasetSpec(kind="onedot", n_points=3, n_steps=15, seed=7)
+        records = generate(spec, physics=PhysicsConfig(m=3.0))
+        path = tmp_path / "d.ndjson"
+        with pytest.raises(ValueError, match="carry an a"):
+            write_dataset(path, records, spec, DEFAULT_PHYSICS)
+        assert not path.exists()
+        write_dataset(path, records, spec, PhysicsConfig(m=3.0))
+
+    def test_write_check_reaches_every_record(self, tmp_path):
+        """One bit off in the last record's a, past the first vectorised chunk, is caught."""
+        spec = DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7)
+        records = generate(spec)
+        records[-1] = replace(records[-1], a=np.nextafter(records[-1].a, np.inf))
+        with pytest.raises(ValueError, match=r"records \[129\] carry an a"):
+            write_dataset(tmp_path / "d.ndjson", records, spec, DEFAULT_PHYSICS)
+
+    def test_write_rejects_records_made_at_other_handedness(self, tmp_path):
+        spec = DatasetSpec(kind="spiral", n_points=3, n_steps=15, seed=7)
+        records = generate(spec)
+        other = replace(spec, handedness=-spec.handedness)
+        with pytest.raises(ValueError, match="carry an f"):
+            write_dataset(tmp_path / "d.ndjson", records, other, DEFAULT_PHYSICS)
+
+    def test_write_rejects_records_made_at_other_physics_beyond_c(self, tmp_path):
+        spec = DatasetSpec(kind="onedot", n_points=3, n_steps=15, seed=7)
+        records = generate(spec)
+        with pytest.raises(ValueError, match="cannot be rebuilt"):
+            write_dataset(tmp_path / "d.ndjson", records, spec, PhysicsConfig(c=1.0))
+
     def test_write_rejects_records_off_the_spec_grid(self, tmp_path, spec, records):
         for other in (replace(spec, n_steps=spec.n_steps + 1), replace(spec, duration=2.0)):
             with pytest.raises(ValueError, match="grid"):

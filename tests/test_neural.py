@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 from form_lab.errors import ShapeError
 from form_lab.neural import (
     MlpGrads,
+    MlpParams,
     adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
     mlp_init,
+    mlp_value_and_grad,
 )
 
 
@@ -51,6 +53,55 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)))
 
 
+def arrays(p):
+    return [*p.weights, *p.biases]
+
+
+def all_equal(xs, ys):
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+def reference_backward(params, x2d, grad_output):
+    """Per-array backprop through a second forward pass, with fresh arrays for every operation."""
+    acts, a = [x2d], x2d
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.tanh(a @ w.T + b)
+        acts.append(a)
+    g, dw, db = grad_output, [], []
+    for l in range(len(params.weights) - 1, -1, -1):
+        dw.insert(0, g.T @ acts[l])
+        db.insert(0, g.sum(axis=0))
+        g = g @ params.weights[l]
+        if l > 0:
+            g = g * (1.0 - acts[l] ** 2)
+    return dw + db, g
+
+
+def reference_adam(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-array bias-corrected Adam; ``state`` is (step, first moments, second moments)."""
+    step, ms, vs = state
+    t = step + 1
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    new_p, new_m, new_v = [], [], []
+    for p, g, m, v in zip(arrays(params), arrays(grads), ms, vs):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        new_p.append(p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    n = len(params.weights)
+    return MlpParams(params.layer_dims, tuple(new_p[:n]), tuple(new_p[n:])), (t, new_m, new_v)
+
+
+def split_like(p, flat):
+    """``flat`` cut into arrays shaped like ``p``'s weights, then biases."""
+    out, start = [], 0
+    for a in arrays(p):
+        out.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return out
+
+
 class TestInit:
     def test_shapes_and_glorot_bounds(self):
         p = mlp_init((3, 64, 64, 2), seed=0)
@@ -71,6 +122,20 @@ class TestInit:
     def test_validation(self):
         with pytest.raises(ValueError):
             mlp_init((4,), seed=0)
+
+    def test_separate_arrays_packed_into_one_buffer(self):
+        """MlpParams from separate arrays copies them into one flat buffer, weights then biases."""
+        p = mlp_init((3, 4, 2), seed=0)
+        weights = tuple(w.copy() for w in p.weights)
+        q = MlpParams(p.layer_dims, weights, p.biases)
+        assert np.array_equal(q.flat, np.concatenate([a.ravel() for a in arrays(p)]))
+        assert all(np.shares_memory(a, q.flat) for a in arrays(q))
+        assert not np.shares_memory(q.weights[0], weights[0])
+
+    def test_separate_arrays_must_fit_layer_dims(self):
+        p = mlp_init((3, 4, 2), seed=0)
+        with pytest.raises(ShapeError):
+            MlpParams(p.layer_dims, (p.weights[0].T, p.weights[1]), p.biases)
 
 
 class TestForward:
@@ -148,6 +213,37 @@ class TestBackward:
             assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
+class TestValueAndGrad:
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["single", "batch", "two-axes"])
+    def test_equals_forward_then_backward(self, lead):
+        """One forward pass gives the output, gradients and input gradient of
+        mlp_forward + mlp_backward, and of a two-pass per-array reference, bit for bit."""
+        p = mlp_init((3, 16, 16, 2), seed=5)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(*lead, 3))
+        gout = rng.normal(size=(*lead, 2))
+        seen = []
+
+        def grad_fn(out):
+            seen.append(out.copy())
+            return "loss", gout
+
+        loss, grads, gx = mlp_value_and_grad(p, x, grad_fn)
+        ref_grads, ref_gx = mlp_backward(p, x, gout)
+        assert loss == "loss" and len(seen) == 1
+        assert np.array_equal(seen[0], mlp_forward(p, x))
+        assert all_equal(arrays(grads), arrays(ref_grads))
+        assert gx.shape == x.shape and np.array_equal(gx, ref_gx)
+        two_pass, two_pass_gx = reference_backward(p, x.reshape(-1, 3), gout.reshape(-1, 2))
+        assert all_equal(arrays(grads), two_pass)
+        assert np.array_equal(gx, two_pass_gx.reshape(x.shape))
+
+    def test_grad_output_batch_mismatch(self):
+        p = mlp_init((2, 5, 3), seed=0)
+        with pytest.raises(ShapeError):
+            mlp_value_and_grad(p, np.ones((4, 2)), lambda out: (0.0, np.ones((5, 3))))
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         """Bias-corrected Adam's first update has magnitude ~lr wherever the
@@ -166,14 +262,52 @@ class TestAdam:
             assert np.all(moved > 0.99 * lr) and np.all(moved <= lr)
 
     def test_functional_purity(self):
+        """Parameters, gradients and the incoming state are left as they were."""
         p = mlp_init((1, 3, 1), seed=0)
-        w_before = [w.copy() for w in p.weights]
         grads = MlpGrads(
             weights=tuple(np.ones_like(w) for w in p.weights),
             biases=tuple(np.ones_like(b) for b in p.biases),
         )
-        adam_step(p, grads, adam_init(p))
-        assert all(np.array_equal(a, b) for a, b in zip(p.weights, w_before))
+        _, state = adam_step(p, grads, adam_init(p))  # nonzero moments for the second step
+        before = [a.copy() for a in (*arrays(p), *arrays(grads), state.m, state.v)]
+        p2, s2 = adam_step(p, grads, state)
+        assert all_equal([*arrays(p), *arrays(grads), state.m, state.v], before)
+        assert state.step == 1 and s2.step == 2
+        assert not np.shares_memory(p2.flat, p.flat) and not np.shares_memory(s2.m, state.m)
+
+    @pytest.mark.parametrize("build", ["mlp_init", "separate-arrays"])
+    def test_flat_update_equals_per_array_reference(self, build):
+        """One set of ops over the flat buffer gives the per-array Adam, bit for bit."""
+        p = mlp_init((3, 16, 16, 2), seed=1)
+        if build == "separate-arrays":
+            p = MlpParams(p.layer_dims, tuple(w.copy() for w in p.weights), tuple(b.copy() for b in p.biases))
+        rng = np.random.default_rng(2)
+        ref, ref_state = p, (0, [np.zeros_like(a) for a in arrays(p)], [np.zeros_like(a) for a in arrays(p)])
+        state = adam_init(p)
+        for _ in range(5):
+            x, gout = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+            grads, _ = mlp_backward(p, x, gout)
+            assert all_equal(arrays(grads), arrays(mlp_backward(ref, x, gout)[0]))
+            p, state = adam_step(p, grads, state)
+            ref, ref_state = reference_adam(ref, grads, ref_state)
+            assert all_equal(arrays(p), arrays(ref))
+            assert all_equal(split_like(p, state.m), ref_state[1])
+            assert all_equal(split_like(p, state.v), ref_state[2])
+
+    def test_separate_grads_equal_flat_grads(self):
+        """MlpGrads built from separate arrays update exactly as mlp_backward's flat ones."""
+        p = mlp_init((2, 6, 1), seed=3)
+        grads, _ = mlp_backward(p, np.ones((3, 2)), np.ones((3, 1)))
+        copied = MlpGrads(tuple(w.copy() for w in grads.weights), tuple(b.copy() for b in grads.biases))
+        a, _ = adam_step(p, grads, adam_init(p))
+        b, _ = adam_step(p, copied, adam_init(p))
+        assert np.array_equal(a.flat, b.flat)
+
+    def test_mismatched_grads_rejected(self):
+        p, other = mlp_init((2, 4, 1), seed=0), mlp_init((2, 5, 1), seed=0)
+        grads, _ = mlp_backward(other, np.ones((1, 2)), np.ones((1, 1)))
+        with pytest.raises(ShapeError):
+            adam_step(p, grads, adam_init(p))
 
     def test_sin_regression_smoke(self):
         """[1, 32, 32, 1] reaches MSE < 1e-3 on sin(x) within 5000 steps."""

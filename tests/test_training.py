@@ -6,8 +6,12 @@ from numpy.testing import assert_allclose
 
 from form_lab.datasets import DatasetSpec, generate
 from form_lab.errors import NonFiniteError
-from form_lab.neural import mlp_forward
+from form_lab.neural import MlpParams, mlp_backward, mlp_forward, mlp_init
 from form_lab.training import (
+    STREAM_BATCH,
+    STREAM_F,
+    STREAM_U1,
+    STREAM_U2,
     TrainConfig,
     stack_records,
     steps_for_epochs,
@@ -93,6 +97,104 @@ class TestDeterminism:
         a = train(records, quick("o1", seed=13))
         b = train(records, quick("o1", seed=14))
         assert not np.array_equal(a.loss_curve, b.loss_curve)
+
+
+class ReferenceHead:
+    """A head trained the long way: mlp_forward, then mlp_backward (a second
+    forward pass), then Adam on each weight and bias array separately."""
+
+    def __init__(self, dims, stream, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = mlp_init(dims, np.random.default_rng(stream))
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step = 0
+        self.m = [np.zeros_like(a) for a in (*self.params.weights, *self.params.biases)]
+        self.v = [np.zeros_like(a) for a in self.m]
+
+    def forward(self, inp):
+        return mlp_forward(self.params, inp)
+
+    def backward_and_update(self, inp, dpred):
+        grads, dinp = mlp_backward(self.params, inp, dpred)
+        self.step += 1
+        bc1, bc2 = 1.0 - self.beta1**self.step, 1.0 - self.beta2**self.step
+        new = []
+        for i, (p, g) in enumerate(zip((*self.params.weights, *self.params.biases), (*grads.weights, *grads.biases))):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            new.append(p - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps))
+        n = len(self.params.weights)
+        self.params = MlpParams(self.params.layer_dims, tuple(new[:n]), tuple(new[n:]))
+        return dinp
+
+
+def squared_error(pred, target):
+    diff = pred - target
+    return float(np.mean(np.sum(diff * diff, axis=-1))), (2.0 / diff.shape[0]) * diff
+
+
+def reference_train(records, config):
+    """train() written out as separate forward, backward and per-array Adam calls."""
+    data = stack_records(records)
+    t_grid = (data.times - data.times[0]) / data.duration
+    streams = np.random.SeedSequence(config.seed).spawn(4)
+    batch_rng = np.random.default_rng(streams[STREAM_BATCH])
+    hidden, lr = config.hidden_dims, config.learning_rate
+    if config.method == "form":
+        in_dim = 1 if config.form_input_mode == "time" else 3
+        heads = {"F": ReferenceHead((in_dim, *hidden, 2), streams[STREAM_F], lr)}
+    else:
+        heads = {"u1": ReferenceHead((3, *hidden, 2), streams[STREAM_U1], lr)}
+        if config.method == "o1o2":
+            heads["u2"] = ReferenceHead((5, *hidden, 2), streams[STREAM_U2], lr)
+    losses = []
+    for _ in range(config.steps):
+        traj = batch_rng.integers(0, data.x.shape[0], size=config.batch_size)
+        knot = batch_rng.integers(0, data.x.shape[1], size=config.batch_size)
+        x_t, t_col = data.x[traj, knot], t_grid[knot][:, None]
+        if config.method == "form":
+            inp = t_col if config.form_input_mode == "time" else np.concatenate([x_t, t_col], axis=1)
+            target = np.stack([data.f_par[traj, knot], data.f_perp[traj, knot]], axis=-1)
+            loss, dpred = squared_error(heads["F"].forward(inp), target)
+            heads["F"].backward_and_update(inp, dpred)
+        else:
+            inp1 = np.concatenate([x_t, t_col], axis=1)
+            pred1 = heads["u1"].forward(inp1)
+            loss, dpred1 = squared_error(pred1, data.v[traj, knot])
+            if config.method == "o1o2":
+                inp2 = np.concatenate([pred1, x_t, t_col], axis=1)
+                loss2, dpred2 = squared_error(heads["u2"].forward(inp2), data.a[traj, knot])
+                loss += loss2
+                dinp2 = heads["u2"].backward_and_update(inp2, dpred2)
+                if config.o1o2_coupling == "joint":
+                    dpred1 = dpred1 + dinp2[:, :2]
+            heads["u1"].backward_and_update(inp1, dpred1)
+        losses.append(loss)
+    return {name: head.params for name, head in heads.items()}, np.array(losses)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(method="o1"),
+            dict(method="o1o2", o1o2_coupling="detached"),
+            dict(method="o1o2", o1o2_coupling="joint"),
+            dict(method="form", form_input_mode="time"),
+            dict(method="form", form_input_mode="time-position"),
+        ],
+        ids=["o1", "o1o2-detached", "o1o2-joint", "form-time", "form-time-position"],
+    )
+    def test_bit_identical_to_forward_backward_per_array_adam(self, records, kw):
+        """One fused forward/backward pass and one flat Adam update per head
+        give exactly the heads and losses of the long way round."""
+        config = quick(steps=30, **kw)
+        model = train(records, config)
+        heads, losses = reference_train(records, config)
+        assert np.array_equal(model.loss_curve, losses)
+        assert set(model.heads) == set(heads)
+        for name, ref in heads.items():
+            for a, b in zip((*model.heads[name].weights, *model.heads[name].biases), (*ref.weights, *ref.biases)):
+                assert np.array_equal(a, b), name
 
 
 class TestSharedStreams:
