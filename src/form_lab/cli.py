@@ -146,6 +146,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if args.steps is not None and args.epochs is not None:
         raise ValueError("--steps and --epochs are mutually exclusive")
+    if not 0.0 <= args.holdout_fraction < 1.0:
+        raise ValueError(f"--holdout-fraction must be in [0, 1) (0 trains on all), got {args.holdout_fraction}")
     header, records = read_dataset(args.data)
     physics = physics_from_header(header)
 
@@ -167,6 +169,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     model = read_checkpoint(args.model)
 
     if args.source == "heldout":

@@ -2,7 +2,12 @@
 
 Floats are always written with 17 significant digits (``%.17g``), which is
 enough for IEEE-754 doubles to round-trip bit-exactly through text; reading
-a file back and re-writing it reproduces the original bytes.  Nothing
+a file back and re-writing it reproduces the original bytes.  Zero is
+written as ``0`` whatever its sign bit.  A float64 array is written by one
+``%`` format of a template with one ``%.17g`` slot per element, built from
+its shape; ``%`` and :func:`format_float`'s ``format`` both round through
+``PyOS_double_to_string``, so the bytes are those of one ``format_float``
+call per element.  Nothing
 time- or host-dependent (timestamps, paths, hostnames) is ever written, so
 identical inputs give identical files.
 
@@ -83,7 +88,7 @@ def _write_json(obj, out: list[str]) -> None:
             _write_json(v, out)
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
-        out.append(_float_lists(obj.tolist()))
+        out.append(_float_array(obj))
     elif isinstance(obj, np.ndarray):
         _write_json(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
@@ -97,11 +102,15 @@ def _write_json(obj, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _float_lists(values: list) -> str:
-    """The nested float lists of a float64 array (the bulk of every file) as JSON."""
-    if values and isinstance(values[0], list):
-        return "[" + ",".join(map(_float_lists, values)) + "]"
-    return "[" + ",".join(map(format_float, values)) + "]"
+def _float_array(arr: np.ndarray) -> str:
+    """A float64 array (the bulk of every file) as nested JSON lists, in :func:`format_float`'s bytes."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        format_float(arr[~finite][0])  # raises the scalar path's NonFiniteError for the first one
+    template = "%.17g"
+    for n in reversed(arr.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % tuple((arr + 0.0).ravel().tolist())  # + 0.0 turns -0.0 into 0.0, written "0"
 
 
 def _reject_constant(token: str):

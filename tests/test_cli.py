@@ -147,6 +147,20 @@ class TestTrain:
         # 10 trajectories, holdout 0.2 -> 8 for training; ceil(2*8/8) = 2 steps
         assert "(2 steps" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fraction", ["-0.5", "-0.001", "1", "nan"])
+    def test_holdout_fraction_out_of_range_is_usage_error(self, workdir, tmp_path, capsys, fraction):
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(out), "--method", "o1", "--steps", "2"]
+        assert main([*argv, "--holdout-fraction", fraction]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--holdout-fraction" in err
+        assert not out.exists()
+
+    def test_zero_holdout_fraction_trains_on_all(self, workdir, tmp_path, capsys):
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.json"), "--method", "o1"]
+        assert main([*argv, "--steps", "2", "--hidden", "4", "--holdout-fraction", "0"]) == EXIT_OK
+        assert "on 10 trajectories" in capsys.readouterr().out
+
     def test_config_file_and_flag_precedence(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 3, "hidden": "4"}))
@@ -260,6 +274,16 @@ class TestSample:
             ]
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("source", ["heldout", "noise"])
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_n_below_one_is_usage_error(self, workdir, tmp_path, capsys, source, n):
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["o1"]), "--data", str(workdir["data"]), "--out", str(out)]
+        assert main([*argv, "--source", source, "--n", n, "--sampler-steps", "10"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--n" in err
+        assert not out.exists()
 
     def test_heldout_without_data_is_usage_error(self, workdir, tmp_path):
         code = main(

@@ -78,6 +78,58 @@ class TestDumps:
             dumps({"x": object()})
 
 
+def _per_element(values) -> str:
+    """Reference for a float64 array: nested lists of one :func:`format_float` call per element."""
+    if isinstance(values, list):
+        return "[" + ",".join(map(_per_element, values)) + "]"
+    return format_float(values)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, 0.1]
+
+
+class TestFloatArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_equals_per_element_format_float(self, values):
+        arr = np.array(values + EDGE_FLOATS, dtype=np.float64)
+        assert dumps(arr) == _per_element(arr.tolist())
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2), (7,), (7, 2), (2, 3, 4)])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(1)
+        arr = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        text = dumps(arr)
+        assert text == _per_element(arr.tolist())
+        assert np.array_equal(np.array(json.loads(text), dtype=np.float64).reshape(shape), arr)
+
+    def test_non_contiguous_views(self):
+        arr = np.random.default_rng(2).normal(size=(5, 3))
+        for view in (arr.T, arr[::2], arr[:, 1], arr.T[::-1]):
+            assert not view.flags.c_contiguous
+            assert dumps(view) == _per_element(view.tolist())
+
+    def test_negative_zero_is_written_as_zero(self):
+        assert dumps(np.array([[-0.0, 1.0], [0.0, -0.0]])) == "[[0,1],[0,0]]"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_the_scalar_message(self, bad):
+        with pytest.raises(NonFiniteError) as scalar:
+            format_float(bad)
+        for where in (0, 5, 11):
+            arr = np.arange(12, dtype=np.float64).reshape(6, 2)
+            arr.flat[where] = bad
+            with pytest.raises(NonFiniteError) as array:
+                dumps({"x": arr})
+            assert str(array.value) == str(scalar.value)
+
+    def test_first_non_finite_in_c_order_is_named(self):
+        arr = np.zeros((2, 2))
+        arr[0, 1], arr[1, 0] = -math.inf, math.nan
+        with pytest.raises(NonFiniteError, match="float nan"):
+            dumps(arr.T)  # the view's C order is 0, nan, -inf, 0; its memory order puts -inf first
+
+
 class TestDatasetFiles:
     def test_round_trip_values(self, tmp_path, spec, records):
         path = tmp_path / "d.ndjson"
