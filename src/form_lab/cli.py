@@ -178,6 +178,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
             raise ValueError("--source heldout needs --data to supply held-out source points")
         _, records = read_dataset(args.data)
         _, heldout = holdout_split(records)
+        if args.n is not None and args.n > len(heldout):
+            raise ValueError(f"--n {args.n} is more than the {len(heldout)} held-out trajectories of {args.data}")
         heldout = heldout[: args.n]
         indices = [r.index for r in heldout]
         x0 = np.stack([r.x0 for r in heldout])

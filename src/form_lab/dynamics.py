@@ -80,13 +80,6 @@ class ForceSchedule:
             f_perp=lambda t: amp_perp * np.sin(freq_perp * t),
         )
 
-    def scaled(self, factor: float) -> "ForceSchedule":
-        """Same schedule with both components multiplied by ``factor``."""
-        return ForceSchedule(
-            f_par=lambda t: factor * self.f_par(t),
-            f_perp=lambda t: factor * self.f_perp(t),
-        )
-
 
 @dataclass
 class TrajectoryRecord:

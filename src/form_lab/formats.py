@@ -11,9 +11,9 @@ call per element.  Nothing
 time- or host-dependent (timestamps, paths, hostnames) is ever written, so
 identical inputs give identical files.
 
-A dataset stores only what the simulator integrates (index, x, v, f_par,
-f_perp); the reader rebuilds ``times`` from the spec, and ``f`` and ``a``
-through :func:`form_lab.dynamics.trajectory_records`, as the simulator does.
+A dataset stores only what the simulator integrates: one force schedule
+(``f_par``, ``f_perp``) in the header, and ``index``, ``x``, ``v`` per record;
+the reader rebuilds ``times``, ``f`` and ``a`` as the simulator builds them.
 
 Readers validate structure eagerly and raise :class:`SchemaError` with the
 offending line number; numeric payloads must be finite (``NaN``/``Infinity``
@@ -37,7 +37,7 @@ from .ode import uniform_grid
 from .relativity import PhysicsConfig
 from .training import METHODS, TrainConfig, TrainedModel
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DATASET_KIND = "form-lab-dataset"
 SAMPLES_KIND = "form-lab-samples"
@@ -214,13 +214,13 @@ def write_dataset(
     physics: PhysicsConfig,
     units: UnitSystem | None = None,
 ) -> None:
-    """NDJSON: one header line, then one ``{index, x, v, f_par, f_perp}`` line per trajectory.
+    """NDJSON: a header with the shared ``f_par``/``f_perp``, then one ``{index, x, v}`` line per trajectory.
 
     Records are written in index order and must be exactly trajectories
-    0..N-1 on the spec's time grid, because that is what the reader accepts.
-    Their ``f`` and ``a`` must be the ones ``physics`` and the spec's
-    handedness rebuild from ``v``, ``f_par`` and ``f_perp``, bit for bit,
-    because the reader rebuilds them that way.
+    0..N-1 on the spec's time grid with record 0's ``f_par`` and ``f_perp``,
+    because that is all the reader accepts.  Their ``f`` and ``a`` must be the
+    ones ``physics`` and the spec's handedness rebuild from ``v``, ``f_par``
+    and ``f_perp``, bit for bit, because the reader rebuilds them that way.
     """
     if not records:
         raise ValueError("refusing to write an empty dataset")
@@ -240,8 +240,9 @@ def write_dataset(
         "physics": {"c": physics.c, "m": physics.m},
         "units": {"meters_per_du": units.meters_per_du},
         "spec": spec.to_dict(),
+        "f_par": records[0].f_par, "f_perp": records[0].f_perp,
     }
-    rows = [{"index": r.index, "x": r.x, "v": r.v, "f_par": r.f_par, "f_perp": r.f_perp} for r in records]
+    rows = [{"index": r.index, "x": r.x, "v": r.v} for r in records]
     _write_json_lines(path, [header, *rows])
 
 
@@ -249,11 +250,14 @@ _REBUILD_CHECK_CHUNK = 128  # records per vectorised writer check: a few MB of t
 
 
 def _check_rebuilt(records: list[TrajectoryRecord], physics: PhysicsConfig, handedness: int) -> None:
-    """Raise ValueError unless each record's ``f`` and ``a`` are what :func:`read_dataset` will rebuild."""
+    """Raise ValueError unless each record has record 0's schedule and the ``f``, ``a`` that reading rebuilds."""
     at = f"physics c={physics.c!r}, m={physics.m!r} and handedness {handedness}"
     for start in range(0, len(records), _REBUILD_CHECK_CHUNK):
         chunk = records[start : start + _REBUILD_CHECK_CHUNK]
         v, f_par, f_perp, f, a = (np.stack([getattr(r, k) for r in chunk]) for k in ("v", "f_par", "f_perp", "f", "a"))
+        bad = np.flatnonzero(np.any((f_par != records[0].f_par) | (f_perp != records[0].f_perp), axis=1))
+        if bad.size:
+            raise ValueError(f"records {[chunk[i].index for i in bad[:5]]} have a force schedule other than record 0's")
         try:
             f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
         except (SpeedLimitError, DegenerateVelocityError) as e:
@@ -277,8 +281,8 @@ def read_dataset(path) -> tuple[dict, list[TrajectoryRecord]]:
         raise SchemaError(f"{path}:1: malformed header ({e!r})") from e
 
     n = header["n_trajectories"]
-    vec, scalar = (spec.n_steps + 1, 2), (spec.n_steps + 1,)
-    fields = (("x", vec), ("v", vec), ("f_par", scalar), ("f_perp", scalar))
+    scalar, vec = (spec.n_steps + 1,), (spec.n_steps + 1, 2)
+    f_par, f_perp = (_parse_array(_need(header, k, 1, path), scalar, 1, path, k) for k in ("f_par", "f_perp"))
     by_index: list[list[np.ndarray] | None] = [None] * n
     for line_no, obj in lines:
         index = _need_int(obj, "index", line_no, path)
@@ -286,12 +290,12 @@ def read_dataset(path) -> tuple[dict, list[TrajectoryRecord]]:
             raise SchemaError(f"{path}:{line_no}: trajectory index {index} outside 0..{n - 1}")
         if by_index[index] is not None:
             raise SchemaError(f"{path}:{line_no}: duplicate trajectory index {index}")
-        by_index[index] = [_parse_array(_need(obj, k, line_no, path), s, line_no, path, k) for k, s in fields]
+        by_index[index] = [_parse_array(_need(obj, k, line_no, path), vec, line_no, path, k) for k in ("x", "v")]
 
-    x, v, f_par, f_perp = (np.stack(arrays, axis=1) for arrays in zip(*by_index))
+    x, v = (np.stack(arrays, axis=1) for arrays in zip(*by_index))
     try:
         times, _ = uniform_grid(spec.duration, spec.n_steps)
-        records = trajectory_records(range(n), times, x, v, f_par, f_perp, physics, spec.handedness)
+        records = trajectory_records(range(n), times, x, v, f_par[:, None], f_perp[:, None], physics, spec.handedness)
     except (OverflowError, SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         raise SchemaError(f"{path}: cannot rebuild the trajectories ({e})") from e
     return header, records

@@ -285,6 +285,18 @@ class TestSample:
         assert err.startswith("error:") and "--n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["3", "50"])
+    def test_n_above_heldout_count_is_usage_error(self, workdir, tmp_path, capsys, n):
+        """The 10-trajectory dataset holds out 2; asking for more used to write 2 with exit 0."""
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["o1"]), "--data", str(workdir["data"]), "--out", str(out)]
+        assert main([*argv, "--n", n, "--sampler-steps", "10"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"--n {n}" in err and "2 held-out" in err
+        assert not out.exists()
+        assert main([*argv, "--n", "2", "--sampler-steps", "10"]) == EXIT_OK
+        assert read_samples(out)[0]["n_samples"] == 2
+
     def test_heldout_without_data_is_usage_error(self, workdir, tmp_path):
         code = main(
             [
@@ -520,25 +532,39 @@ class TestFileValidation:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "sample", "plot"])
-    def test_v1_file_names_schema_version(self, workdir, tmp_path, capsys, command):
-        def v1(header):
-            header["schema_version"] = 1
+    @pytest.mark.parametrize(
+        "version, command",
+        [pytest.param(v, c, id=c if v == 1 else f"{c}-v{v}") for v in (1, 2) for c in ("train", "sample", "plot")],
+    )
+    def test_v1_file_names_schema_version(self, workdir, tmp_path, capsys, version, command):
+        def old(header):
+            header["schema_version"] = version
 
         out = str(tmp_path / "o")
         if command == "train":
-            data = _with_header(workdir["data"], tmp_path / "d.ndjson", v1)
+            data = _with_header(workdir["data"], tmp_path / "d.ndjson", old)
+            if version == 2:
+                data = _as_v2_dataset(data)
             argv = ["train", "--data", str(data), "--out", out, "--method", "o1", "--steps", "1"]
         elif command == "sample":
-            model = _with_header(workdir["models"]["o1"], tmp_path / "m.json", v1)
+            model = _with_header(workdir["models"]["o1"], tmp_path / "m.json", old)
             argv = ["sample", "--model", str(model), "--data", str(workdir["data"]), "--out", out]
         else:
             samples = tmp_path / "s.ndjson"
             write_samples(samples, {}, [{"index": 0, "x0": [0.5, 1.0], "endpoint": [1.5, 2.0]}])
-            argv = ["plot", "--samples", str(_with_header(samples, samples, v1)), "--out", out]
+            argv = ["plot", "--samples", str(_with_header(samples, samples, old)), "--out", out]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "schema_version 1" in err
+        assert err.startswith("error:") and err.count("\n") == 1 and f"schema_version {version}" in err
+        assert not Path(out).exists()
+
+
+def _as_v2_dataset(path):
+    """Rewrite a dataset in place in the v2 layout: the header's f_par/f_perp copied into every record."""
+    header, *records = map(json.loads, path.read_text().splitlines())
+    schedule = {k: header.pop(k) for k in ("f_par", "f_perp")}
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *[r | schedule for r in records]]))
+    return path
 
 
 def _run_module(*args):

@@ -132,13 +132,18 @@ class TestBatching:
         assert rec.endpoint.shape == (2,)
 
 
+def _hundredfold(base: ForceSchedule) -> ForceSchedule:
+    """``base`` with both components multiplied by 100."""
+    return ForceSchedule(f_par=lambda t: 100.0 * base.f_par(t), f_perp=lambda t: 100.0 * base.f_perp(t))
+
+
 class TestStressScaling:
     def test_hundredfold_forces_stay_subluminal(self):
         """Even with forces scaled 100x, celerity integration keeps every
         recorded speed strictly below c.  The constant schedule resolves
         cleanly on this grid, so the run genuinely approaches c."""
         base = ForceSchedule.constant(5.0, 5.0)
-        rec = simulate_trajectory([0.0, 0.0], [0.5, 0.0], base.scaled(100.0), 1.0, 200)
+        rec = simulate_trajectory([0.0, 0.0], [0.5, 0.0], _hundredfold(base), 1.0, 200)
         speeds = np.sqrt((rec.v**2).sum(-1))
         assert np.all(speeds < C)
         assert speeds.max() > 0.99 * C  # the stress run really does push near c
@@ -148,7 +153,7 @@ class TestStressScaling:
         rate; the trajectory is then inaccurate but still strictly below c,
         because the integration state is celerity."""
         base = ForceSchedule.sinusoidal(1.0 / 3.0, 1.0, 70.0 / 3.0, 8.0)
-        rec = simulate_trajectory([0.0, 0.0], [0.5, 0.0], base.scaled(100.0), 1.0, 200)
+        rec = simulate_trajectory([0.0, 0.0], [0.5, 0.0], _hundredfold(base), 1.0, 200)
         assert np.all(np.sqrt((rec.v**2).sum(-1)) < C)
 
     def test_degenerate_start_is_hard_error(self):

@@ -259,8 +259,10 @@ class TestDatasetFiles:
         path = tmp_path / "d.ndjson"
         write_dataset(path, records, spec, DEFAULT_PHYSICS)
         header, first = map(json.loads, path.read_text().splitlines()[:2])
-        assert list(header) == ["schema_version", "kind", "n_trajectories", "physics", "units", "spec"]
-        assert list(first) == ["index", "x", "v", "f_par", "f_perp"]
+        assert list(header) == [
+            "schema_version", "kind", "n_trajectories", "physics", "units", "spec", "f_par", "f_perp"
+        ]
+        assert list(first) == ["index", "x", "v"]
 
     def test_write_rejects_index_gaps(self, tmp_path, spec, records):
         path = tmp_path / "d.ndjson"
@@ -285,6 +287,27 @@ class TestDatasetFiles:
         records[-1] = replace(records[-1], a=np.nextafter(records[-1].a, np.inf))
         with pytest.raises(ValueError, match=r"records \[129\] carry an a"):
             write_dataset(tmp_path / "d.ndjson", records, spec, DEFAULT_PHYSICS)
+
+    def test_write_rejects_a_second_force_schedule(self, tmp_path):
+        """Record 129 comes from a run at twice the force: its own f and a agree, its schedule is not record 0's."""
+        spec = DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7)
+        records = generate(spec)
+        records[-1] = generate(replace(spec, force_scale=2.0))[-1]
+        path = tmp_path / "d.ndjson"
+        with pytest.raises(ValueError, match=r"records \[129\] have a force schedule other than record 0's"):
+            write_dataset(path, records, spec, DEFAULT_PHYSICS)
+        assert not path.exists()
+
+    def test_v2_dataset_names_schema_version(self, tmp_path, spec, records):
+        """A v2 file, with the schedule in every record, is refused; there is no second reader."""
+        def to_v2(lines):
+            header, *rows = map(json.loads, lines)
+            schedule = {k: header.pop(k) for k in ("f_par", "f_perp")}
+            return [json.dumps(header | {"schema_version": 2}), *(json.dumps(r | schedule) for r in rows)]
+
+        path = self._write_then_mutate(tmp_path, spec, records, to_v2)
+        with pytest.raises(SchemaError, match="schema_version 2"):
+            read_dataset(path)
 
     def test_write_rejects_records_made_at_other_handedness(self, tmp_path):
         spec = DatasetSpec(kind="spiral", n_points=3, n_steps=15, seed=7)
@@ -428,8 +451,8 @@ READERS = {"dataset": read_dataset, "samples": read_samples, "checkpoint": read_
 REQUIRED = {
     "dataset": (
         [("schema_version",), ("kind",), ("n_trajectories",), ("physics",), ("physics", "c"), ("physics", "m"),
-         ("spec",), ("spec", "kind")],
-        [("index",), ("x",), ("v",), ("f_par",), ("f_perp",)],
+         ("spec",), ("spec", "kind"), ("f_par",), ("f_perp",)],
+        [("index",), ("x",), ("v",)],
     ),
     "samples": ([("schema_version",), ("kind",), ("n_samples",)], [("index",), ("x0",), ("endpoint",)]),
     "checkpoint": (
@@ -444,7 +467,7 @@ INTEGERS = {
     "checkpoint": ([("heads", "u1", "layer_dims", 1)], []),
 }
 ARRAYS = {
-    "dataset": ([], [("x",), ("v",), ("f_par",), ("f_perp",), ("x", 0)]),
+    "dataset": ([("f_par",), ("f_perp",)], [("x",), ("v",), ("x", 0)]),
     "samples": ([], [("x0",), ("endpoint",)]),
     "checkpoint": (
         [("heads", "u1", "weights"), ("heads", "u1", "weights", 0), ("heads", "u1", "biases", 1),
