@@ -118,10 +118,15 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _vector(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 2:
+    try:
+        vec = np.array([float(p) for p in text.split(",")], dtype=np.float64)
+    except ValueError:
+        vec = None
+    if vec is None or vec.shape != (2,):
         raise argparse.ArgumentTypeError(f"expected 'vx,vy', got {text!r}")
-    return np.array([float(p) for p in parts], dtype=np.float64)
+    if not np.all(np.isfinite(vec)):
+        raise argparse.ArgumentTypeError(f"expected finite components, got {text!r}")
+    return vec
 
 
 # --- subcommands -------------------------------------------------------------
@@ -168,10 +173,35 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_velocity_flags(args: argparse.Namespace, model, sampler: SamplerConfig) -> None:
+    """Refuse force-sampler flags that the model's sampler would ignore, and a ``--v0`` at or above c."""
+    if model.method != "form":
+        ignored = []
+        if args.init_velocity != "dataset":
+            ignored.append(f"--init-velocity {args.init_velocity}")
+        if sampler.velocity_update != SamplerConfig().velocity_update:
+            ignored.append(f"--update {sampler.velocity_update}")
+        if args.v0 is not None:
+            ignored.append("--v0")
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)}: only form models have a force sampler, not {model.method}")
+    elif args.v0 is None:
+        if args.init_velocity == "explicit":
+            raise ValueError("--init-velocity explicit needs --v0 'vx,vy'")
+    elif args.init_velocity != "explicit":
+        raise ValueError("--v0 needs --init-velocity explicit")
+    else:
+        v0_speed = float(np.hypot(*args.v0))
+        if v0_speed >= model.physics.c:
+            raise ValueError(f"--v0 speed {v0_speed!r} is not below c = {model.physics.c!r}")
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     model = read_checkpoint(args.model)
+    sampler = _from_options(SamplerConfig, args)
+    _check_velocity_flags(args, model, sampler)
 
     if args.source == "heldout":
         if args.data is None:
@@ -193,14 +223,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
         x0 = source_points(spec, indices, model.physics)
         dataset_seed = args.seed
 
-    sampler = _from_options(SamplerConfig, args)
     v0 = None
     if model.method == "form":
         if args.init_velocity == "zero":
             v0 = "zero"
         elif args.init_velocity == "explicit":
-            if args.v0 is None:
-                raise ValueError("--init-velocity explicit needs --v0 'vx,vy'")
             v0 = np.broadcast_to(args.v0, x0.shape)
     path = sample_model(model, x0, sampler, v0=v0)
 

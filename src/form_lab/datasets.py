@@ -174,9 +174,12 @@ def worker_count(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
         return n
     return os.cpu_count() or 1
 

@@ -13,7 +13,10 @@ Three engines, all on a uniform grid of ``n_steps`` steps of size
   advances through celerity, every recorded speed is strictly below c for
   any step size and any force magnitude; the textbook per-step Euler
   velocity update is available as ``velocity_update="euler"`` but can
-  overshoot c on coarse grids, which is then a hard error.
+  overshoot c on coarse grids, which is then a hard error.  A force shared
+  by every point (a time-only head, a dataset schedule) is applied as a
+  scalar, with its ``f_par = 0`` case chosen once per step rather than
+  masked per point; the results are bit-identical to the per-point formula.
 
 Model-facing wrappers (:func:`sample_o1`, :func:`sample_o1o2`,
 :func:`sample_form`) feed networks normalized time ``t / duration``, exactly
@@ -146,9 +149,10 @@ def force_path(
         else:
             v_new = _euler_update(v, f_par, f_perp, d, physics, handedness)
             w = None  # not tracked in euler mode
-        x = x + (0.5 * d) * (v_new + v)
-        v = v_new
-        xs[k + 1], vs[k + 1] = x, v
+        x_new = xs[k + 1]
+        np.multiply(0.5 * d, v_new + v, out=x_new)
+        x = np.add(x, x_new, out=x_new)  # x + (d/2)(v_new + v), in place in the path
+        v = vs[k + 1] = v_new
     _require_finite(xs)
     _require_finite(vs)
     return SamplePath(times=times, x=xs, v=vs)
@@ -164,37 +168,60 @@ def _momentum_exact_update(
     giving delta_phi = h (f_perp/f_par) ln(|w_1|/|w_0|) (limit: h f_perp d /
     (m |w_0|) for f_par = 0).  Both pieces are closed-form, so the only
     approximation in the sampler is freezing the components per step.
+
+    A force shared by every point (both components scalars) stays a scalar:
+    its ``f_par = 0`` branch is chosen once, not masked per point.  Since
+    ``h`` is +-1 and IEEE rounding is symmetric in sign, folding it into the
+    scalar factor gives the same bits as applying it to every point.
     """
     m = physics.m
     lead = w.shape[:-1]
-    f_par = np.broadcast_to(np.asarray(f_par, dtype=np.float64), lead)
-    f_perp = np.broadcast_to(np.asarray(f_perp, dtype=np.float64), lead)
-    wmag = np.sqrt(np.sum(w * w, axis=-1))
+    f_par = np.asarray(f_par, dtype=np.float64)
+    f_perp = np.asarray(f_perp, dtype=np.float64)
+    per_point = f_par.ndim > 0 or f_perp.ndim > 0
+    if per_point and np.broadcast_shapes(lead, f_par.shape, f_perp.shape) != lead:
+        raise ValueError(
+            f"force components of shapes {f_par.shape} and {f_perp.shape} do not broadcast to the points {lead}"
+        )
+    step = d / m
+    w0, w1 = w[..., 0], w[..., 1]
+    wmag = np.sqrt(w0 * w0 + w1 * w1)  # the bits of np.sum(w * w, axis=-1), without its per-row loop
     resting = wmag <= EPS_V
-    if np.any(resting & ((f_par != 0.0) | (f_perp != 0.0))):
+    if not resting.any():
+        safe_w = wmag
+    elif (resting & ((f_par != 0.0) | (f_perp != 0.0))).any():
         raise DegenerateVelocityError(
             "force sampler reached (numerically) zero speed with a nonzero force"
         )
-    safe_w = np.where(resting, 1.0, wmag)
-    wmag_new = wmag + f_par * (d / m)
-    if np.any(~resting & (wmag_new <= 0.0)):
-        raise DegenerateVelocityError(
-            "parallel impulse drives the celerity through zero within one step; increase n_steps"
+    else:
+        safe_w = np.where(resting, 1.0, wmag)
+    wmag_new = wmag + f_par * step
+    if (f_par < 0.0).any():  # without braking, |w| cannot fall from above EPS_V to zero
+        crossed = wmag_new <= 0.0
+        if safe_w is not wmag:
+            crossed &= ~resting
+        if crossed.any():
+            raise DegenerateVelocityError(
+                "parallel impulse drives the celerity through zero within one step; increase n_steps"
+            )
+    if not per_point:
+        if f_par == 0.0:
+            dphi = (handedness * (f_perp * step)) / safe_w
+        else:
+            dphi = (handedness * (f_perp / f_par)) * np.log1p((f_par * step) / safe_w)
+    else:
+        par_zero = f_par == 0.0
+        ratio = f_par * step / safe_w
+        dphi = handedness * np.where(
+            par_zero,
+            f_perp * step / safe_w,
+            (f_perp / np.where(par_zero, 1.0, f_par)) * np.log1p(np.where(par_zero, 0.0, ratio)),
         )
-    par_zero = f_par == 0.0
-    ratio = f_par * (d / m) / safe_w
-    dphi = handedness * np.where(
-        par_zero,
-        f_perp * (d / m) / safe_w,
-        (f_perp / np.where(par_zero, 1.0, f_par)) * np.log1p(np.where(par_zero, 0.0, ratio)),
-    )
     cos_p, sin_p = np.cos(dphi), np.sin(dphi)
-    u = w / safe_w[..., None]
-    u_new = np.stack(
-        [cos_p * u[..., 0] - sin_p * u[..., 1], sin_p * u[..., 0] + cos_p * u[..., 1]],
-        axis=-1,
-    )
-    w_new = wmag_new[..., None] * u_new
+    u0, u1 = w0 / safe_w, w1 / safe_w
+    w_new = np.empty_like(w)
+    np.multiply(wmag_new, cos_p * u0 - sin_p * u1, out=w_new[..., 0])
+    np.multiply(wmag_new, sin_p * u0 + cos_p * u1, out=w_new[..., 1])
     return velocity_from_celerity(w_new, physics), w_new
 
 

@@ -82,6 +82,14 @@ class TestGenData:
         )
         assert code == EXIT_NUMERIC
 
+    def test_non_integer_thread_variable_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FORM_LAB_THREADS", "abc")
+        out = tmp_path / "d.ndjson"
+        assert main(["gen-data", "--dataset", "onedot", "--out", str(out), "--n", "3", "--steps", "5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "FORM_LAB_THREADS" in err and "'abc'" in err
+        assert not out.exists()
+
     def test_bad_variance_is_usage_error(self, tmp_path):
         code = main(
             [
@@ -297,6 +305,56 @@ class TestSample:
         assert main([*argv, "--n", "2", "--sampler-steps", "10"]) == EXIT_OK
         assert read_samples(out)[0]["n_samples"] == 2
 
+    @pytest.mark.parametrize("v0", ["nan,0", "0,inf", "-inf,1", "1,2,3", "a,b"])
+    def test_malformed_v0_is_refused_at_parse_time(self, workdir, tmp_path, capsys, v0):
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--init-velocity", "explicit", f"--v0={v0}"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --v0" in err and v0 in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("v0", ["10,0", "6,-8", "20,0", "0,1e300"])
+    def test_v0_at_or_above_c_is_usage_error(self, workdir, tmp_path, capsys, v0):
+        """The model's c is 10; such a v0 used to end in a numerical failure (exit 3)."""
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
+        assert main([*argv, "--init-velocity", "explicit", f"--v0={v0}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--v0" in err and "c = 10.0" in err
+        assert not out.exists()
+        assert main([*argv, "--init-velocity", "explicit", "--v0=9.5,0"]) == EXIT_OK
+
+    def test_v0_without_explicit_init_velocity_is_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
+        assert main([*argv, "--v0", "1,0"]) == EXIT_USAGE
+        assert "--v0 needs --init-velocity explicit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["o1", "o1o2"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--v0", "1,0"], "--v0"),
+            (["--init-velocity", "zero"], "--init-velocity zero"),
+            (["--init-velocity", "explicit", "--v0", "1,0"], "--init-velocity explicit, --v0"),
+            (["--update", "euler"], "--update euler"),
+        ],
+        ids=["v0", "zero", "explicit", "euler"],
+    )
+    def test_force_sampler_flags_on_flow_model_are_usage_errors(self, workdir, tmp_path, capsys, method, flags, named):
+        """A flow model has no force sampler; these flags used to be ignored with exit 0."""
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"][method]), "--data", str(workdir["data"]), "--out", str(out)]
+        assert main([*argv, *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and method in err
+        assert not out.exists()
+        assert main([*argv, "--init-velocity", "dataset", "--update", "momentum-exact"]) == EXIT_OK
+
     def test_heldout_without_data_is_usage_error(self, workdir, tmp_path):
         code = main(
             [
@@ -460,6 +518,7 @@ class TestConfig:
             ("sample", {"source": "bogus"}),
             ("sample", {"init_velocity": "bogus"}),
             ("sample", {"paths": "false"}),
+            ("sample", {"v0": "nan,0"}),
             ("eval", {"reference": "no"}),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, dict) else v,

@@ -159,6 +159,12 @@ class TestGenerate:
             worker_count()
         assert worker_count(2) == 2
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "1e3", "0", "-2"])
+    def test_worker_count_env_not_a_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("FORM_LAB_THREADS", value)
+        with pytest.raises(ValueError, match=f"FORM_LAB_THREADS must be an integer >= 1, got '{value}'"):
+            worker_count()
+
 
 class TestHoldout:
     def test_split_sizes_and_order(self):

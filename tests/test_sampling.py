@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from form_lab import sampling
+from form_lab.datasets import DatasetSpec
 from form_lab.errors import DegenerateVelocityError, SpeedLimitError
 from form_lab.neural import mlp_init
-from form_lab.relativity import PhysicsConfig, celerity_from_velocity, speed
+from form_lab.relativity import (
+    EPS_V,
+    PhysicsConfig,
+    celerity_from_velocity,
+    speed,
+    velocity_from_celerity,
+)
 from form_lab.sampling import (
     SamplerConfig,
     flow_path_o1,
@@ -252,3 +260,194 @@ class TestModelAdapters:
         )
         with pytest.raises(ValueError):
             sample_form(model, np.array([[0.1, 0.2]]), SamplerConfig(n_steps=3))
+
+
+def _reference_update(w, f_par, f_perp, d, physics, handedness):
+    """The momentum-exact step as first written: every force broadcast to every
+    point and both sides of each mask evaluated.  Kept verbatim as the
+    bit-for-bit reference for ``sampling._momentum_exact_update``."""
+    m = physics.m
+    lead = w.shape[:-1]
+    f_par = np.broadcast_to(np.asarray(f_par, dtype=np.float64), lead)
+    f_perp = np.broadcast_to(np.asarray(f_perp, dtype=np.float64), lead)
+    wmag = np.sqrt(np.sum(w * w, axis=-1))
+    resting = wmag <= EPS_V
+    if np.any(resting & ((f_par != 0.0) | (f_perp != 0.0))):
+        raise DegenerateVelocityError(
+            "force sampler reached (numerically) zero speed with a nonzero force"
+        )
+    safe_w = np.where(resting, 1.0, wmag)
+    wmag_new = wmag + f_par * (d / m)
+    if np.any(~resting & (wmag_new <= 0.0)):
+        raise DegenerateVelocityError(
+            "parallel impulse drives the celerity through zero within one step; increase n_steps"
+        )
+    par_zero = f_par == 0.0
+    ratio = f_par * (d / m) / safe_w
+    dphi = handedness * np.where(
+        par_zero,
+        f_perp * (d / m) / safe_w,
+        (f_perp / np.where(par_zero, 1.0, f_par)) * np.log1p(np.where(par_zero, 0.0, ratio)),
+    )
+    cos_p, sin_p = np.cos(dphi), np.sin(dphi)
+    u = w / safe_w[..., None]
+    u_new = np.stack(
+        [cos_p * u[..., 0] - sin_p * u[..., 1], sin_p * u[..., 0] + cos_p * u[..., 1]],
+        axis=-1,
+    )
+    w_new = wmag_new[..., None] * u_new
+    return velocity_from_celerity(w_new, physics), w_new
+
+
+def _bits(arr):
+    arr = np.asarray(arr)
+    return arr.shape, arr.dtype, arr.tobytes()
+
+
+def _assert_same_step(w, f_par, f_perp, handedness, d=0.05):
+    got = sampling._momentum_exact_update(w, f_par, f_perp, d, PHYS, handedness)
+    want = _reference_update(w, f_par, f_perp, d, PHYS, handedness)
+    for g, r in zip(got, want):
+        assert _bits(g) == _bits(r)
+
+
+def _celerities(shape, seed=0):
+    """Celerities of random subluminal velocities, including speeds near c."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=shape)
+    v *= (rng.uniform(0.05, 0.999, size=shape[:-1]) * PHYS.c / speed(v))[..., None]
+    return celerity_from_velocity(v, PHYS)
+
+
+SHAPES = [(2,), (9, 2), (3, 4, 2)]
+
+
+class TestMomentumExactUpdateBits:
+    """The scalar-force fast path and mask skipping change no output bit."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize(
+        "f_par, f_perp",
+        [(0.0, 0.0), (0.0, 25.0), (7.0, 0.0), (3.5, -12.0), (-0.4, 6.0), (1e-300, 1.0), (-0.0, 2.0), (9e4, 3e4)],
+    )
+    def test_scalar_force(self, shape, handedness, f_par, f_perp):
+        w = _celerities(shape)
+        for wrap in (float, np.float64, np.array):  # Python float, numpy scalar, 0-d array
+            _assert_same_step(w, wrap(f_par), wrap(f_perp), handedness)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
+    def test_per_point_force(self, shape, handedness, zeros):
+        rng = np.random.default_rng(1)
+        w = _celerities(shape, seed=2)
+        lead = shape[:-1]
+        f_par = rng.uniform(-0.5, 20.0, size=lead)
+        f_perp = rng.normal(scale=30.0, size=lead)
+        if zeros == "all":
+            f_par = np.zeros(lead)
+        elif zeros == "some":
+            f_par = np.where(rng.uniform(size=lead) < 0.5, 0.0, f_par)
+        _assert_same_step(w, f_par, f_perp, handedness)
+        _assert_same_step(w, f_par, 4.0, handedness)  # one component per point, one shared
+        _assert_same_step(w, 0.0, f_perp, handedness)
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_broadcast_per_point_force(self, handedness):
+        """A force shaped like a trailing part of the batch broadcasts as before."""
+        w = _celerities((3, 4, 2), seed=3)
+        _assert_same_step(w, np.linspace(0.0, 3.0, 4), np.linspace(-5.0, 5.0, 4), handedness)
+        _assert_same_step(w, np.full((1, 4), 2.0), np.ones((3, 1)), handedness)
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_resting_points_under_zero_force(self, handedness):
+        w = _celerities((6, 2), seed=4)
+        w[[1, 4]] = 0.0
+        w[2] = [EPS_V / 2, 0.0]
+        _assert_same_step(w, 0.0, 0.0, handedness)
+        f_par = np.where(speed(w) <= EPS_V, 0.0, 2.0)
+        f_perp = np.where(speed(w) <= EPS_V, 0.0, -3.0)
+        _assert_same_step(w, f_par, f_perp, handedness)
+        _assert_same_step(w, np.where(speed(w) <= EPS_V, 0.0, -1.0), f_perp, handedness)
+        _assert_same_step(np.zeros(2), 0.0, 0.0, handedness)
+
+    @pytest.mark.parametrize("update", [sampling._momentum_exact_update, _reference_update])
+    @pytest.mark.parametrize(
+        "w, f_par, f_perp",
+        [
+            (np.zeros((3, 2)), 1.0, 0.0),
+            (np.zeros((3, 2)), 0.0, -1.0),
+            (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.0, 0.0]), np.array([0.0, 2.0])),
+            (np.array([[0.1, 0.0], [2.0, 0.0]]), -100.0, 0.0),
+            (np.array([[0.1, 0.0], [2.0, 0.0]]), np.array([0.0, -100.0]), 0.0),
+            (np.array([[0.0, 0.0], [0.1, 0.0]]), np.array([0.0, -100.0]), 0.0),
+        ],
+    )
+    def test_degenerate_steps_raise(self, update, w, f_par, f_perp):
+        """At rest with a nonzero force, and braking through zero, still raise."""
+        with pytest.raises(DegenerateVelocityError):
+            update(w, f_par, f_perp, 0.1, PHYS, 1)
+
+    @pytest.mark.parametrize(
+        "update, match",
+        [(sampling._momentum_exact_update, "do not broadcast to the points"), (_reference_update, None)],
+    )
+    def test_column_force_is_rejected(self, update, match):
+        """(N, 1) components on (N,) points would broadcast silently to (N, N)."""
+        w = _celerities((5, 2))
+        for f_par, f_perp in [(np.ones((5, 1)), np.ones((5, 1))), (1.0, np.ones((5, 1)))]:
+            with pytest.raises(ValueError, match=match):
+                update(w, f_par, f_perp, 0.1, PHYS, 1)
+        with pytest.raises(ValueError):
+            update(w, np.ones(3), 1.0, 0.1, PHYS, 1)
+
+    def test_column_force_is_rejected_by_force_path(self):
+        with pytest.raises(ValueError, match="do not broadcast to the points"):
+            force_path(lambda x, t: (np.ones((4, 1)), np.ones((4, 1))), np.zeros((4, 2)), [1.0, 0.0], 1.0, 3)
+
+
+def _form_model(input_mode, seed):
+    """An untrained force head scaled up so that it steers hard, pushing forward."""
+    head = mlp_init((1 if input_mode == "time" else 3, 16, 2), seed=seed)
+    head.weights[-1][...] *= 10.0
+    head.biases[-1][...] = (30.0, 0.0)
+    spec = DatasetSpec(kind="halfmoons", n_points=16, seed=seed)
+    return TrainedModel(
+        method="form",
+        heads={"F": head},
+        duration=spec.duration,
+        physics=PhysicsConfig(),
+        train_config=TrainConfig(method="form", form_input_mode=input_mode),
+        dataset_info=spec.to_dict(),
+    )
+
+
+class TestSampleFormBits:
+    @pytest.mark.parametrize("input_mode", ["time", "time-position"])
+    @pytest.mark.parametrize("n_steps", [1, 10])
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_matches_reference_update(self, monkeypatch, input_mode, n_steps, handedness):
+        model = _form_model(input_mode, seed=5)
+        x0 = np.random.default_rng(6).normal(scale=0.5, size=(16, 2))
+        cfg = SamplerConfig(n_steps=n_steps, handedness=handedness)
+        got = sample_form(model, x0, cfg)
+        monkeypatch.setattr(sampling, "_momentum_exact_update", _reference_update)
+        want = sample_form(model, x0, cfg)
+        assert _bits(got.x) == _bits(want.x)
+        assert _bits(got.v) == _bits(want.v)
+
+    def test_calls_force_path_through_the_module_global(self, monkeypatch):
+        """Tracing wraps ``form_lab.sampling.force_path``; sample_form must call it there."""
+        calls = []
+        real = sampling.force_path
+
+        def spy(*args, **kwargs):
+            calls.append(args[3:5])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "force_path", spy)
+        model = _form_model("time", seed=7)
+        path = sample_form(model, np.zeros((3, 2)) + 0.3, SamplerConfig(n_steps=4))
+        assert calls == [(model.duration, 4)]
+        assert path.x.shape == (5, 3, 2)
