@@ -36,13 +36,9 @@ from form_lab.datasets import (
 )
 from form_lab.errors import DegenerateVelocityError
 from form_lab.neural import MlpParams, mlp_init
-from form_lab.relativity import DEFAULT_PHYSICS
+from form_lab.relativity import DEFAULT_PHYSICS, speed
 from form_lab.sampling import SamplerConfig, force_path, sample_form
 from form_lab.training import TrainConfig, TrainedModel
-
-
-def speed(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
 
 
 def parse_args(argv=None) -> argparse.Namespace:

@@ -8,7 +8,8 @@ integrator, and scores endpoint losses.
 
 See the README for the CLI walkthrough; the module layout mirrors the
 pipeline: relativity -> interpolants/dynamics -> datasets -> neural ->
-training -> sampling -> evaluate, with formats/figures/cli around it.
+training -> sampling -> evaluate -> pipeline, with formats/figures/cli
+around it.
 """
 
 __version__ = "0.1.0"

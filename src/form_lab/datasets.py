@@ -66,6 +66,8 @@ class DatasetSpec:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
+        if self.seed < 0:  # SeedSequence takes non-negative seeds only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.duration < np.inf:  # the time grid, also of a dataset read back, is built from it
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if not self.source_variance > 0.0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,22 +80,18 @@ def sample_model(model: TrainedModel, x0, sampler: SamplerConfig | None = None, 
 
 @dataclass(frozen=True)
 class EvalCell:
+    """One scored (dataset, method) pair; ``path`` is the sampler run it was scored on."""
+
     dataset: str
     method: str
     loss: float
     n_points: int
     sampler_steps: int
     mode: str
+    path: SamplePath | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "loss": self.loss,
-            "n_points": self.n_points,
-            "sampler_steps": self.sampler_steps,
-            "mode": self.mode,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "path"}
 
 
 def evaluate_model(
@@ -122,6 +118,7 @@ def evaluate_model(
         n_points=len(heldout),
         sampler_steps=sampler.n_steps,
         mode=mode,
+        path=path,
     )
 
 

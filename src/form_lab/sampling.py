@@ -50,19 +50,15 @@ VELOCITY_UPDATES = ("momentum-exact", "euler")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Grid and physics for sampling; ``None`` fields default to the model's."""
+    """Grid and update rule; duration, physics and a ``None`` handedness are the model's."""
 
     n_steps: int = 100
-    duration: float | None = None
-    physics: PhysicsConfig | None = None
     handedness: int | None = None
     velocity_update: str = "momentum-exact"
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.duration is not None and not self.duration > 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
         if self.handedness not in (None, 1, -1):
             raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
         if self.velocity_update not in VELOCITY_UPDATES:
@@ -321,19 +317,6 @@ def force_head_fn(model: TrainedModel) -> Callable:
     return fn
 
 
-def _resolve(model: TrainedModel, config: SamplerConfig | None) -> tuple[SamplerConfig, float, PhysicsConfig, int]:
-    cfg = config if config is not None else SamplerConfig()
-    duration = cfg.duration if cfg.duration is not None else model.duration
-    physics = cfg.physics if cfg.physics is not None else model.physics
-    if cfg.handedness is not None:
-        handed = cfg.handedness
-    elif model.dataset_info is not None:
-        handed = int(model.dataset_info.get("handedness", 1))
-    else:
-        handed = 1
-    return cfg, duration, physics, handed
-
-
 def model_initial_velocity(model: TrainedModel, x0) -> np.ndarray:
     """The dataset-matched initial velocity rule attached to the model."""
     if model.dataset_info is None:
@@ -344,15 +327,15 @@ def model_initial_velocity(model: TrainedModel, x0) -> np.ndarray:
 def sample_o1(model: TrainedModel, x0, config: SamplerConfig | None = None) -> SamplePath:
     if "u1" not in model.heads:
         raise ValueError(f"model method {model.method!r} has no velocity head")
-    cfg, duration, _, _ = _resolve(model, config)
-    return flow_path_o1(velocity_head_fn(model), x0, duration, cfg.n_steps)
+    n_steps = (config or SamplerConfig()).n_steps
+    return flow_path_o1(velocity_head_fn(model), x0, model.duration, n_steps)
 
 
 def sample_o1o2(model: TrainedModel, x0, config: SamplerConfig | None = None) -> SamplePath:
     if "u1" not in model.heads or "u2" not in model.heads:
         raise ValueError(f"model method {model.method!r} lacks u1/u2 heads")
-    cfg, duration, _, _ = _resolve(model, config)
-    return flow_path_o1o2(velocity_head_fn(model), accel_head_fn(model), x0, duration, cfg.n_steps)
+    n_steps = (config or SamplerConfig()).n_steps
+    return flow_path_o1o2(velocity_head_fn(model), accel_head_fn(model), x0, model.duration, n_steps)
 
 
 def sample_form(model: TrainedModel, x0, config: SamplerConfig | None = None, v0=None) -> SamplePath:
@@ -360,7 +343,8 @@ def sample_form(model: TrainedModel, x0, config: SamplerConfig | None = None, v0
     starts at rest (only sensible if the learned force starts at zero)."""
     if "F" not in model.heads:
         raise ValueError(f"model method {model.method!r} has no force head")
-    cfg, duration, physics, handed = _resolve(model, config)
+    cfg = config or SamplerConfig()
+    handed = cfg.handedness or int((model.dataset_info or {}).get("handedness", 1))
     x0 = np.asarray(x0, dtype=np.float64)
     if v0 is None:
         v0_arr = model_initial_velocity(model, x0)
@@ -372,9 +356,9 @@ def sample_form(model: TrainedModel, x0, config: SamplerConfig | None = None, v0
         force_head_fn(model),
         x0,
         v0_arr,
-        duration,
+        model.duration,
         cfg.n_steps,
-        physics=physics,
+        physics=model.physics,
         handedness=handed,
         velocity_update=cfg.velocity_update,
     )

@@ -2,9 +2,10 @@
 
 Each ``test_criterion_N_*`` checks one promise at its stated tolerance, so
 ``pytest -v tests/test_acceptance.py`` prints one pass/fail line per
-criterion.  The module fixture runs the complete default pipeline once
-(three datasets, nine models, one evaluation pass) and is reused by the
-criteria that need it; expect the file to take a couple of minutes.
+criterion.  The module fixture runs ``form_lab.pipeline.run_table`` once
+with its defaults, the same run as ``scripts/run_table.py`` (three
+datasets, nine models, one evaluation pass), and is reused by the criteria
+that need it; expect the file to take a couple of minutes.
 
 Criteria:
   1. ForM beats both flow baselines on every dataset (strictly better than
@@ -39,14 +40,12 @@ from form_lab.datasets import (
     KINDS,
     force_schedule_for,
     generate,
-    holdout_split,
     initial_velocity,
     source_points,
     stress_spec,
 )
 from form_lab.dynamics import ForceSchedule, simulate_trajectory
 from form_lab.errors import DegenerateVelocityError
-from form_lab.evaluate import evaluate_model
 from form_lab.formats import (
     read_checkpoint,
     read_dataset,
@@ -56,6 +55,7 @@ from form_lab.formats import (
 from form_lab.interpolants import interpolate, trigflow_force, trigflow_schedule
 from form_lab.neural import MlpParams, mlp_backward, mlp_forward, mlp_init
 from form_lab.ode import integrate_fixed_grid
+from form_lab.pipeline import run_table
 from form_lab.relativity import (
     DEFAULT_PHYSICS,
     acceleration_from_force,
@@ -66,7 +66,7 @@ from form_lab.relativity import (
     velocity_from_celerity,
 )
 from form_lab.sampling import SamplerConfig, force_path, sample_form
-from form_lab.training import METHODS, TrainConfig, TrainedModel, train
+from form_lab.training import TrainConfig, TrainedModel, train
 
 C = DEFAULT_PHYSICS.c
 
@@ -76,28 +76,12 @@ def _announce(n: int, name: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    """The full default pipeline: generate, split, train 9 models, evaluate."""
+def pipeline(tmp_path_factory):
+    """The full default pipeline: generate, split, train 9 models, evaluate, write."""
     t0 = time.perf_counter()
-    data = {}
-    for kind in KINDS:
-        spec = DatasetSpec(kind=kind)
-        records = generate(spec)
-        train_records, heldout = holdout_split(records)
-        data[kind] = {
-            "spec": spec,
-            "records": records,
-            "train": train_records,
-            "heldout": heldout,
-        }
-    models, losses = {}, {}
-    for kind, d in data.items():
-        for method in METHODS:
-            model = train(d["train"], TrainConfig(method=method), dataset_info=d["spec"].to_dict())
-            models[(kind, method)] = model
-            losses[(kind, method)] = evaluate_model(model, d["heldout"]).loss
-    elapsed = time.perf_counter() - t0
-    return {"data": data, "models": models, "losses": losses, "elapsed": elapsed}
+    run = run_table(tmp_path_factory.mktemp("table"))
+    losses = {(c.dataset, c.method): c.loss for c in run["cells"]}
+    return {**run, "losses": losses, "elapsed": time.perf_counter() - t0}
 
 
 def test_criterion_1_ranking_and_budget(pipeline):

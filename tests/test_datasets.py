@@ -33,6 +33,8 @@ class TestSpec:
             DatasetSpec(kind="onedot", duration=0.0)
         with pytest.raises(ValueError):
             DatasetSpec(kind="onedot", handedness=2)
+        with pytest.raises(ValueError):
+            DatasetSpec(kind="onedot", seed=-1)
 
     def test_dict_round_trip(self):
         spec = DatasetSpec(kind="spiral", n_points=12, seed=5, ring_speed=3.0)

@@ -80,6 +80,13 @@ class TestEvaluateModel:
         b = evaluate_model(tiny_models["form"], heldout, SamplerConfig(n_steps=10))
         assert a.loss == b.loss
 
+    def test_cell_keeps_the_path_it_scored(self, tiny_models, tiny_onedot):
+        _, heldout = holdout_split(tiny_onedot[1])
+        cell = evaluate_model(tiny_models["o1o2"], heldout, SamplerConfig(n_steps=10))
+        assert cell.path.n_steps == 10
+        assert cell.loss == euclidean_distance_loss(cell.path.endpoint, np.stack([r.endpoint for r in heldout]))
+        assert "path" not in cell.to_dict()
+
     def test_empty_heldout(self, tiny_models):
         with pytest.raises(ValueError):
             evaluate_model(tiny_models["o1"], [])

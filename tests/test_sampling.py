@@ -39,7 +39,6 @@ class TestConfig:
         "kw",
         [
             dict(n_steps=0),
-            dict(duration=-1.0),
             dict(handedness=2),
             dict(velocity_update="bogus"),
         ],

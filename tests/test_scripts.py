@@ -1,0 +1,63 @@
+"""The two scripts under ``scripts/``, run as a user runs them: in a subprocess."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from form_lab.datasets import KINDS
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)], capture_output=True, text=True, timeout=300
+    )
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRunTable:
+    def test_quick_is_deterministic_and_ranks_form_first(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for outdir in (a, b):
+            done = run_script("run_table.py", "--quick", "--outdir", outdir)
+            assert done.returncode == 0, done.stderr
+        files = tree(a)
+        assert files == tree(b)
+        assert {"report.json", "table.txt", "datasets/onedot.ndjson", "checkpoints/spiral-form.ndjson"} <= set(files)
+        assert len([f for f in files if f.startswith("figures/")]) == 4 * len(KINDS)
+        ranking = json.loads(files["report.json"])["ranking"]
+        assert {kind: ranking[kind][0] for kind in KINDS} == {kind: "form" for kind in KINDS}
+
+    def test_explicit_steps_win_over_quick(self, tmp_path):
+        done = run_script("run_table.py", "--quick", "--steps", 5, "--outdir", tmp_path)
+        assert done.returncode == 0, done.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["metadata"]["train_steps"] == 5
+        checkpoint = json.loads((tmp_path / "checkpoints" / "onedot-o1.ndjson").read_text())
+        assert checkpoint["train_config"]["steps"] == 5
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--quick", "--M", 0), ("--steps", 0), ("--quick", "--seed", -1)],
+        ids=["M", "steps", "seed"],
+    )
+    def test_bad_flag_is_usage_error_before_any_write(self, tmp_path, flags):
+        outdir = tmp_path / "out"
+        done = run_script("run_table.py", *flags, "--outdir", outdir)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[-1].startswith("run_table.py: error: ")
+        assert not outdir.exists()
+
+
+def test_stress_speed_limit_holds():
+    done = run_script("stress_speed_limit.py", "--points", 8, "--seeds", 2)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "speed limit held in every run" in done.stdout
