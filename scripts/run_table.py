@@ -18,10 +18,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from form_lab.datasets import KINDS, DatasetSpec
 from form_lab.evaluate import render_table
 from form_lab.pipeline import QUICK_TRAIN, run_table
 from form_lab.sampling import SamplerConfig
-from form_lab.training import TrainConfig
+from form_lab.training import METHODS, TrainConfig
 
 
 def main(argv=None) -> int:
@@ -47,13 +48,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
 
-    try:  # run_table builds every config before it writes, so a bad flag stops here with nothing written
+    # Each flag's own dataclass checks it first, so a bad value is named by its flag.
+    flag_checks = {
+        "--seed": lambda: DatasetSpec(kind=KINDS[0], seed=args.seed),
+        "--steps": lambda: args.steps is None or TrainConfig(method=METHODS[0], steps=args.steps),
+        "--M": lambda: SamplerConfig(n_steps=args.M),
+    }
+    for flag, check in flag_checks.items():
+        try:
+            check()
+        except ValueError as e:
+            parser.error(f"{flag}: {e}")
+
+    try:  # run_table builds every config before it writes, so its ValueError comes with nothing written
         run = run_table(args.outdir, seed=args.seed, train_steps=args.steps, sampler_steps=args.M, quick=args.quick)
+        table = render_table(run["report"], include_reference=not args.no_reference)
+        (args.outdir / "table.txt").write_text(table + "\n", encoding="utf-8")
     except ValueError as e:
         parser.error(str(e))
-
-    table = render_table(run["report"], include_reference=not args.no_reference)
-    (args.outdir / "table.txt").write_text(table + "\n", encoding="utf-8")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(table)
     print(f"\nwrote {args.outdir}/report.json and {args.outdir}/table.txt in {time.monotonic() - t0:.0f}s")
     return 0

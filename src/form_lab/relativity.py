@@ -5,7 +5,7 @@ All velocities live in lab-frame coordinates with a finite speed of light
 :class:`~form_lab.errors.SpeedLimitError`, never a clamp: a clamp would turn
 an integration bug into a silently wrong dataset.
 
-Every function accepts a single vector ``(d,)`` or a batch ``(..., d)`` and
+Every function accepts a single 2-vector ``(2,)`` or a batch ``(..., 2)`` and
 broadcasts elementwise, so batched code paths produce bit-identical numbers
 to the single-particle ones.
 """
@@ -49,7 +49,16 @@ def _as_float_array(x) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1)
+    """``<a, b>`` over the trailing axis of 2-vectors.
+
+    Written out as two products and two sums, without numpy's per-row
+    reduction loop.  ``np.sum(a * b, axis=-1)`` starts its sum from ``+0.0``,
+    which turns ``-0.0 + -0.0`` into ``+0.0``; the trailing ``+ 0.0`` does the
+    same, so the bits are ``np.sum``'s.
+    """
+    if a.shape[-1] != 2 or b.shape[-1] != 2:
+        raise ShapeError(f"expected 2-vectors, got trailing dims {a.shape[-1]} and {b.shape[-1]}")
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + 0.0
 
 
 def _column(x) -> np.ndarray:
@@ -124,7 +133,12 @@ def rotate90(u, handedness: int = 1) -> np.ndarray:
         raise ShapeError(f"rotate90 needs 2-D vectors, got trailing dim {u.shape[-1]}")
     if handedness not in (1, -1):
         raise ValueError(f"handedness must be +1 or -1, got {handedness!r}")
-    return handedness * np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    out = np.empty(u.shape)
+    np.negative(u[..., 1], out=out[..., 0])
+    out[..., 1] = u[..., 0]
+    if handedness != 1:
+        out *= handedness
+    return out
 
 
 def comoving_frame(v, handedness: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -164,13 +178,14 @@ def compose_lab_force(f_par, f_perp, v, handedness: int = 1) -> np.ndarray:
     f_perp = np.broadcast_to(np.asarray(f_perp, dtype=np.float64), v.shape[:-1])
     s = speed(v)
     degenerate = s <= EPS_V
-    if np.any(degenerate & ((f_par != 0.0) | (f_perp != 0.0))):
-        raise DegenerateVelocityError(
-            "nonzero co-moving force at (numerically) zero speed: direction undefined"
-        )
-    safe = np.where(degenerate, 1.0, s)
-    vhat = v / _column(safe)
-    vhat = np.where(_column(degenerate), 0.0, vhat)
+    if degenerate.any():
+        if np.any(degenerate & ((f_par != 0.0) | (f_perp != 0.0))):
+            raise DegenerateVelocityError(
+                "nonzero co-moving force at (numerically) zero speed: direction undefined"
+            )
+        vhat = np.where(_column(degenerate), 0.0, v / _column(np.where(degenerate, 1.0, s)))
+    else:
+        vhat = v / _column(s)
     return _column(f_par) * vhat + _column(f_perp) * rotate90(vhat, handedness)
 
 

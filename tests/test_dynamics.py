@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from form_lab.datasets import KINDS, DatasetSpec, force_schedule_for, initial_velocity, source_points, stress_spec
 from form_lab.dynamics import (
     DEFAULT_UNITS,
     ForceSchedule,
@@ -11,14 +12,20 @@ from form_lab.dynamics import (
     schedule_on_grid,
     simulate_batch,
     simulate_trajectory,
+    trajectory_records,
 )
-from form_lab.errors import DegenerateVelocityError
+from form_lab.errors import DegenerateVelocityError, NonFiniteError
+from form_lab.ode import integrate_fixed_grid
 from form_lab.relativity import (
     DEFAULT_PHYSICS,
+    PhysicsConfig,
     acceleration_from_force,
+    celerity_from_velocity,
+    compose_lab_force,
     decompose_parallel_perp,
     lorentz_factor,
     speed_sq_derivative,
+    velocity_from_celerity,
 )
 
 C = DEFAULT_PHYSICS.c
@@ -168,3 +175,92 @@ class TestScheduleGrid:
         fp, fq = schedule_on_grid(sched, times)
         assert_allclose(fp, 2.0 * np.sin(times), rtol=1e-15)
         assert_allclose(fq, 3.0 * np.sin(2.0 * times), rtol=1e-15)
+
+
+def reference_simulate_batch(x0, v0, schedule, duration, n_steps, physics, handedness):
+    """``simulate_batch`` with the stage derivative it had before the
+    column-wise stage: ``velocity_from_celerity``, ``compose_lab_force`` and
+    ``np.concatenate``, verbatim.  Those helpers are themselves pinned to
+    their ``np.sum``/``np.stack`` forms in ``test_relativity.py``."""
+    w0 = celerity_from_velocity(v0, physics)  # also enforces |v0| < c
+
+    def deriv(t: float, y: np.ndarray) -> np.ndarray:
+        x, w = y[:, :2], y[:, 2:]
+        v = velocity_from_celerity(w, physics)
+        f_unit = compose_lab_force(schedule.f_par(t), schedule.f_perp(t), v, handedness)
+        return np.concatenate([v, f_unit], axis=1)
+
+    y0 = np.concatenate([x0, w0], axis=1)
+    times, states = integrate_fixed_grid(deriv, y0, 0.0, duration, n_steps, method="rk4")
+    assert np.all(np.isfinite(states))
+    vs = velocity_from_celerity(states[:, :, 2:], physics)
+    fp_grid, fq_grid = schedule_on_grid(schedule, times)
+    f_par, f_perp = physics.m * fp_grid[:, None], physics.m * fq_grid[:, None]
+    return trajectory_records(np.arange(len(x0)), times, states[:, :, :2], vs, f_par, f_perp, physics, handedness)
+
+
+RECORD_ARRAYS = ("times", "x", "v", "a", "f", "f_par", "f_perp")
+
+
+def assert_same_bits(records, reference):
+    assert len(records) == len(reference)
+    for rec, ref in zip(records, reference):
+        for name in RECORD_ARRAYS:
+            got, want = getattr(rec, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (rec.index, name)
+
+
+def _dataset_case(spec: DatasetSpec, physics: PhysicsConfig = DEFAULT_PHYSICS):
+    x0 = source_points(spec, range(spec.resolved_n_points), physics)
+    return x0, initial_velocity(spec, x0), force_schedule_for(spec)
+
+
+class TestColumnStageBitIdentity:
+    """The column-wise stage derivative against the parent's, byte for byte."""
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("stress", [False, True], ids=["x1", "x100"])
+    def test_dataset_schedules(self, kind, handedness, stress):
+        spec = DatasetSpec(kind=kind, n_points=40, seed=11, handedness=handedness)
+        spec = stress_spec(spec) if stress else spec
+        x0, v0, schedule = _dataset_case(spec)
+        got = simulate_batch(x0, v0, schedule, spec.duration, spec.n_steps, handedness=handedness)
+        want = reference_simulate_batch(x0, v0, schedule, spec.duration, spec.n_steps, DEFAULT_PHYSICS, handedness)
+        assert_same_bits(got, want)
+
+    def test_heavier_particle(self):
+        physics = PhysicsConfig(m=3.0)
+        spec = DatasetSpec(kind="halfmoons", n_points=40, seed=3)
+        x0, v0, schedule = _dataset_case(spec, physics)
+        got = simulate_batch(x0, v0, schedule, 1.0, 200, physics=physics)
+        want = reference_simulate_batch(x0, v0, schedule, 1.0, 200, physics, 1)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_zero_force_with_a_resting_point_takes_the_fallback_stage(self, handedness):
+        """Every stage has a resting point, so every stage composes through
+        ``compose_lab_force``'s masked path; signed zeros included."""
+        x0 = np.array([[0.0, 0.0], [0.5, -0.3], [-0.2, 0.4]])
+        v0 = np.array([[0.0, 0.0], [-3.0, 0.0], [2.0, -2.0]])
+        schedule = ForceSchedule.constant(0.0, 0.0)
+        got = simulate_batch(x0, v0, schedule, 1.0, 50, handedness=handedness)
+        want = reference_simulate_batch(x0, v0, schedule, 1.0, 50, DEFAULT_PHYSICS, handedness)
+        assert_same_bits(got, want)
+        assert np.array_equal(got[0].x, np.zeros((51, 2)))
+
+    def test_nonzero_force_on_a_resting_point_is_degenerate(self):
+        x0 = np.zeros((2, 2))
+        v0 = np.array([[3.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateVelocityError):
+            simulate_batch(x0, v0, ForceSchedule.constant(0.0, 1.0), 1.0, 10)
+
+    def test_non_finite_celerity_is_refused(self):
+        x0 = np.zeros((2, 2))
+        v0 = np.array([[3.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(NonFiniteError, match="celerity must be finite"):
+            simulate_batch(x0, v0, ForceSchedule.constant(np.nan, 0.0), 1.0, 10)
+
+    def test_handedness_is_checked(self):
+        with pytest.raises(ValueError, match="handedness"):
+            simulate_batch(np.zeros((1, 2)), np.array([[1.0, 0.0]]), ForceSchedule.constant(1.0, 1.0), handedness=2)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from form_lab.errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
+from form_lab.errors import DegenerateVelocityError, NonFiniteError, ShapeError, SpeedLimitError
 from form_lab.relativity import (
     DEFAULT_PHYSICS,
+    _dot,
     EPS_V,
     PhysicsConfig,
     acceleration_from_force,
@@ -206,3 +207,101 @@ class TestPhysicsConfig:
 
 def _unit(angles: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+# --- the 2-vector helpers against their np.sum / np.stack forms -----------------
+
+def _ref_dot(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def _ref_rotate90(u, handedness):
+    return handedness * np.stack([-u[..., 1], u[..., 0]], axis=-1)
+
+
+def _ref_compose_lab_force(f_par, f_perp, v, handedness):
+    """``compose_lab_force`` with its masks always applied, as it was written
+    before it skipped them when no point rests."""
+    f_par = np.broadcast_to(np.asarray(f_par, dtype=np.float64), v.shape[:-1])
+    f_perp = np.broadcast_to(np.asarray(f_perp, dtype=np.float64), v.shape[:-1])
+    s = np.sqrt(_ref_dot(v, v))
+    degenerate = s <= EPS_V
+    if np.any(degenerate & ((f_par != 0.0) | (f_perp != 0.0))):
+        raise DegenerateVelocityError("nonzero co-moving force at (numerically) zero speed")
+    safe = np.where(degenerate, 1.0, s)
+    vhat = v / safe[..., None]
+    vhat = np.where(degenerate[..., None], 0.0, vhat)
+    return f_par[..., None] * vhat + f_perp[..., None] * _ref_rotate90(vhat, handedness)
+
+
+SHAPES = [(2,), (7, 2), (3, 5, 2)]
+
+
+def _wide_vectors(rng, shape):
+    """Signed magnitudes 1e-200..1e200, with +0.0 and -0.0 sprinkled in."""
+    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-200.0, 200.0, size=shape)
+    flat = out.reshape(-1)
+    flat[rng.random(flat.size) < 0.1] = 0.0
+    flat[rng.random(flat.size) < 0.1] = -0.0
+    return out
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestTwoVectorHelpersBitIdentity:
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_dot(self, shape):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            a, b = _wide_vectors(rng, shape), _wide_vectors(rng, shape)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                assert _same_bits(_dot(a, b), _ref_dot(a, b))
+                if len(shape) > 1:  # one vector against every row
+                    assert _same_bits(_dot(a, b[-1]), _ref_dot(a, b[-1]))
+
+    def test_dot_refuses_other_dimensions(self):
+        with pytest.raises(ShapeError):
+            speed([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_rotate90(self, shape, handedness):
+        rng = np.random.default_rng(2)
+        u = _wide_vectors(rng, shape)
+        assert _same_bits(rotate90(u, handedness), _ref_rotate90(u, handedness))
+        view = _wide_vectors(rng, (4, *shape))[::2, ..., ::-1]  # strided, reversed components
+        assert _same_bits(rotate90(view, handedness), _ref_rotate90(view, handedness))
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_compose_lab_force(self, shape, handedness):
+        rng = np.random.default_rng(3)
+        for resting in (False, True):
+            v = _wide_vectors(rng, shape)
+            rows = v.reshape(-1, 2)
+            with np.errstate(over="ignore", under="ignore"):
+                rest = np.sqrt(_ref_dot(rows, rows)) <= EPS_V
+            rows[rest] = [1.0, -1e-200]  # no row rests ...
+            if resting:  # ... or the first does, with a zero force, so both take the masked path
+                rows[0] = [0.0, -0.0]
+            rest = np.zeros(len(rows), dtype=bool)
+            rest[0] = resting
+            rest = rest.reshape(shape[:-1])
+            f_par = np.where(rest, 0.0, _wide_vectors(rng, shape[:-1]))
+            f_perp = np.where(rest, -0.0, _wide_vectors(rng, shape[:-1]))
+            scalars = (0.0, -0.0) if resting else (float(np.ravel(f_par)[-1]), float(np.ravel(f_perp)[-1]))
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                for fp, fq in ((f_par, f_perp), scalars):
+                    got = compose_lab_force(fp, fq, v, handedness)
+                    assert _same_bits(got, _ref_compose_lab_force(fp, fq, v, handedness))
+
+    @pytest.mark.parametrize("shape", SHAPES[1:], ids=str)
+    def test_compose_lab_force_refuses_a_force_that_does_not_broadcast(self, shape):
+        v = np.ones(shape)
+        too_wide = np.ones((2, *shape[:-1]))
+        with pytest.raises(ValueError):
+            compose_lab_force(too_wide, 0.0, v)
+        with pytest.raises(ValueError):
+            compose_lab_force(0.0, np.ones(shape[-2] + 1), v)

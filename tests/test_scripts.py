@@ -53,8 +53,19 @@ class TestRunTable:
         done = run_script("run_table.py", *flags, "--outdir", outdir)
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        assert done.stderr.splitlines()[-1].startswith("run_table.py: error: ")
+        flag = next(f for f in flags if f != "--quick")
+        assert done.stderr.splitlines()[-1].startswith(f"run_table.py: error: {flag}: ")
         assert not outdir.exists()
+
+    def test_outdir_that_is_a_file_is_usage_error(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        done = run_script("run_table.py", "--quick", "--outdir", afile)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and str(afile) in line
+        assert afile.read_text() == "kept\n"
 
 
 def test_stress_speed_limit_holds():

@@ -1,12 +1,15 @@
 """The benchmark's traced run wraps ``module.attr`` for every site in
 ``perfbench/workloads.py``'s ``TRACE_SITES``, with no default; a site that no
-longer resolves makes every traced run raise.  Checked here, in tier 1."""
+longer resolves makes every traced run raise.  Checked here, in tier 1, with
+spies that the simulator's work still passes through its sites."""
 
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from form_lab import datasets, dynamics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +32,25 @@ def test_every_trace_site_resolves(workloads):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"trace sites that no longer resolve: {missing}"
+
+
+def test_simulation_passes_through_its_module_globals(monkeypatch):
+    """``generate`` calls ``datasets.simulate_batch`` and ``simulate_batch``
+    calls ``dynamics.integrate_fixed_grid`` as module globals, once per chunk,
+    so a wrapper installed there sees all of the simulation's work."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(datasets, "simulate_batch")
+    spy(dynamics, "integrate_fixed_grid")
+    records = datasets.generate(datasets.DatasetSpec(kind="halfmoons", n_points=6, n_steps=4), max_workers=2)
+    assert len(records) == 6
+    assert sorted(calls) == ["form_lab.datasets.simulate_batch"] * 2 + ["form_lab.dynamics.integrate_fixed_grid"] * 2
