@@ -314,10 +314,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         title = args.title if args.title is not None else header["spec"]["kind"]
     else:
         header, entries = read_samples(args.samples)
-        source = np.array([e["x0"] for e in entries], dtype=np.float64)
-        target = np.array([e["endpoint"] for e in entries], dtype=np.float64)
-        with_paths = [e for e in entries if "path" in e][:n_traj] if n_traj > 0 else []
-        trajectories = [np.asarray(e["path"], dtype=np.float64) for e in with_paths]
+        source = np.stack([e["x0"] for e in entries])
+        target = np.stack([e["endpoint"] for e in entries])
+        trajectories = [e["path"] for e in entries if "path" in e][:n_traj] if n_traj > 0 else []
         default_title = f"{header.get('method', '?')} samples ({header.get('dataset') or 'custom'})"
         title = args.title if args.title is not None else default_title
     write_svg(args.out, scatter_svg(source, target, trajectories, title=title))

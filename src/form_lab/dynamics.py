@@ -100,6 +100,9 @@ class TrajectoryRecord:
     ``f`` is the lab-frame force (true force, i.e. mass times the
     per-unit-mass schedule), ``f_par``/``f_perp`` its co-moving components,
     ``a`` the lab-frame acceleration consistent with ``f`` at each step.
+    Records built by :func:`trajectory_records` (the simulator and the
+    dataset reader) hold views into arrays shared by their whole batch;
+    their ``times``, ``f_par`` and ``f_perp`` are read-only.
     """
 
     index: int
@@ -224,14 +227,22 @@ def trajectory_records(
 
     ``x``, ``v`` have shape (K+1, N, 2); ``f_par``, ``f_perp`` broadcast to
     (K+1, N); ``f`` and ``a`` come from :func:`lab_force_and_acceleration`.
+    Each of ``x``, ``v``, ``a``, ``f`` is laid out once as one contiguous
+    (N, K+1, 2) block, and every record holds row views into the blocks,
+    one read-only copy of ``times`` and read-only views of the broadcast
+    ``f_par``, ``f_perp``.
     """
     f_par, f_perp = (np.broadcast_to(f, x.shape[:-1]) for f in (f_par, f_perp))
     f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
     if not (np.all(np.isfinite(f_lab)) and np.all(np.isfinite(accel))):
         raise NonFiniteError("lab force or acceleration is non-finite")
-    columns = {"x": x, "v": v, "a": accel, "f": f_lab, "f_par": f_par, "f_perp": f_perp}
+    times = times.copy()
+    times.flags.writeable = False
+    blocks = {k: np.ascontiguousarray(col.swapaxes(0, 1)) for k, col in {"x": x, "v": v, "a": accel, "f": f_lab}.items()}
     return [
-        TrajectoryRecord(index=int(index), times=times.copy(), **{k: col[:, j].copy() for k, col in columns.items()})
+        TrajectoryRecord(
+            index=int(index), times=times, f_par=f_par[:, j], f_perp=f_perp[:, j], **{k: b[j] for k, b in blocks.items()}
+        )
         for j, index in enumerate(indices)
     ]
 

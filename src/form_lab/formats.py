@@ -1,27 +1,33 @@
 """Deterministic on-disk formats: NDJSON datasets/samples, JSON checkpoints/reports.
 
-Floats are always written with 17 significant digits (``%.17g``), which is
-enough for IEEE-754 doubles to round-trip bit-exactly through text; reading
-a file back and re-writing it reproduces the original bytes.  Zero is
-written as ``0`` whatever its sign bit.  A float64 array is written by one
-``%`` format of a template with one ``%.17g`` slot per element, built from
-its shape; ``%`` and :func:`format_float`'s ``format`` both round through
-``PyOS_double_to_string``, so the bytes are those of one ``format_float``
-call per element.  Nothing
-time- or host-dependent (timestamps, paths, hostnames) is ever written, so
-identical inputs give identical files.
+Every float64 array with at least one axis (dataset positions, velocities
+and force schedules, checkpoint weights, biases and loss curves, sample
+points and paths) is written as one JSON string: the base64 of its
+little-endian ``<f8`` bytes in C order.  The bytes are the array's own, so
+reading back is bit-exact, the sign of zero included, and re-writing what
+was read reproduces the file.  The shape is not stored: the reader takes it
+from what the file already says (``spec.n_steps``, ``layer_dims``,
+``sampler_steps``; a loss curve is 1-D of whatever length its bytes give).
+
+Scalars are written with 17 significant digits (``%.17g``), which is enough
+for IEEE-754 doubles to round-trip bit-exactly through text; zero is
+written as ``0`` whatever its sign bit.  Nothing time- or host-dependent
+(timestamps, paths, hostnames) is ever written, so identical inputs give
+identical files.
 
 A dataset stores only what the simulator integrates: one force schedule
 (``f_par``, ``f_perp``) in the header, and ``index``, ``x``, ``v`` per record;
 the reader rebuilds ``times``, ``f`` and ``a`` as the simulator builds them.
 
 Readers validate structure eagerly and raise :class:`SchemaError` with the
-offending line number; numeric payloads must be finite (``NaN``/``Infinity``
-tokens are rejected).  Files of another ``schema_version`` are rejected.
+offending line number: an array must be valid base64 of exactly the bytes
+its shape needs, and every value must be finite (``NaN``/``Infinity``
+tokens are rejected too).  Files of another ``schema_version`` are rejected.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict
@@ -37,7 +43,7 @@ from .ode import uniform_grid
 from .relativity import PhysicsConfig
 from .training import METHODS, TrainConfig, TrainedModel
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DATASET_KIND = "form-lab-dataset"
 SAMPLES_KIND = "form-lab-samples"
@@ -61,7 +67,7 @@ def format_float(x) -> str:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, ``%.17g`` floats."""
+    """Deterministic JSON: insertion-ordered keys, ``%.17g`` scalars, base64 float64 arrays."""
     pieces: list[str] = []
     _write_json(obj, pieces)
     return "".join(pieces)
@@ -103,14 +109,11 @@ def _write_json(obj, out: list[str]) -> None:
 
 
 def _float_array(arr: np.ndarray) -> str:
-    """A float64 array (the bulk of every file) as nested JSON lists, in :func:`format_float`'s bytes."""
+    """A float64 array (the bulk of every file) as a JSON string: base64 of its ``<f8`` bytes in C order."""
     finite = np.isfinite(arr)
     if not finite.all():
         format_float(arr[~finite][0])  # raises the scalar path's NonFiniteError for the first one
-    template = "%.17g"
-    for n in reversed(arr.shape):
-        template = "[" + ",".join([template] * n) + "]"
-    return template % tuple((arr + 0.0).ravel().tolist())  # + 0.0 turns -0.0 into 0.0, written "0"
+    return '"' + base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii") + '"'
 
 
 def _reject_constant(token: str):
@@ -149,19 +152,22 @@ def _check_kind(header: dict, expected: str, path) -> None:
         raise SchemaError(f"{path}:1: expected kind {expected!r}, got {kind!r}")
 
 
-def _parse_array(raw, shape: tuple, line_no: int, path, name: str) -> np.ndarray:
-    """A finite float64 array of exactly ``shape`` from parsed JSON numbers (not strings or bools)."""
+def _parse_array(raw, shape: tuple | None, line_no: int, path, name: str) -> np.ndarray:
+    """A finite float64 array from the base64 of its ``<f8`` bytes: exactly ``shape``, or 1-D if ``shape`` is None."""
+    where = f"{path}:{line_no}: field {name!r}"
+    if not isinstance(raw, str):
+        raise SchemaError(f"{where} must be a base64 string of float64 bytes, got {type(raw).__name__}")
     try:
-        arr = np.asarray(raw)
-    except ValueError as e:  # ragged nesting
-        raise SchemaError(f"{path}:{line_no}: field {name!r} is not a numeric array ({e})") from e
-    if arr.dtype.kind not in "iuf":
-        raise SchemaError(f"{path}:{line_no}: field {name!r} must hold numbers only, got {arr.dtype} values")
-    arr = arr.astype(np.float64, copy=False)
-    if arr.shape != shape:
-        raise SchemaError(f"{path}:{line_no}: field {name!r} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{path}:{line_no}: field {name!r} contains non-finite values")
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as e:  # binascii.Error for bad base64, ValueError for non-ASCII text
+        raise SchemaError(f"{where} is not valid base64 ({e})") from e
+    if shape is None:
+        shape = (len(data) // 8,)
+    if len(data) != 8 * math.prod(shape):
+        raise SchemaError(f"{where} must hold {math.prod(shape)} doubles of shape {shape}, got {len(data)} bytes")
+    arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{where} contains non-finite values")
     return arr
 
 
@@ -292,7 +298,7 @@ def read_dataset(path) -> tuple[dict, list[TrajectoryRecord]]:
             raise SchemaError(f"{path}:{line_no}: duplicate trajectory index {index}")
         by_index[index] = [_parse_array(_need(obj, k, line_no, path), vec, line_no, path, k) for k in ("x", "v")]
 
-    x, v = (np.stack(arrays, axis=1) for arrays in zip(*by_index))
+    x, v = (np.stack(arrays).swapaxes(0, 1) for arrays in zip(*by_index))  # (K+1, N, 2) views of (N, K+1, 2) blocks
     try:
         times, _ = uniform_grid(spec.duration, spec.n_steps)
         records = trajectory_records(range(n), times, x, v, f_par[:, None], f_perp[:, None], physics, spec.handedness)
@@ -348,7 +354,6 @@ def read_checkpoint(path) -> TrainedModel:
         dataset_info = payload.get("dataset")
         if dataset_info is not None:
             DatasetSpec.from_dict(dataset_info)
-        loss_curve = payload.get("loss_curve", [])
         model = TrainedModel(
             method=payload["method"],
             heads={name: _parse_head(path, name, head) for name, head in heads.items()},
@@ -356,7 +361,7 @@ def read_checkpoint(path) -> TrainedModel:
             physics=physics_from_header(payload),
             train_config=train_config,
             dataset_info=dataset_info,
-            loss_curve=_parse_array(loss_curve, (len(loss_curve),), 1, path, "loss_curve"),
+            loss_curve=_parse_array(payload.get("loss_curve", ""), None, 1, path, "loss_curve"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{path}: malformed checkpoint ({e!r})") from e
@@ -369,20 +374,30 @@ def read_checkpoint(path) -> TrainedModel:
 
 
 def write_samples(path, header_extra: dict, entries: list[dict]) -> None:
-    """NDJSON samples: header then {index, x0, v0?, endpoint, path?} lines."""
+    """NDJSON samples: header then {index, x0, v0?, endpoint, path?} lines; the points may be any float sequences."""
     if not entries:
         raise ValueError("refusing to write an empty samples file")
     header = {"schema_version": SCHEMA_VERSION, "kind": SAMPLES_KIND, "n_samples": len(entries), **header_extra}
-    _write_json_lines(path, [header, *entries])
+    rows = [{k: v if k == "index" else np.asarray(v, dtype=np.float64) for k, v in e.items()} for e in entries]
+    _write_json_lines(path, [header, *rows])
 
 
 def read_samples(path) -> tuple[dict, list[dict]]:
+    """Parse and validate a samples file; ``x0``, ``endpoint`` and, when present, ``v0`` and ``path`` come back as arrays."""
     header, lines = _read_ndjson(path, SAMPLES_KIND, "n_samples")
     entries = []
     for line_no, obj in lines:
         _need_int(obj, "index", line_no, path)
-        for key in ("x0", "endpoint"):
-            _parse_array(_need(obj, key, line_no, path), (2,), line_no, path, key)
+        shapes = {"x0": (2,), "endpoint": (2,)}
+        if "v0" in obj:
+            shapes["v0"] = (2,)
+        if "path" in obj:
+            steps = _need_int(header, "sampler_steps", 1, path)
+            if steps < 1:
+                raise SchemaError(f"{path}:1: sampler_steps must be at least 1, got {steps}")
+            shapes["path"] = (steps + 1, 2)
+        for key, shape in shapes.items():
+            obj[key] = _parse_array(_need(obj, key, line_no, path), shape, line_no, path, key)
         entries.append(obj)
     return header, entries
 

@@ -1,5 +1,6 @@
 """CLI: end-to-end pipeline on tiny inputs, precedence rules, exit codes."""
 
+import base64
 import json
 import os
 import subprocess
@@ -250,9 +251,9 @@ class TestSample:
         )
         assert code == EXIT_OK
         _, entries = read_samples(out)
-        assert all(len(e["path"]) == 8 for e in entries)
+        assert all(e["path"].shape == (8, 2) for e in entries)
         for e in entries:
-            assert e["path"][0] == e["x0"] and e["path"][-1] == e["endpoint"]
+            assert np.array_equal(e["path"][0], e["x0"]) and np.array_equal(e["path"][-1], e["endpoint"])
 
     def test_explicit_v0(self, workdir, tmp_path):
         out = tmp_path / "s.ndjson"
@@ -269,7 +270,7 @@ class TestSample:
         )
         assert code == EXIT_OK
         _, entries = read_samples(out)
-        assert all(e["v0"] == [1.0, 2.0] for e in entries)
+        assert all(np.array_equal(e["v0"], [1.0, 2.0]) for e in entries)
 
     def test_zero_v0_with_nonzero_force_is_numeric_failure(self, workdir, tmp_path):
         code = main(
@@ -437,6 +438,27 @@ class TestPlot:
         assert svg.count("<circle") == 4  # 2 held-out sources + endpoints
         assert svg.count("<polyline") == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("path", [0, 1, 2]), ("path", [[0, 1, 2], [3, 4, 5]]), ("path", 5), ("v0", "fast"),
+         ("path", "AAAAAAAAAAA=")],
+        ids=["path-list", "path-nested-list", "path-number", "v0-word", "path-one-double"],
+    )
+    def test_malformed_samples_are_usage_errors(self, workdir, tmp_path, capsys, key, value):
+        """Each of these plotted with exit 0 when read_samples did not check v0 and path."""
+        samples = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"])]
+        assert main([*argv, "--out", str(samples), "--sampler-steps", "6", "--paths"]) == EXIT_OK
+        header, *lines = samples.read_text().splitlines()
+        lines[0] = json.dumps(json.loads(lines[0]) | {key: value})
+        samples.write_text("\n".join([header, *lines]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "fig.svg"
+        assert main(["plot", "--samples", str(samples), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and f"'{key}'" in err
+        assert not out.exists()
+
     def test_custom_title(self, workdir, tmp_path):
         out = tmp_path / "fig.svg"
         main(["plot", "--data", str(workdir["data"]), "--out", str(out), "--title", "hello"])
@@ -593,7 +615,7 @@ class TestFileValidation:
 
     @pytest.mark.parametrize(
         "version, command",
-        [pytest.param(v, c, id=c if v == 1 else f"{c}-v{v}") for v in (1, 2) for c in ("train", "sample", "plot")],
+        [pytest.param(v, c, id=c if v == 1 else f"{c}-v{v}") for v in (1, 2, 3) for c in ("train", "sample", "plot")],
     )
     def test_v1_file_names_schema_version(self, workdir, tmp_path, capsys, version, command):
         def old(header):
@@ -601,12 +623,12 @@ class TestFileValidation:
 
         out = str(tmp_path / "o")
         if command == "train":
-            data = _with_header(workdir["data"], tmp_path / "d.ndjson", old)
+            data = _as_text_arrays(_with_header(workdir["data"], tmp_path / "d.ndjson", old))
             if version == 2:
                 data = _as_v2_dataset(data)
             argv = ["train", "--data", str(data), "--out", out, "--method", "o1", "--steps", "1"]
         elif command == "sample":
-            model = _with_header(workdir["models"]["o1"], tmp_path / "m.json", old)
+            model = _as_text_arrays(_with_header(workdir["models"]["o1"], tmp_path / "m.json", old))
             argv = ["sample", "--model", str(model), "--data", str(workdir["data"]), "--out", out]
         else:
             samples = tmp_path / "s.ndjson"
@@ -616,6 +638,22 @@ class TestFileValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and f"schema_version {version}" in err
         assert not Path(out).exists()
+
+
+def _as_text_arrays(path):
+    """Rewrite a dataset or checkpoint in place with each array as a flat JSON list (versions 1-3 wrote numbers)."""
+    def to_lists(value, key=None):
+        if isinstance(value, dict):
+            return {k: to_lists(v, k) for k, v in value.items()}
+        if isinstance(value, list):
+            return [to_lists(v, key) for v in value]
+        if isinstance(value, str) and key in ("x", "v", "f_par", "f_perp", "weights", "biases", "loss_curve"):
+            return np.frombuffer(base64.b64decode(value), "<f8").tolist()
+        return value
+
+    objects = [to_lists(json.loads(line)) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
+    return path
 
 
 def _as_v2_dataset(path):

@@ -9,6 +9,7 @@ from form_lab.dynamics import (
     DEFAULT_UNITS,
     ForceSchedule,
     UnitSystem,
+    lab_force_and_acceleration,
     schedule_on_grid,
     simulate_batch,
     simulate_trajectory,
@@ -129,6 +130,28 @@ class TestBatching:
             assert np.array_equal(batch[i].x, single.x)
             assert np.array_equal(batch[i].v, single.v)
             assert np.array_equal(batch[i].a, single.a)
+
+    def test_records_are_row_views_of_shared_blocks(self):
+        """One contiguous block per array, one read-only grid; the values are the per-column copies'."""
+        rng = np.random.default_rng(5)
+        k1, n = 6, 4
+        times, x, v = np.linspace(0.0, 1.0, k1), rng.normal(size=(k1, n, 2)), rng.uniform(0.5, 2.0, size=(k1, n, 2))
+        f_par, f_perp = rng.normal(size=(k1, 1)), rng.normal(size=(k1, 1))
+        records = trajectory_records(range(n), times, x, v, f_par, f_perp, DEFAULT_PHYSICS, 1)
+        f_lab, accel = lab_force_and_acceleration(v, np.broadcast_to(f_par, (k1, n)), np.broadcast_to(f_perp, (k1, n)),
+                                                  DEFAULT_PHYSICS, 1)
+        columns = {"x": x, "v": v, "a": accel, "f": f_lab, "f_par": f_par[:, 0], "f_perp": f_perp[:, 0]}
+        for j, rec in enumerate(records):
+            assert rec.times is records[0].times and rec.times.tobytes() == times.tobytes()
+            for name in ("times", "f_par", "f_perp"):
+                assert not getattr(rec, name).flags.writeable, name
+            for name, col in columns.items():
+                want = col[:, j] if col.ndim == 3 else col
+                assert getattr(rec, name).tobytes() == np.ascontiguousarray(want).tobytes(), name
+            for name in ("x", "v", "a", "f"):
+                got = getattr(rec, name)
+                assert got.flags.c_contiguous and got.base is getattr(records[0], name).base, name
+        assert times.flags.writeable  # the caller's grid is left as it was
 
     def test_record_metadata(self):
         rec = simulate_trajectory([0.0, 0.0], [1.0, 0.0], ForceSchedule.constant(1.0, 0.0), 2.0, 40, index=7)

@@ -1,7 +1,9 @@
 """File formats: bit-exact round trips and schema validation."""
 
+import base64
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -63,7 +65,8 @@ class TestDumps:
         assert dumps({"b": 0.5, "a": [1, True, None]}) == '{"b":0.5,"a":[1,true,null]}'
 
     def test_numpy_arrays(self):
-        assert dumps(np.array([1.5, 2.0])) == "[1.5,2]"
+        assert dumps(np.array([1.5, 2.0])) == '"AAAAAAAA+D8AAAAAAAAAQA=="'  # base64 of the <f8 bytes
+        assert dumps(np.array(1.5)) == "1.5"  # a 0-d array is a scalar
 
     def test_valid_json(self):
         payload = {"x": [0.1, -3.7e-12], "s": 'quote " here', "n": None}
@@ -78,11 +81,9 @@ class TestDumps:
             dumps({"x": object()})
 
 
-def _per_element(values) -> str:
-    """Reference for a float64 array: nested lists of one :func:`format_float` call per element."""
-    if isinstance(values, list):
-        return "[" + ",".join(map(_per_element, values)) + "]"
-    return format_float(values)
+def _decode(text: str, shape) -> np.ndarray:
+    """The README's recipe: a JSON string holding the base64 of ``<f8`` bytes in C order."""
+    return np.frombuffer(base64.b64decode(json.loads(text)), "<f8").reshape(shape)
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, 0.1]
@@ -91,26 +92,35 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348
 class TestFloatArrays:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
-    def test_equals_per_element_format_float(self, values):
+    def test_decodes_to_the_same_bits(self, values):
         arr = np.array(values + EDGE_FLOATS, dtype=np.float64)
-        assert dumps(arr) == _per_element(arr.tolist())
+        assert _decode(dumps(arr), arr.shape).tobytes() == arr.tobytes()
+
+    def test_golden_bytes(self):
+        """Pins the byte order: little-endian doubles, first element first."""
+        arr = np.array([-0.0, 5e-324, 1.7976931348623157e308])
+        assert dumps(arr) == '"AAAAAAAAAIABAAAAAAAAAP///////+9/"'
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2), (7,), (7, 2), (2, 3, 4)])
     def test_shapes(self, shape):
         rng = np.random.default_rng(1)
         arr = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
         text = dumps(arr)
-        assert text == _per_element(arr.tolist())
-        assert np.array_equal(np.array(json.loads(text), dtype=np.float64).reshape(shape), arr)
+        assert len(text) == 2 + 4 * math.ceil(8 * arr.size / 3)
+        assert _decode(text, shape).tobytes() == arr.tobytes()
 
     def test_non_contiguous_views(self):
         arr = np.random.default_rng(2).normal(size=(5, 3))
         for view in (arr.T, arr[::2], arr[:, 1], arr.T[::-1]):
             assert not view.flags.c_contiguous
-            assert dumps(view) == _per_element(view.tolist())
+            assert dumps(view) == dumps(view.copy())
+            assert np.array_equal(_decode(dumps(view), view.shape), view)
 
-    def test_negative_zero_is_written_as_zero(self):
-        assert dumps(np.array([[-0.0, 1.0], [0.0, -0.0]])) == "[[0,1],[0,0]]"
+    def test_negative_zero_keeps_its_sign_bit(self):
+        """An array's -0.0 keeps its sign bit; a scalar -0.0 is still written 0."""
+        back = _decode(dumps(np.array([[-0.0, 1.0], [0.0, -0.0]])), (2, 2))
+        assert np.array_equal(np.signbit(back), [[True, False], [False, True]])
+        assert dumps({"t": -0.0, "u": np.float64(-0.0)}) == '{"t":0,"u":0}'
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_raises_the_scalar_message(self, bad):
@@ -128,6 +138,11 @@ class TestFloatArrays:
         arr[0, 1], arr[1, 0] = -math.inf, math.nan
         with pytest.raises(NonFiniteError, match="float nan"):
             dumps(arr.T)  # the view's C order is 0, nan, -inf, 0; its memory order puts -inf first
+
+
+def _recode(text: str, edit) -> str:
+    """A base64 array string with its decoded bytes passed through ``edit``."""
+    return base64.b64encode(edit(base64.b64decode(text))).decode("ascii")
 
 
 class TestDatasetFiles:
@@ -186,7 +201,7 @@ class TestDatasetFiles:
 
     def test_nan_token_rejected(self, tmp_path, spec, records):
         def mutate(lines):
-            lines[1] = lines[1].replace(lines[1].split('"x":[[')[1].split(",")[0], "NaN", 1)
+            lines[1] = re.sub(r'"x":"[^"]*"', '"x":NaN', lines[1])
             return lines
 
         path = self._write_then_mutate(tmp_path, spec, records, mutate)
@@ -213,7 +228,7 @@ class TestDatasetFiles:
     def test_bad_shape(self, tmp_path, spec, records):
         def mutate(lines):
             obj = json.loads(lines[1])
-            obj["x"] = obj["x"][:-1]
+            obj["x"] = _recode(obj["x"], lambda b: b[:-16])  # one 2-vector short
             lines[1] = json.dumps(obj)
             return lines
 
@@ -254,6 +269,14 @@ class TestDatasetFiles:
         for a, b in zip(records, back):
             for field in ("times", "x", "v", "a", "f", "f_par", "f_perp"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_negative_zero_keeps_its_sign_bit(self, tmp_path, spec, records):
+        rec = replace(records[0], x=records[0].x.copy())
+        rec.x[3, 1] = -0.0
+        path = tmp_path / "d.ndjson"
+        write_dataset(path, [rec, *records[1:]], spec, DEFAULT_PHYSICS)
+        _, back = read_dataset(path)
+        assert back[0].x.tobytes() == rec.x.tobytes() and np.signbit(back[0].x[3, 1])
 
     def test_stores_only_the_integrated_state(self, tmp_path, spec, records):
         path = tmp_path / "d.ndjson"
@@ -380,23 +403,54 @@ class TestCheckpointFiles:
 
 
 class TestSamplesFiles:
+    HEADER = {"method": "form", "sampler_steps": 2}
+
     def entries(self):
+        path = np.array([[0.1, 0.2], [0.6, 1.1], [1.0, 2.0]])
         return [
-            {"index": 0, "x0": [0.1, 0.2], "endpoint": [1.0, 2.0]},
-            {"index": 1, "x0": [0.3, -0.4], "endpoint": [0.5, 0.25]},
+            {"index": 0, "x0": path[0], "v0": np.array([3.0, -0.5]), "endpoint": path[-1], "path": path},
+            {"index": 1, "x0": [0.3, -0.4], "endpoint": (0.5, 0.25)},  # any float sequence is written as an array
         ]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "s.ndjson"
-        write_samples(path, {"method": "form"}, self.entries())
+        write_samples(path, self.HEADER, self.entries())
         header, back = read_samples(path)
         assert header["n_samples"] == 2
         assert header["method"] == "form"
-        assert back == self.entries()
+        for got, want in zip(back, self.entries(), strict=True):
+            assert list(got) == list(want)
+            assert got["index"] == want["index"]
+            for key in list(want)[1:]:
+                assert got[key].dtype == np.float64 and np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("path", [0, 1, 2]), ("path", [[0, 1, 2], [3, 4, 5]]), ("path", 5), ("v0", "fast"), ("v0", [1.0, 2.0]),
+         ("path", np.zeros((4, 2))), ("path", np.zeros((2, 2))), ("v0", np.zeros(3)), ("v0", np.array([np.inf, 0.0]))],
+        ids=["list", "nested-list", "number", "word", "v0-list", "one-step-too-many", "one-step-short", "three-vector",
+             "inf"],
+    )
+    def test_malformed_v0_or_path_rejected(self, tmp_path, key, value):
+        """Written into a valid file's first line as JSON, arrays as base64 of their bytes."""
+        path = tmp_path / "s.ndjson"
+        write_samples(path, self.HEADER, self.entries())
+        header, first, *rest = path.read_text().splitlines()
+        if isinstance(value, np.ndarray):
+            value = base64.b64encode(value.tobytes()).decode("ascii")
+        path.write_text("\n".join([header, json.dumps(json.loads(first) | {key: value}), *rest]) + "\n")
+        with pytest.raises(SchemaError, match=f"'{key}'"):
+            read_samples(path)
+
+    def test_path_needs_sampler_steps(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        write_samples(path, {"method": "form"}, self.entries())
+        with pytest.raises(SchemaError, match="sampler_steps"):
+            read_samples(path)
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "s.ndjson"
-        write_samples(path, {}, self.entries())
+        write_samples(path, self.HEADER, self.entries())
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(SchemaError, match="promises"):
@@ -406,7 +460,7 @@ class TestSamplesFiles:
         path = tmp_path / "s.ndjson"
         entries = self.entries()
         del entries[1]["endpoint"]
-        write_samples(path, {}, entries)
+        write_samples(path, self.HEADER, entries)
         with pytest.raises(SchemaError, match="endpoint"):
             read_samples(path)
 
@@ -447,14 +501,18 @@ class TestReportFiles:
 READERS = {"dataset": read_dataset, "samples": read_samples, "checkpoint": read_checkpoint}
 
 # Per file kind and line (0 = header, 1 = any later line): the keys a reader
-# needs, the integers it checks, and the arrays whose shape it checks.
+# needs, the integers it checks, the lists whose length it checks, and the
+# base64 arrays whose bytes it checks (a loss curve may have any length).
 REQUIRED = {
     "dataset": (
         [("schema_version",), ("kind",), ("n_trajectories",), ("physics",), ("physics", "c"), ("physics", "m"),
          ("spec",), ("spec", "kind"), ("f_par",), ("f_perp",)],
         [("index",), ("x",), ("v",)],
     ),
-    "samples": ([("schema_version",), ("kind",), ("n_samples",)], [("index",), ("x0",), ("endpoint",)]),
+    "samples": (
+        [("schema_version",), ("kind",), ("n_samples",), ("sampler_steps",)],
+        [("index",), ("x0",), ("endpoint",)],
+    ),
     "checkpoint": (
         [("schema_version",), ("kind",), ("method",), ("duration",), ("physics",), ("train_config",),
          ("heads",), ("heads", "u1", "layer_dims"), ("heads", "u1", "weights"), ("heads", "u1", "biases")],
@@ -463,19 +521,22 @@ REQUIRED = {
 }
 INTEGERS = {
     "dataset": ([("n_trajectories",), ("spec", "n_steps")], [("index",)]),
-    "samples": ([("n_samples",)], [("index",)]),
+    "samples": ([("n_samples",), ("sampler_steps",)], [("index",)]),
     "checkpoint": ([("heads", "u1", "layer_dims", 1)], []),
 }
-ARRAYS = {
-    "dataset": ([("f_par",), ("f_perp",)], [("x",), ("v",), ("x", 0)]),
-    "samples": ([], [("x0",), ("endpoint",)]),
-    "checkpoint": (
-        [("heads", "u1", "weights"), ("heads", "u1", "weights", 0), ("heads", "u1", "biases", 1),
-         ("heads", "u1", "weights", 1, 0)],
-        [],
-    ),
+LISTS = {
+    "dataset": ([], []),
+    "samples": ([], []),
+    "checkpoint": ([("heads", "u1", "weights"), ("heads", "u1", "biases")], []),
 }
-WILD_VALUES = [True, None, "x", [], {}, -1, 0, 2.5, [[1.0]], 10**400]
+ARRAYS = {
+    "dataset": ([("f_par",), ("f_perp",)], [("x",), ("v",)]),
+    "samples": ([], [("x0",), ("v0",), ("endpoint",), ("path",)]),
+    "checkpoint": ([("heads", "u1", "weights", 0), ("heads", "u1", "biases", 1), ("loss_curve",)], []),
+}
+FREE_LENGTH = {("loss_curve",)}
+WILD_VALUES = [True, None, "x", "", [], {}, -1, 0, 2.5, [[1.0]], [1.0, 2.0], 10**400]
+ALIEN_CHARS = ["!", " ", "-", "_", "\n", "é", "\x00"]
 
 
 @pytest.fixture(scope="module")
@@ -485,7 +546,9 @@ def valid_files(tmp_path_factory):
     spec = DatasetSpec(kind="onedot", n_points=2, n_steps=3, seed=1)
     records = generate(spec)
     write_dataset(root / "dataset", records, spec, DEFAULT_PHYSICS)
-    write_samples(root / "samples", {"method": "o1"}, [{"index": 0, "x0": [0.5, 1.0], "endpoint": [1.5, 2.0]}])
+    path = np.array([[0.5, 1.0], [0.75, 1.5], [1.0, 1.75], [1.5, 2.0]])
+    write_samples(root / "samples", {"method": "form", "sampler_steps": 3},
+                  [{"index": 0, "x0": path[0], "v0": np.array([2.0, 3.0]), "endpoint": path[-1], "path": path}])
     cfg = TrainConfig(method="o1", steps=2, batch_size=2, seed=0, hidden_dims=(2,))
     write_checkpoint(root / "checkpoint", train(records, cfg, dataset_info=spec.to_dict()))
     return root, {kind: (root / kind).read_text().splitlines() for kind in READERS}
@@ -505,11 +568,29 @@ def _leaves(obj, path=()):
         yield from _leaves(value, (*path, key))
 
 
+def _edit_bytes(draw, text: str) -> tuple[str, bool]:
+    """A base64 array string with one fault, and whether it changes only the length by whole doubles."""
+    op = draw(st.sampled_from(["drop-8", "add-8", "cut-char", "alien-char", "non-finite"]))
+    if op == "cut-char":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + text[at + 1:], False
+    if op == "alien-char":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(ALIEN_CHARS)) + text[at:], False
+    if op == "non-finite":
+        arr = np.frombuffer(base64.b64decode(text), "<f8").copy()
+        arr[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return base64.b64encode(arr.tobytes()).decode("ascii"), False
+    return _recode(text, (lambda b: b[:-8]) if op == "drop-8" else (lambda b: b + b[:8])), True
+
+
 def _mutate(draw, kind, lines):
     """One mutated copy of ``lines`` and whether the reader must reject it."""
     row = draw(st.integers(0, len(lines) - 1))
     line, slot = lines[row], min(row, 1)
-    op = draw(st.sampled_from(["truncate", "drop-lines", "non-object", "nan", "drop-key", "bool", "shape", "wild"]))
+    op = draw(st.sampled_from(
+        ["truncate", "drop-lines", "non-object", "nan", "drop-key", "bool", "length", "bytes", "wild"]
+    ))
     if op == "truncate":
         return lines[:row] + [line[: draw(st.integers(0, len(line) - 1))]] + lines[row + 1:], True
     if op == "drop-lines":
@@ -525,12 +606,18 @@ def _mutate(draw, kind, lines):
         path = draw(st.sampled_from([p for p, _ in _leaves(obj) if p]))
         value = draw(st.sampled_from(WILD_VALUES))
     else:
-        targets = {"drop-key": REQUIRED, "bool": INTEGERS, "shape": ARRAYS}[op][kind][slot]
+        targets = {"drop-key": REQUIRED, "bool": INTEGERS, "length": LISTS, "bytes": ARRAYS}[op][kind][slot]
         if not targets:
             return lines, False
         path = draw(st.sampled_from(targets))
         old = _get(obj, path)
-        value = draw(st.sampled_from([old[:-1], [old], old + old[:1]])) if op == "shape" else True
+        if op == "length":
+            value = draw(st.sampled_from([old[:-1], [old], old + old[:1]]))
+        elif op == "bytes":
+            value, whole_doubles = _edit_bytes(draw, old)
+            must_fail = not (whole_doubles and path in FREE_LENGTH)
+        else:
+            value = True
     parent = _get(obj, path[:-1])
     if op == "drop-key":
         del parent[path[-1]]
@@ -546,7 +633,7 @@ class TestReaderFuzz:
         READERS[kind](root / kind)
 
     @pytest.mark.parametrize("kind", sorted(READERS))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_mutations_raise_only_schema_errors(self, valid_files, kind, data):
         root, files = valid_files
