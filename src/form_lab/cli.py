@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .datasets import HOLDOUT_FRACTION, KINDS, DatasetSpec, generate, holdout_split, source_points
-from .dynamics import DEFAULT_UNITS
+from .dynamics import DEFAULT_UNITS, TrajectoryBatch
 from .errors import (
     DegenerateVelocityError,
     NonFiniteError,
@@ -137,11 +137,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         args.perp_handedness = HANDEDNESS[args.perp_handedness]
     spec = _from_options(DatasetSpec, args)
     physics = _from_options(PhysicsConfig, args)
-    records = generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=args.threads)
-    write_dataset(args.out, records, spec, physics, DEFAULT_UNITS)
-    max_speed = max(float(np.max(np.sqrt(np.sum(r.v * r.v, axis=-1)))) for r in records)
+    batch = generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=args.threads)
+    write_dataset(args.out, batch, spec, physics, DEFAULT_UNITS)
+    max_speed = float(np.max(np.sqrt(np.sum(batch.v * batch.v, axis=-1))))
     print(
-        f"wrote {args.out}: {len(records)} x {spec.n_steps} step "
+        f"wrote {args.out}: {len(batch)} x {spec.n_steps} step "
         f"{spec.kind} trajectories, duration {spec.duration} s"
     )
     print(f"max speed {max_speed:.6g} du/s ({max_speed / physics.c:.6g} c)")
@@ -153,21 +153,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("--steps and --epochs are mutually exclusive")
     if not 0.0 <= args.holdout_fraction < 1.0:
         raise ValueError(f"--holdout-fraction must be in [0, 1) (0 trains on all), got {args.holdout_fraction}")
-    header, records = read_dataset(args.data)
+    header, batch = read_dataset(args.data)
     physics = physics_from_header(header)
 
     if args.holdout_fraction > 0.0:
-        train_records, _ = holdout_split(records, args.holdout_fraction)
-    else:
-        train_records = records
+        batch, _ = holdout_split(batch, args.holdout_fraction)
 
     config = _from_options(TrainConfig, args)
     if args.epochs is not None:
-        config = replace(config, steps=steps_for_epochs(args.epochs, len(train_records), config.batch_size))
-    model = train(train_records, config, physics=physics, dataset_info=header["spec"])
+        config = replace(config, steps=steps_for_epochs(args.epochs, len(batch), config.batch_size))
+    model = train(batch, config, physics=physics, dataset_info=header["spec"])
     write_checkpoint(args.out, model)
     print(
-        f"trained {config.method} on {len(train_records)} trajectories "
+        f"trained {config.method} on {len(batch)} trajectories "
         f"({config.steps} steps, batch {config.batch_size}): final loss {model.final_loss:.6g}"
     )
     return EXIT_OK
@@ -206,13 +204,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.source == "heldout":
         if args.data is None:
             raise ValueError("--source heldout needs --data to supply held-out source points")
-        _, records = read_dataset(args.data)
-        _, heldout = holdout_split(records)
+        header, batch = read_dataset(args.data)
+        kind, trained_on = header["spec"]["kind"], (model.dataset_info or {}).get("kind")
+        if trained_on not in (None, kind):
+            raise ValueError(f"model {args.model} was trained on {trained_on!r}, but {args.data} is a {kind!r} dataset")
+        _, heldout = holdout_split(batch)
         if args.n is not None and args.n > len(heldout):
             raise ValueError(f"--n {args.n} is more than the {len(heldout)} held-out trajectories of {args.data}")
         heldout = heldout[: args.n]
-        indices = [r.index for r in heldout]
-        x0 = np.stack([r.x0 for r in heldout])
+        indices, x0 = heldout.index, heldout.x0
         dataset_seed = None
     else:  # fresh draws from the model's source distribution
         if model.dataset_info is None:
@@ -259,15 +259,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    datasets_by_kind: dict[str, tuple[dict, list]] = {}
+    datasets_by_kind: dict[str, tuple[dict, TrajectoryBatch]] = {}
     for path in args.data:
-        header, records = read_dataset(path)
+        header, batch = read_dataset(path)
         kind = header["spec"]["kind"]
         if kind in datasets_by_kind:
             raise ValueError(f"two datasets of kind {kind!r} given; one per kind, please")
-        datasets_by_kind[kind] = (header, records)
+        datasets_by_kind[kind] = (header, batch)
 
-    heldouts = {kind: holdout_split(records)[1] for kind, (header, records) in datasets_by_kind.items()}
+    heldouts = {kind: holdout_split(batch)[1] for kind, (_, batch) in datasets_by_kind.items()}
     sampler = _from_options(SamplerConfig, args)
     cells = []
     for model_path in args.model:
@@ -307,10 +307,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     n_traj = args.trajectories
     if args.data is not None:
-        header, records = read_dataset(args.data)
-        source = np.stack([r.x0 for r in records])
-        target = np.stack([r.endpoint for r in records])
-        trajectories = [r.x for r in records[:n_traj]] if n_traj > 0 else []
+        header, batch = read_dataset(args.data)
+        source, target = batch.x0, batch.endpoint
+        trajectories = list(batch.x[:n_traj]) if n_traj > 0 else []
         title = args.title if args.title is not None else header["spec"]["kind"]
     else:
         header, entries = read_samples(args.samples)

@@ -4,7 +4,9 @@ Each dataset is a family of relativistic trajectories.  A source point is
 drawn from a simple distribution, given a deterministic initial velocity,
 and pushed through :func:`form_lab.dynamics.simulate_batch` under a
 dataset-specific co-moving force schedule.  The *target* distribution is the
-set of trajectory endpoints at ``t = duration``.
+set of trajectory endpoints at ``t = duration``.  :func:`generate` returns
+the dataset as one :class:`~form_lab.dynamics.TrajectoryBatch` in index
+order, and :func:`holdout_split` cuts it into two row slices.
 
 Randomness is keyed per trajectory index with ``SeedSequence(seed,
 spawn_key=(index,))``, so record ``i`` is bit-identical regardless of how
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_UNITS, ForceSchedule, TrajectoryRecord, UnitSystem, simulate_batch
+from .dynamics import DEFAULT_UNITS, BLOCKS, ForceSchedule, TrajectoryBatch, UnitSystem, simulate_batch
 from .errors import DegenerateVelocityError
 from .relativity import DEFAULT_PHYSICS, EPS_V, PhysicsConfig
 
@@ -68,15 +70,12 @@ class DatasetSpec:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
         if self.seed < 0:  # SeedSequence takes non-negative seeds only
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.duration < np.inf:  # the time grid, also of a dataset read back, is built from it
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
-        if not self.source_variance > 0.0:
-            raise ValueError(f"source_variance must be positive, got {self.source_variance}")
-        for name in ("initial_speed", "core_speed", "ring_speed", "disc_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.force_scale > 0.0:
-            raise ValueError(f"force_scale must be positive, got {self.force_scale}")
+        for name in ("duration", "source_variance", "initial_speed", "core_speed", "ring_speed", "disc_radius",
+                     "force_scale"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not -np.inf < self.velocity_scale < np.inf:
+            raise ValueError(f"velocity_scale must be finite, got {self.velocity_scale}")
         if self.handedness not in (1, -1):
             raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
 
@@ -191,12 +190,12 @@ def generate(
     physics: PhysicsConfig = DEFAULT_PHYSICS,
     units: UnitSystem = DEFAULT_UNITS,
     max_workers: int | None = None,
-) -> list[TrajectoryRecord]:
-    """Generate the full dataset as a list of trajectory records, index order.
+) -> TrajectoryBatch:
+    """Generate the full dataset as one batch, in index order.
 
-    Work is split across a thread pool in contiguous index chunks; chunking
-    never changes the numbers because every per-trajectory quantity depends
-    only on its own index.
+    Work is split across a thread pool in contiguous index chunks, whose
+    blocks are concatenated once; chunking never changes the numbers because
+    every per-trajectory quantity depends only on its own index.
     """
     n = spec.resolved_n_points
     schedule = force_schedule_for(spec, units)
@@ -204,7 +203,7 @@ def generate(
     chunks = np.array_split(np.arange(n), max(1, workers))
     chunks = [c for c in chunks if len(c)]
 
-    def run_chunk(indices: np.ndarray) -> list[TrajectoryRecord]:
+    def run_chunk(indices: np.ndarray) -> TrajectoryBatch:
         x0 = source_points(spec, indices, physics)
         v0 = initial_velocity(spec, x0)
         return simulate_batch(
@@ -219,28 +218,25 @@ def generate(
         )
 
     if len(chunks) == 1:
-        batches = [run_chunk(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            batches = list(pool.map(run_chunk, chunks))
-    return [record for batch in batches for record in batch]
+        return run_chunk(chunks[0])
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(run_chunk, chunks))
+    return replace(parts[0], **{k: np.concatenate([getattr(p, k) for p in parts]) for k in ("index", *BLOCKS)})
 
 
-def holdout_split(records: list[TrajectoryRecord], fraction: float = HOLDOUT_FRACTION):
-    """Split records into (train, heldout); heldout = last ``fraction`` by index.
+def holdout_split(batch: TrajectoryBatch, fraction: float = HOLDOUT_FRACTION):
+    """Split an index-ordered batch into (train, heldout) row slices; heldout = the last ``fraction``.
 
-    Records are first ordered by index so the split does not depend on list
-    order.  Both sides must be nonempty.
+    Both sides must be nonempty.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
-    ordered = sorted(records, key=lambda r: r.index)
-    n_eval = int(len(ordered) * fraction)
-    if n_eval < 1 or n_eval >= len(ordered):
+    n_eval = int(len(batch) * fraction)
+    if n_eval < 1 or n_eval >= len(batch):
         raise ValueError(
-            f"cannot hold out {n_eval} of {len(ordered)} records; need both sides nonempty"
+            f"cannot hold out {n_eval} of {len(batch)} records; need both sides nonempty"
         )
-    return ordered[:-n_eval], ordered[-n_eval:]
+    return batch[:-n_eval], batch[-n_eval:]
 
 
 def stress_spec(spec: DatasetSpec, factor: float = 100.0) -> DatasetSpec:

@@ -21,11 +21,15 @@ results are bit-identical to theirs.  A stage in which some point's speed is
 ``<= EPS_V`` goes through ``compose_lab_force`` itself, which lets a zero
 force act on a resting point and raises ``DegenerateVelocityError`` for a
 nonzero one.
+
+A simulation comes back as one :class:`TrajectoryBatch`, the in-memory form
+of a dataset everywhere: ``(N, K+1, 2)`` blocks, with the time grid and the
+schedule stored once.  :func:`stack_records` builds one from hand-made records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -93,26 +97,8 @@ class ForceSchedule:
         )
 
 
-@dataclass
-class TrajectoryRecord:
-    """One simulated particle path on a uniform time grid.
-
-    ``f`` is the lab-frame force (true force, i.e. mass times the
-    per-unit-mass schedule), ``f_par``/``f_perp`` its co-moving components,
-    ``a`` the lab-frame acceleration consistent with ``f`` at each step.
-    Records built by :func:`trajectory_records` (the simulator and the
-    dataset reader) hold views into arrays shared by their whole batch;
-    their ``times``, ``f_par`` and ``f_perp`` are read-only.
-    """
-
-    index: int
-    times: np.ndarray  # (K+1,)
-    x: np.ndarray  # (K+1, 2)
-    v: np.ndarray  # (K+1, 2)
-    a: np.ndarray  # (K+1, 2)
-    f: np.ndarray  # (K+1, 2)
-    f_par: np.ndarray  # (K+1,)
-    f_perp: np.ndarray  # (K+1,)
+class _Paths:
+    """What a record (arrays ``(K+1, ...)``) and a batch (``(N, K+1, ...)``) derive alike from their fields."""
 
     @property
     def n_steps(self) -> int:
@@ -124,15 +110,94 @@ class TrajectoryRecord:
 
     @property
     def x0(self) -> np.ndarray:
-        return self.x[0]
+        return self.x[..., 0, :]
 
     @property
     def v0(self) -> np.ndarray:
-        return self.v[0]
+        return self.v[..., 0, :]
 
     @property
     def endpoint(self) -> np.ndarray:
-        return self.x[-1]
+        return self.x[..., -1, :]
+
+
+@dataclass
+class TrajectoryRecord(_Paths):
+    """One simulated particle path on a uniform time grid; ``batch[i]`` is row ``i`` of a batch.
+
+    ``f`` is the lab-frame force (true force, i.e. mass times the
+    per-unit-mass schedule), ``f_par``/``f_perp`` its co-moving components,
+    ``a`` the lab-frame acceleration consistent with ``f`` at each step.
+    """
+
+    index: int
+    times: np.ndarray  # (K+1,)
+    x: np.ndarray  # (K+1, 2)
+    v: np.ndarray  # (K+1, 2)
+    a: np.ndarray  # (K+1, 2)
+    f: np.ndarray  # (K+1, 2)
+    f_par: np.ndarray  # (K+1,)
+    f_perp: np.ndarray  # (K+1,)
+
+
+BLOCKS = ("x", "v", "a", "f")
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch(_Paths):
+    """N paths on one time grid under one co-moving force schedule: the in-memory dataset.
+
+    The fields are :class:`TrajectoryRecord`'s, with ``x``, ``v``, ``a``, ``f``
+    as ``(N, K+1, 2)`` blocks; ``times``, ``f_par`` and ``f_perp`` are read-only.
+    As a read-only sequence, ``batch[i]`` is row ``i`` as a record of views and
+    ``batch[a:b:k]`` a batch of row views.  ``generate``, ``read_dataset`` and
+    :func:`stack_records` give batches in index order.
+    """
+
+    index: np.ndarray  # (N,)
+    times: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    a: np.ndarray
+    f: np.ndarray
+    f_par: np.ndarray
+    f_perp: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return replace(self, index=self.index[key], **{k: getattr(self, k)[key] for k in BLOCKS})
+        return TrajectoryRecord(
+            int(self.index[key]), self.times, self.x[key], self.v[key], self.a[key], self.f[key], self.f_par, self.f_perp
+        )
+
+
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def stack_records(records) -> TrajectoryBatch:
+    """The batch of a list of records, sorted by index; a batch comes back as it is, not copied.
+
+    Refuses an empty list, and records on another grid or schedule than the first one's.
+    """
+    if isinstance(records, TrajectoryBatch):
+        return records
+    if not records:
+        raise ValueError("cannot stack an empty record list")
+    records = sorted(records, key=lambda r: r.index)
+    first = records[0]
+    for names, what in ((("times",), "are on another time grid"), (("f_par", "f_perp"), "have a force schedule other")):
+        bad = [r.index for r in records if not all(np.array_equal(getattr(r, k), getattr(first, k)) for k in names)]
+        if bad:
+            raise ValueError(f"records {bad[:5]} {what} than record {first.index}'s")
+    blocks = (np.stack([getattr(r, k) for r in records]) for k in BLOCKS)
+    index = np.array([r.index for r in records])
+    return TrajectoryBatch(index, _read_only(first.times), *blocks, _read_only(first.f_par), _read_only(first.f_perp))
 
 
 def schedule_on_grid(schedule: ForceSchedule, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +216,7 @@ def simulate_batch(
     physics: PhysicsConfig = DEFAULT_PHYSICS,
     handedness: int = 1,
     indices: np.ndarray | None = None,
-) -> list[TrajectoryRecord]:
+) -> TrajectoryBatch:
     """Simulate many particles under one schedule with classical RK4.
 
     All per-particle arithmetic is elementwise, so the result for particle i
@@ -205,8 +270,9 @@ def simulate_batch(
     vs = velocity_from_celerity(states[:, :, 2:], physics)
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
     # true force = m * per-unit-mass schedule
-    f_par, f_perp = physics.m * fp_grid[:, None], physics.m * fq_grid[:, None]
-    return trajectory_records(indices, times, states[:, :, :2], vs, f_par, f_perp, physics, handedness)
+    return trajectory_records(
+        indices, times, states[:, :, :2], vs, physics.m * fp_grid, physics.m * fq_grid, physics, handedness
+    )
 
 
 def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedness: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,29 +288,18 @@ def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedn
 
 def trajectory_records(
     indices, times: np.ndarray, x: np.ndarray, v: np.ndarray, f_par, f_perp, physics: PhysicsConfig, handedness: int
-) -> list[TrajectoryRecord]:
-    """Records of N particles from the integrated state on a shared time grid.
+) -> TrajectoryBatch:
+    """The batch of N particles from the integrated state on a shared time grid.
 
-    ``x``, ``v`` have shape (K+1, N, 2); ``f_par``, ``f_perp`` broadcast to
-    (K+1, N); ``f`` and ``a`` come from :func:`lab_force_and_acceleration`.
-    Each of ``x``, ``v``, ``a``, ``f`` is laid out once as one contiguous
-    (N, K+1, 2) block, and every record holds row views into the blocks,
-    one read-only copy of ``times`` and read-only views of the broadcast
-    ``f_par``, ``f_perp``.
+    ``x``, ``v`` are (K+1, N, 2) and the schedule ``f_par``, ``f_perp`` (K+1,);
+    ``f`` and ``a`` come from :func:`lab_force_and_acceleration`.  Each block
+    is laid out once, contiguous; ``times`` and the schedule are read-only copies.
     """
-    f_par, f_perp = (np.broadcast_to(f, x.shape[:-1]) for f in (f_par, f_perp))
-    f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
+    f_lab, accel = lab_force_and_acceleration(v, f_par[:, None], f_perp[:, None], physics, handedness)
     if not (np.all(np.isfinite(f_lab)) and np.all(np.isfinite(accel))):
         raise NonFiniteError("lab force or acceleration is non-finite")
-    times = times.copy()
-    times.flags.writeable = False
-    blocks = {k: np.ascontiguousarray(col.swapaxes(0, 1)) for k, col in {"x": x, "v": v, "a": accel, "f": f_lab}.items()}
-    return [
-        TrajectoryRecord(
-            index=int(index), times=times, f_par=f_par[:, j], f_perp=f_perp[:, j], **{k: b[j] for k, b in blocks.items()}
-        )
-        for j, index in enumerate(indices)
-    ]
+    blocks = (np.ascontiguousarray(col.swapaxes(0, 1)) for col in (x, v, accel, f_lab))
+    return TrajectoryBatch(np.array(indices), _read_only(times), *blocks, _read_only(f_par), _read_only(f_perp))
 
 
 def simulate_trajectory(
@@ -258,14 +313,5 @@ def simulate_trajectory(
     index: int = 0,
 ) -> TrajectoryRecord:
     """Single-particle convenience wrapper around :func:`simulate_batch`."""
-    (record,) = simulate_batch(
-        np.asarray(x0, dtype=np.float64)[None, :],
-        np.asarray(v0, dtype=np.float64)[None, :],
-        schedule,
-        duration=duration,
-        n_steps=n_steps,
-        physics=physics,
-        handedness=handedness,
-        indices=np.array([index]),
-    )
-    return record
+    x0, v0 = np.atleast_2d(x0), np.atleast_2d(v0)
+    return simulate_batch(x0, v0, schedule, duration, n_steps, physics, handedness, [index])[0]

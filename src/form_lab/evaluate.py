@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .datasets import KINDS
-from .dynamics import TrajectoryRecord
+from .dynamics import TrajectoryBatch
 from .formats import REPORT_KIND, SCHEMA_VERSION
 from .sampling import SamplePath, SamplerConfig, sample_form, sample_o1, sample_o1o2
 from .training import METHODS, TrainedModel
@@ -96,7 +96,7 @@ class EvalCell:
 
 def evaluate_model(
     model: TrainedModel,
-    heldout: list[TrajectoryRecord],
+    heldout: TrajectoryBatch,
     sampler: SamplerConfig | None = None,
     mode: str = "paired",
     dataset_name: str | None = None,
@@ -107,14 +107,12 @@ def evaluate_model(
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     sampler = sampler if sampler is not None else SamplerConfig()
-    x0 = np.stack([r.x0 for r in heldout])
-    targets = np.stack([r.endpoint for r in heldout])
-    path = sample_model(model, x0, sampler)
+    path = sample_model(model, heldout.x0, sampler)
     name = dataset_name or (model.dataset_info or {}).get("kind", "unknown")
     return EvalCell(
         dataset=name,
         method=model.method,
-        loss=euclidean_distance_loss(path.endpoint, targets, mode=mode),
+        loss=euclidean_distance_loss(path.endpoint, heldout.endpoint, mode=mode),
         n_points=len(heldout),
         sampler_steps=sampler.n_steps,
         mode=mode,

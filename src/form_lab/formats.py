@@ -16,8 +16,10 @@ written as ``0`` whatever its sign bit.  Nothing time- or host-dependent
 identical files.
 
 A dataset stores only what the simulator integrates: one force schedule
-(``f_par``, ``f_perp``) in the header, and ``index``, ``x``, ``v`` per record;
-the reader rebuilds ``times``, ``f`` and ``a`` as the simulator builds them.
+(``f_par``, ``f_perp``) in the header, and ``index``, ``x``, ``v`` per record.
+The writer takes a :class:`~form_lab.dynamics.TrajectoryBatch`, and the
+reader returns one, with ``times``, ``f`` and ``a`` rebuilt as the simulator
+builds them.
 
 Readers validate structure eagerly and raise :class:`SchemaError` with the
 offending line number: an array must be valid base64 of exactly the bytes
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DatasetSpec
-from .dynamics import TrajectoryRecord, UnitSystem, lab_force_and_acceleration, trajectory_records
+from .dynamics import TrajectoryBatch, UnitSystem, lab_force_and_acceleration, trajectory_records
 from .errors import DegenerateVelocityError, NonFiniteError, SchemaError, SpeedLimitError
 from .neural import MlpParams
 from .ode import uniform_grid
@@ -179,11 +181,15 @@ def _read_text(path) -> str:
 
 
 def _write_json_lines(path, objects) -> None:
-    """Write each object as one line of deterministic JSON, creating parent directories."""
+    """Write each object as one line of deterministic JSON, creating parent directories.
+
+    Every line is serialized before the file is opened, so a value that
+    cannot be written leaves whatever was at ``path`` untouched.
+    """
+    lines = [dumps(obj) + "\n" for obj in objects]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for obj in objects:
-            fh.write(dumps(obj) + "\n")
+        fh.writelines(lines)
 
 
 def _read_ndjson(path, kind: str, count_key: str):
@@ -214,71 +220,60 @@ def physics_from_header(header: dict) -> PhysicsConfig:
 
 
 def write_dataset(
-    path,
-    records: list[TrajectoryRecord],
-    spec: DatasetSpec,
-    physics: PhysicsConfig,
-    units: UnitSystem | None = None,
+    path, batch: TrajectoryBatch, spec: DatasetSpec, physics: PhysicsConfig, units: UnitSystem | None = None
 ) -> None:
-    """NDJSON: a header with the shared ``f_par``/``f_perp``, then one ``{index, x, v}`` line per trajectory.
+    """NDJSON: a header with the batch's ``f_par``/``f_perp``, then one ``{index, x, v}`` line per trajectory.
 
-    Records are written in index order and must be exactly trajectories
-    0..N-1 on the spec's time grid with record 0's ``f_par`` and ``f_perp``,
-    because that is all the reader accepts.  Their ``f`` and ``a`` must be the
-    ones ``physics`` and the spec's handedness rebuild from ``v``, ``f_par``
-    and ``f_perp``, bit for bit, because the reader rebuilds them that way.
+    The batch must hold exactly trajectories 0..N-1, in order, on the spec's
+    time grid, because that is all the reader accepts.  Its ``f`` and ``a``
+    must be the ones ``physics`` and the spec's handedness rebuild from
+    ``v``, ``f_par`` and ``f_perp``, bit for bit, because the reader
+    rebuilds them that way.
     """
-    if not records:
+    if not len(batch):
         raise ValueError("refusing to write an empty dataset")
-    records = sorted(records, key=lambda r: r.index)
-    if [r.index for r in records] != list(range(len(records))):
-        raise ValueError(f"record indices must be exactly 0..{len(records) - 1}, each once")
-    times, _ = uniform_grid(spec.duration, spec.n_steps)
-    off_grid = [r.index for r in records if not np.array_equal(r.times, times)]
-    if off_grid:
-        raise ValueError(f"records {off_grid[:5]} are off the spec's grid ({spec.n_steps} steps, {spec.duration} s)")
-    _check_rebuilt(records, physics, spec.handedness)
+    if not np.array_equal(batch.index, np.arange(len(batch))):
+        raise ValueError(f"record indices must be exactly 0..{len(batch) - 1}, in order")
+    if not np.array_equal(batch.times, uniform_grid(spec.duration, spec.n_steps)[0]):
+        raise ValueError(f"records are off the spec's grid ({spec.n_steps} steps, {spec.duration} s)")
+    _check_rebuilt(batch, physics, spec.handedness)
     units = units if units is not None else UnitSystem()
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": DATASET_KIND,
-        "n_trajectories": len(records),
+        "n_trajectories": len(batch),
         "physics": {"c": physics.c, "m": physics.m},
         "units": {"meters_per_du": units.meters_per_du},
         "spec": spec.to_dict(),
-        "f_par": records[0].f_par, "f_perp": records[0].f_perp,
+        "f_par": batch.f_par, "f_perp": batch.f_perp,
     }
-    rows = [{"index": r.index, "x": r.x, "v": r.v} for r in records]
+    rows = [{"index": j, "x": x, "v": v} for j, (x, v) in enumerate(zip(batch.x, batch.v))]
     _write_json_lines(path, [header, *rows])
 
 
-_REBUILD_CHECK_CHUNK = 128  # records per vectorised writer check: a few MB of temporaries, not tens
+_REBUILD_CHECK_CHUNK = 128  # rows per vectorised writer check: a few MB of temporaries, not tens
 
 
-def _check_rebuilt(records: list[TrajectoryRecord], physics: PhysicsConfig, handedness: int) -> None:
-    """Raise ValueError unless each record has record 0's schedule and the ``f``, ``a`` that reading rebuilds."""
+def _check_rebuilt(batch: TrajectoryBatch, physics: PhysicsConfig, handedness: int) -> None:
+    """Raise ValueError unless every row has the ``f``, ``a`` that reading rebuilds."""
     at = f"physics c={physics.c!r}, m={physics.m!r} and handedness {handedness}"
-    for start in range(0, len(records), _REBUILD_CHECK_CHUNK):
-        chunk = records[start : start + _REBUILD_CHECK_CHUNK]
-        v, f_par, f_perp, f, a = (np.stack([getattr(r, k) for r in chunk]) for k in ("v", "f_par", "f_perp", "f", "a"))
-        bad = np.flatnonzero(np.any((f_par != records[0].f_par) | (f_perp != records[0].f_perp), axis=1))
-        if bad.size:
-            raise ValueError(f"records {[chunk[i].index for i in bad[:5]]} have a force schedule other than record 0's")
+    for start in range(0, len(batch), _REBUILD_CHECK_CHUNK):
+        rows = batch[start : start + _REBUILD_CHECK_CHUNK]
         try:
-            f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
+            f_lab, accel = lab_force_and_acceleration(rows.v, rows.f_par, rows.f_perp, physics, handedness)
         except (SpeedLimitError, DegenerateVelocityError) as e:
             raise ValueError(f"records cannot be rebuilt at {at}: {e}") from e
-        for name, stored, rebuilt in (("f", f, f_lab), ("a", a, accel)):
+        for name, stored, rebuilt in (("f", rows.f, f_lab), ("a", rows.a, accel)):
             bad = np.flatnonzero(np.any(stored != rebuilt, axis=(1, 2)))
             if bad.size:
                 raise ValueError(
-                    f"records {[chunk[i].index for i in bad[:5]]} carry an {name} that {at} do not give; "
+                    f"records {rows.index[bad[:5]].tolist()} carry an {name} that {at} do not give; "
                     "write them with the physics they were generated at"
                 )
 
 
-def read_dataset(path) -> tuple[dict, list[TrajectoryRecord]]:
-    """Parse and validate a dataset file; records come back in index order, ``times``, ``f``, ``a`` rebuilt."""
+def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
+    """Parse and validate a dataset file; the batch is in index order, with ``times``, ``f``, ``a`` rebuilt."""
     header, lines = _read_ndjson(path, DATASET_KIND, "n_trajectories")
     try:
         spec = DatasetSpec.from_dict(_need(header, "spec", 1, path))
@@ -289,22 +284,27 @@ def read_dataset(path) -> tuple[dict, list[TrajectoryRecord]]:
     n = header["n_trajectories"]
     scalar, vec = (spec.n_steps + 1,), (spec.n_steps + 1, 2)
     f_par, f_perp = (_parse_array(_need(header, k, 1, path), scalar, 1, path, k) for k in ("f_par", "f_perp"))
-    by_index: list[list[np.ndarray] | None] = [None] * n
+    try:  # each line's rows land in the blocks as they are parsed
+        x, v = np.empty((n, *vec)), np.empty((n, *vec))
+    except MemoryError as e:  # sized from the header before any line is checked
+        raise SchemaError(f"{path}:1: {n} trajectories of {spec.n_steps} steps do not fit in memory") from e
+    seen = np.zeros(n, dtype=bool)
     for line_no, obj in lines:
         index = _need_int(obj, "index", line_no, path)
         if not 0 <= index < n:
             raise SchemaError(f"{path}:{line_no}: trajectory index {index} outside 0..{n - 1}")
-        if by_index[index] is not None:
+        if seen[index]:
             raise SchemaError(f"{path}:{line_no}: duplicate trajectory index {index}")
-        by_index[index] = [_parse_array(_need(obj, k, line_no, path), vec, line_no, path, k) for k in ("x", "v")]
+        seen[index] = True
+        x[index], v[index] = (_parse_array(_need(obj, k, line_no, path), vec, line_no, path, k) for k in ("x", "v"))
 
-    x, v = (np.stack(arrays).swapaxes(0, 1) for arrays in zip(*by_index))  # (K+1, N, 2) views of (N, K+1, 2) blocks
     try:
         times, _ = uniform_grid(spec.duration, spec.n_steps)
-        records = trajectory_records(range(n), times, x, v, f_par[:, None], f_perp[:, None], physics, spec.handedness)
+        x, v = x.swapaxes(0, 1), v.swapaxes(0, 1)  # (K+1, N, 2) views; trajectory_records keeps the blocks uncopied
+        batch = trajectory_records(range(n), times, x, v, f_par, f_perp, physics, spec.handedness)
     except (OverflowError, SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         raise SchemaError(f"{path}: cannot rebuild the trajectories ({e})") from e
-    return header, records
+    return header, batch
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from . import datasets, evaluate, figures, formats, training
 from .dynamics import DEFAULT_UNITS
 from .relativity import DEFAULT_PHYSICS
@@ -46,7 +44,9 @@ def run_table(
     The writers create ``outdir`` and its subdirectories as they need them.
 
     Returns ``{"data": {kind: {"spec", "records", "heldout"}},
-    "models": {(kind, method): TrainedModel}, "cells": [EvalCell], "report"}``.
+    "models": {(kind, method): TrainedModel}, "cells": [EvalCell], "report"}``;
+    ``records`` is the whole dataset's ``TrajectoryBatch`` and ``heldout`` its
+    held-out rows.
     """
     outdir = Path(outdir)
     specs = [
@@ -73,23 +73,20 @@ def run_table(
     data, models, cells = {}, {}, []
     for spec in specs:
         kind = spec.kind
-        records = datasets.generate(spec)
-        formats.write_dataset(outdir / "datasets" / f"{kind}.ndjson", records, spec, DEFAULT_PHYSICS, DEFAULT_UNITS)
-        train_records, heldout = datasets.holdout_split(records)
-        data[kind] = {"spec": spec, "records": records, "heldout": heldout}
+        batch = datasets.generate(spec)
+        formats.write_dataset(outdir / "datasets" / f"{kind}.ndjson", batch, spec, DEFAULT_PHYSICS, DEFAULT_UNITS)
+        train_batch, heldout = datasets.holdout_split(batch)
+        data[kind] = {"spec": spec, "records": batch, "heldout": heldout}
 
-        source = np.stack([r.x0 for r in records])
-        target = np.stack([r.endpoint for r in records])
-        shown = records[:: max(1, len(records) // 12)][:12]
+        shown = batch.x[:: max(1, len(batch) // 12)][:12]
         figures.write_svg(
             outdir / "figures" / f"{kind}-data.svg",
-            figures.scatter_svg(source, target, [r.x for r in shown], title=f"{kind} trajectories"),
+            figures.scatter_svg(batch.x0, batch.endpoint, list(shown), title=f"{kind} trajectories"),
         )
 
-        heldout_targets = np.stack([r.endpoint for r in heldout])
         for config in configs:
             method = config.method
-            model = training.train(train_records, config, dataset_info=spec.to_dict())
+            model = training.train(train_batch, config, dataset_info=spec.to_dict())
             formats.write_checkpoint(outdir / "checkpoints" / f"{kind}-{method}.ndjson", model)
             models[(kind, method)] = model
 
@@ -99,7 +96,7 @@ def run_table(
             shown_paths = [path.x[:, i, :] for i in range(0, len(heldout), max(1, len(heldout) // 8))][:8]
             figures.write_svg(
                 outdir / "figures" / f"{kind}-{method}.svg",
-                figures.scatter_svg(path.endpoint, heldout_targets, shown_paths, title=f"{kind}: {method} samples"),
+                figures.scatter_svg(path.endpoint, heldout.endpoint, shown_paths, title=f"{kind}: {method} samples"),
             )
 
     report = evaluate.make_report(cells, metadata=metadata)

@@ -1,8 +1,10 @@
 """Training loops for the three velocity/force regression methods.
 
 All methods share one minibatch pipeline: draw (trajectory, grid index)
-pairs uniformly, read the recorded state at that grid point, and regress a
-network onto the recorded quantity.
+pairs uniformly, read the recorded state at that grid point straight from
+the blocks of a :class:`~form_lab.dynamics.TrajectoryBatch`, and regress a
+network onto the recorded quantity.  The force target is read by grid index
+from the batch's one schedule, which every trajectory shares.
 
   o1    u1(x_t, t)            -> velocity v_t
   o1o2  adds u2(u1, x_t, t)   -> acceleration a_t
@@ -22,7 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import TrajectoryRecord
+# stack_records is importable here too: perfbench/workloads.py calls it as training.stack_records
+from .dynamics import TrajectoryBatch, stack_records  # noqa: F401
 from .errors import NonFiniteError
 from .neural import MlpParams, adam_init, adam_step, mlp_init, mlp_value_and_grad
 
@@ -57,8 +60,8 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if len(self.hidden_dims) < 1 or any(d < 1 for d in self.hidden_dims):
             raise ValueError(f"hidden_dims needs positive entries, got {self.hidden_dims!r}")
         if self.form_input_mode not in FORM_INPUT_MODES:
@@ -84,39 +87,6 @@ class TrainedModel:
         return float(self.loss_curve[-1]) if len(self.loss_curve) else float("nan")
 
 
-@dataclass
-class DatasetArrays:
-    """Records stacked onto their common grid for fast minibatch gathers."""
-
-    times: np.ndarray  # (K+1,)
-    x: np.ndarray  # (N, K+1, 2)
-    v: np.ndarray  # (N, K+1, 2)
-    a: np.ndarray  # (N, K+1, 2)
-    f_par: np.ndarray  # (N, K+1)
-    f_perp: np.ndarray  # (N, K+1)
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-
-def stack_records(records: list[TrajectoryRecord]) -> DatasetArrays:
-    if not records:
-        raise ValueError("cannot train on an empty record list")
-    times = records[0].times
-    for r in records:
-        if r.times.shape != times.shape or not np.array_equal(r.times, times):
-            raise ValueError("records must share one time grid")
-    return DatasetArrays(
-        times=times.copy(),
-        x=np.stack([r.x for r in records]),
-        v=np.stack([r.v for r in records]),
-        a=np.stack([r.a for r in records]),
-        f_par=np.stack([r.f_par for r in records]),
-        f_perp=np.stack([r.f_perp for r in records]),
-    )
-
-
 def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
@@ -134,13 +104,12 @@ def _check_finite(loss: float, step: int, method: str) -> None:
 
 
 def train(
-    records: list[TrajectoryRecord],
+    data: TrajectoryBatch,
     config: TrainConfig,
     physics: PhysicsConfig = DEFAULT_PHYSICS,
     dataset_info: dict | None = None,
 ) -> TrainedModel:
-    """Train ``config.method`` on the given records."""
-    data = stack_records(records)
+    """Train ``config.method`` on the rows of ``data``, gathered straight from its blocks."""
     duration = data.duration
     if duration <= 0.0:
         raise ValueError(f"records must span a positive duration, got {duration}")
@@ -172,9 +141,7 @@ def train(
         t_col = t_norm_grid[knot_idx][:, None]
 
         if config.method == "form":
-            target = np.stack(
-                [data.f_par[traj_idx, knot_idx], data.f_perp[traj_idx, knot_idx]], axis=-1
-            )
+            target = np.stack([data.f_par[knot_idx], data.f_perp[knot_idx]], axis=-1)  # one schedule for all rows
             inp = t_col if config.form_input_mode == "time" else np.concatenate([x_t, t_col], axis=1)
             loss, grads, _ = mlp_value_and_grad(heads["F"], inp, partial(_squared_error_loss, target=target))
             heads["F"], opt["F"] = adam_step(heads["F"], grads, opt["F"])
@@ -217,6 +184,8 @@ def train(
 
 def steps_for_epochs(epochs: float, n_train: int, batch_size: int) -> int:
     """Convert an epoch budget to optimizer steps: ceil(epochs * N / batch)."""
-    if epochs <= 0.0 or n_train < 1 or batch_size < 1:
-        raise ValueError("epochs, n_train, and batch_size must all be positive")
+    if n_train < 1 or batch_size < 1:
+        raise ValueError("n_train and batch_size must both be positive")
+    if not 0.0 < epochs * n_train < np.inf:
+        raise ValueError(f"epochs must be positive and finite, got {epochs!r}")
     return max(1, int(np.ceil(epochs * n_train / batch_size)))

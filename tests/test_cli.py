@@ -156,6 +156,17 @@ class TestTrain:
         # 10 trajectories, holdout 0.2 -> 8 for training; ceil(2*8/8) = 2 steps
         assert "(2 steps" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("epochs", ["inf", "nan"])
+    def test_non_finite_epochs_is_usage_error(self, workdir, tmp_path, capsys, source, epochs):
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(out), "--method", "o1"]
+        budget = ["--epochs", epochs] if source == "flag" else _write_config(tmp_path, {"epochs": epochs})
+        assert main(argv + budget) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epochs" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", ["-0.5", "-0.001", "1", "nan"])
     def test_holdout_fraction_out_of_range_is_usage_error(self, workdir, tmp_path, capsys, fraction):
         out = tmp_path / "m.json"
@@ -355,6 +366,17 @@ class TestSample:
         assert err.startswith("error:") and named in err and method in err
         assert not out.exists()
         assert main([*argv, "--init-velocity", "dataset", "--update", "momentum-exact"]) == EXIT_OK
+
+    def test_dataset_of_another_kind_is_usage_error(self, workdir, tmp_path, capsys):
+        """As in eval: held-out points must come from the kind of dataset the model was trained on."""
+        data = tmp_path / "halfmoons.ndjson"
+        assert main(["gen-data", "--dataset", "halfmoons", "--out", str(data), "--n", "10", "--steps", "20"]) == EXIT_OK
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(data), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'onedot'" in err and "'halfmoons'" in err
+        assert not out.exists()
 
     def test_heldout_without_data_is_usage_error(self, workdir, tmp_path):
         code = main(
@@ -556,6 +578,32 @@ class TestConfig:
     def test_steps_and_epochs_exclusive_across_sources(self, workdir, tmp_path):
         argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.json"), "--method", "o1"]
         assert main(argv + ["--epochs", "1"] + _write_config(tmp_path, {"steps": 5})) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["gen-data", "--dataset", "onedot", "--force-scale", "inf"], "force_scale"),
+        (["gen-data", "--dataset", "halfmoons", "--velocity-scale", "inf"], "velocity_scale"),
+        (["gen-data", "--dataset", "onedot", "--velocity-scale=-inf"], "velocity_scale"),
+        (["gen-data", "--dataset", "halfmoons", "--variance", "inf"], "source_variance"),
+        (["gen-data", "--dataset", "halfmoons", "--initial-speed", "inf"], "initial_speed"),
+        (["gen-data", "--dataset", "spiral", "--core-speed", "inf"], "core_speed"),
+        (["gen-data", "--dataset", "spiral", "--ring-speed", "inf"], "ring_speed"),
+        (["gen-data", "--dataset", "spiral", "--disc-radius", "inf"], "disc_radius"),
+        (["gen-data", "--dataset", "onedot", "--duration", "inf"], "duration"),
+        (["train", "--method", "o1", "--lr", "inf"], "learning_rate"),
+        (["train", "--method", "form", "--lr", "nan"], "learning_rate"),
+    ],
+    ids=lambda v: " ".join(v[:1] + v[3:]) if isinstance(v, list) else v,
+)
+def test_non_finite_field_is_usage_error(workdir, tmp_path, capsys, argv, field):
+    out = tmp_path / "o"
+    inputs = ["--data", str(workdir["data"])] if argv[0] == "train" else []
+    assert main([*argv, *inputs, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
 
 
 class TestDefaults:

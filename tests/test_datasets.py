@@ -15,6 +15,7 @@ from form_lab.datasets import (
     stress_spec,
     worker_count,
 )
+from form_lab.dynamics import stack_records
 from form_lab.errors import DegenerateVelocityError
 
 
@@ -35,6 +36,21 @@ class TestSpec:
             DatasetSpec(kind="onedot", handedness=2)
         with pytest.raises(ValueError):
             DatasetSpec(kind="onedot", seed=-1)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["duration", "source_variance", "initial_speed", "core_speed", "ring_speed", "disc_radius", "force_scale"],
+    )
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_positive_fields_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            DatasetSpec(kind="onedot", **{name: value})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_velocity_scale_must_be_finite_of_either_sign(self, value):
+        with pytest.raises(ValueError, match="velocity_scale must be finite"):
+            DatasetSpec(kind="halfmoons", velocity_scale=value)
+        assert DatasetSpec(kind="onedot", velocity_scale=-4.0).velocity_scale == -4.0
 
     def test_dict_round_trip(self):
         spec = DatasetSpec(kind="spiral", n_points=12, seed=5, ring_speed=3.0)
@@ -177,7 +193,7 @@ class TestHoldout:
 
     def test_split_ignores_list_order(self):
         records = generate(DatasetSpec(kind="onedot", n_points=5, n_steps=10, seed=0))
-        train, heldout = holdout_split(list(reversed(records)))
+        train, heldout = holdout_split(stack_records(list(reversed(records))))
         assert [r.index for r in heldout] == [4]
 
     def test_split_validation(self):

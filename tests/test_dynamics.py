@@ -9,6 +9,8 @@ from form_lab.dynamics import (
     DEFAULT_UNITS,
     ForceSchedule,
     UnitSystem,
+    TrajectoryBatch,
+    TrajectoryRecord,
     lab_force_and_acceleration,
     schedule_on_grid,
     simulate_batch,
@@ -136,11 +138,12 @@ class TestBatching:
         rng = np.random.default_rng(5)
         k1, n = 6, 4
         times, x, v = np.linspace(0.0, 1.0, k1), rng.normal(size=(k1, n, 2)), rng.uniform(0.5, 2.0, size=(k1, n, 2))
-        f_par, f_perp = rng.normal(size=(k1, 1)), rng.normal(size=(k1, 1))
+        f_par, f_perp = rng.normal(size=k1), rng.normal(size=k1)
         records = trajectory_records(range(n), times, x, v, f_par, f_perp, DEFAULT_PHYSICS, 1)
-        f_lab, accel = lab_force_and_acceleration(v, np.broadcast_to(f_par, (k1, n)), np.broadcast_to(f_perp, (k1, n)),
-                                                  DEFAULT_PHYSICS, 1)
-        columns = {"x": x, "v": v, "a": accel, "f": f_lab, "f_par": f_par[:, 0], "f_perp": f_perp[:, 0]}
+        f_lab, accel = lab_force_and_acceleration(
+            v, np.broadcast_to(f_par[:, None], (k1, n)), np.broadcast_to(f_perp[:, None], (k1, n)), DEFAULT_PHYSICS, 1
+        )
+        columns = {"x": x, "v": v, "a": accel, "f": f_lab, "f_par": f_par, "f_perp": f_perp}
         for j, rec in enumerate(records):
             assert rec.times is records[0].times and rec.times.tobytes() == times.tobytes()
             for name in ("times", "f_par", "f_perp"):
@@ -152,6 +155,33 @@ class TestBatching:
                 got = getattr(rec, name)
                 assert got.flags.c_contiguous and got.base is getattr(records[0], name).base, name
         assert times.flags.writeable  # the caller's grid is left as it was
+
+    def test_batch_is_a_sequence_of_row_records(self):
+        sched = ForceSchedule.sinusoidal(0.3, 1.0, 15.0, 8.0)
+        x0 = np.array([[0.0, 0.1], [0.5, -0.3], [-0.2, 0.4], [0.1, 0.1]])
+        batch = simulate_batch(x0, np.full((4, 2), 2.0), sched, 1.0, 20, indices=np.array([3, 4, 5, 6]))
+        assert isinstance(batch, TrajectoryBatch) and len(batch) == 4
+        assert batch.times.shape == batch.f_par.shape == batch.f_perp.shape == (21,)
+        rows = list(batch)
+        assert [r.index for r in rows] == [3, 4, 5, 6] and batch[-1].index == 6
+        for j, rec in enumerate(rows):
+            assert isinstance(rec, TrajectoryRecord)
+            for name in RECORD_ARRAYS:
+                want = getattr(batch, name)
+                assert np.shares_memory(getattr(rec, name), want), name
+                assert np.array_equal(getattr(rec, name), want[j] if want.ndim == 3 else want), name
+        assert np.shares_memory(batch.x0, batch.x) and np.array_equal(batch.x0, x0)
+        assert np.array_equal(batch.endpoint, np.stack([r.endpoint for r in rows]))
+
+    def test_slices_are_batches_of_views(self):
+        batch = simulate_batch(np.zeros((5, 2)), np.full((5, 2), 1.0), ForceSchedule.constant(1.0, 2.0), 1.0, 10)
+        part = batch[1::2]
+        assert isinstance(part, TrajectoryBatch) and part.index.tolist() == [1, 3]
+        assert part.times is batch.times and part.f_par is batch.f_par
+        for name in ("x", "v", "a", "f"):
+            assert np.shares_memory(getattr(part, name), getattr(batch, name))
+            assert np.array_equal(getattr(part, name), getattr(batch, name)[1::2])
+        assert part[1].index == 3 and len(batch[:0]) == 0
 
     def test_record_metadata(self):
         rec = simulate_trajectory([0.0, 0.0], [1.0, 0.0], ForceSchedule.constant(1.0, 0.0), 2.0, 40, index=7)
@@ -218,7 +248,7 @@ def reference_simulate_batch(x0, v0, schedule, duration, n_steps, physics, hande
     assert np.all(np.isfinite(states))
     vs = velocity_from_celerity(states[:, :, 2:], physics)
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
-    f_par, f_perp = physics.m * fp_grid[:, None], physics.m * fq_grid[:, None]
+    f_par, f_perp = physics.m * fp_grid, physics.m * fq_grid
     return trajectory_records(np.arange(len(x0)), times, states[:, :, :2], vs, f_par, f_perp, physics, handedness)
 
 

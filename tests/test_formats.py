@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_lab.datasets import KINDS, DatasetSpec, generate, holdout_split
+from form_lab.dynamics import stack_records
 from form_lab.errors import NonFiniteError, SchemaError
 from form_lab.evaluate import EvalCell, make_report
 from form_lab.formats import (
@@ -168,7 +169,7 @@ class TestDatasetFiles:
 
     def test_records_sorted_by_index(self, tmp_path, spec, records):
         path = tmp_path / "d.ndjson"
-        write_dataset(path, list(reversed(records)), spec, DEFAULT_PHYSICS)
+        write_dataset(path, stack_records(list(reversed(records))), spec, DEFAULT_PHYSICS)
         _, back = read_dataset(path)
         assert [r.index for r in back] == list(range(len(records)))
 
@@ -203,6 +204,29 @@ class TestDatasetFiles:
         def mutate(lines):
             lines[1] = re.sub(r'"x":"[^"]*"', '"x":NaN', lines[1])
             return lines
+
+        path = self._write_then_mutate(tmp_path, spec, records, mutate)
+        with pytest.raises(SchemaError):
+            read_dataset(path)
+
+    def test_overflowing_force_scale_rejected(self, tmp_path, spec, records):
+        """A spec field that parses as inf is a malformed header, not a dataset."""
+        path = self._write_then_mutate(
+            tmp_path, spec, records, lambda ls: [ls[0].replace('"force_scale":1,', '"force_scale":1e400,')] + ls[1:]
+        )
+        with pytest.raises(SchemaError, match="force_scale must be positive and finite"):
+            read_dataset(path)
+
+    def test_header_sized_beyond_memory_is_a_schema_error(self, tmp_path, spec, records):
+        """The reader sizes its blocks from the header before it checks a line: 1000 lines of a 10**6-step grid
+        (16 GB) are refused by the allocation or by the first short line, a SchemaError either way."""
+        n, k = 1000, 10**6
+
+        def mutate(lines):
+            header = json.loads(lines[0])
+            header["spec"]["n_steps"], header["n_trajectories"] = k, n
+            header["f_par"] = header["f_perp"] = base64.b64encode(np.zeros(k + 1).tobytes()).decode("ascii")
+            return [json.dumps(header)] + lines[1:2] * n
 
         path = self._write_then_mutate(tmp_path, spec, records, mutate)
         with pytest.raises(SchemaError):
@@ -274,7 +298,7 @@ class TestDatasetFiles:
         rec = replace(records[0], x=records[0].x.copy())
         rec.x[3, 1] = -0.0
         path = tmp_path / "d.ndjson"
-        write_dataset(path, [rec, *records[1:]], spec, DEFAULT_PHYSICS)
+        write_dataset(path, stack_records([rec, *records[1:]]), spec, DEFAULT_PHYSICS)
         _, back = read_dataset(path)
         assert back[0].x.tobytes() == rec.x.tobytes() and np.signbit(back[0].x[3, 1])
 
@@ -306,19 +330,21 @@ class TestDatasetFiles:
     def test_write_check_reaches_every_record(self, tmp_path):
         """One bit off in the last record's a, past the first vectorised chunk, is caught."""
         spec = DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7)
-        records = generate(spec)
-        records[-1] = replace(records[-1], a=np.nextafter(records[-1].a, np.inf))
+        batch = generate(spec)
+        a = batch.a.copy()
+        a[-1] = np.nextafter(a[-1], np.inf)
         with pytest.raises(ValueError, match=r"records \[129\] carry an a"):
-            write_dataset(tmp_path / "d.ndjson", records, spec, DEFAULT_PHYSICS)
+            write_dataset(tmp_path / "d.ndjson", replace(batch, a=a), spec, DEFAULT_PHYSICS)
 
     def test_write_rejects_a_second_force_schedule(self, tmp_path):
-        """Record 129 comes from a run at twice the force: its own f and a agree, its schedule is not record 0's."""
+        """Record 129 comes from a run at twice the force: its own f and a agree, its schedule is not record 0's.
+        A batch holds one schedule, so stacking the records refuses them before anything is written."""
         spec = DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7)
-        records = generate(spec)
+        records = list(generate(spec))
         records[-1] = generate(replace(spec, force_scale=2.0))[-1]
         path = tmp_path / "d.ndjson"
         with pytest.raises(ValueError, match=r"records \[129\] have a force schedule other than record 0's"):
-            write_dataset(path, records, spec, DEFAULT_PHYSICS)
+            write_dataset(path, stack_records(records), spec, DEFAULT_PHYSICS)
         assert not path.exists()
 
     def test_v2_dataset_names_schema_version(self, tmp_path, spec, records):
@@ -423,6 +449,19 @@ class TestSamplesFiles:
             assert got["index"] == want["index"]
             for key in list(want)[1:]:
                 assert got[key].dtype == np.float64 and np.array_equal(got[key], want[key]), key
+
+    def test_failed_write_leaves_the_file_as_it_was(self, tmp_path):
+        """A refused value raises before the file is opened: a good file keeps its bytes, a fresh path gets none."""
+        good, fresh = tmp_path / "s.ndjson", tmp_path / "new" / "s.ndjson"
+        write_samples(good, self.HEADER, self.entries())
+        before = good.read_bytes()
+        bad = self.entries()
+        bad[1]["endpoint"] = (np.nan, 0.0)
+        for path in (good, fresh):
+            with pytest.raises(NonFiniteError):
+                write_samples(path, self.HEADER, bad)
+        assert good.read_bytes() == before
+        assert not fresh.parent.exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -1,7 +1,9 @@
 """The benchmark's traced run wraps ``module.attr`` for every site in
 ``perfbench/workloads.py``'s ``TRACE_SITES``, with no default; a site that no
 longer resolves makes every traced run raise.  Checked here, in tier 1, with
-spies that the simulator's work still passes through its sites."""
+spies that the simulator's work still passes through its sites, and with the
+benchmark's own warm-up and read-back gate run on small inputs, so a change
+to how the program is called breaks tier 1 before it breaks the benchmark."""
 
 import importlib
 import sys
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from form_lab import datasets, dynamics
+from form_lab import datasets, dynamics, formats
+from form_lab.relativity import DEFAULT_PHYSICS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,3 +57,18 @@ def test_simulation_passes_through_its_module_globals(monkeypatch):
     records = datasets.generate(datasets.DatasetSpec(kind="halfmoons", n_points=6, n_steps=4), max_workers=2)
     assert len(records) == 6
     assert sorted(calls) == ["form_lab.datasets.simulate_batch"] * 2 + ["form_lab.dynamics.integrate_fixed_grid"] * 2
+
+
+def test_benchmark_warm_up_runs(workloads, tmp_path):
+    """Every public function the workloads call, called the way they call it, on tiny inputs."""
+    workloads.warm_up(tmp_path, seed=0, workers=1)
+    assert not any(tmp_path.iterdir())
+
+
+def test_benchmark_read_back_gate_holds(workloads, tmp_path):
+    spec = datasets.DatasetSpec(kind="halfmoons", n_points=12, n_steps=10, seed=3)
+    path = tmp_path / "d.ndjson"
+    formats.write_dataset(path, datasets.generate(spec), spec, DEFAULT_PHYSICS)
+    loaded = formats.read_dataset(path)[1]
+    assert workloads.records_equal(datasets.generate(spec), loaded)
+    assert not workloads.records_equal(datasets.generate(spec)[1:], loaded[1:][::-1])

@@ -50,6 +50,8 @@ class TestConfig:
             dict(method="form", form_input_mode="oops"),
             dict(method="o1o2", o1o2_coupling="oops"),
             dict(method="o1", hidden_dims=()),
+            dict(method="o1", learning_rate=float("inf")),
+            dict(method="o1", learning_rate=float("nan")),
         ],
     )
     def test_validation(self, kw):
@@ -62,17 +64,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             steps_for_epochs(epochs=0, n_train=10, batch_size=2)
 
+    @pytest.mark.parametrize("epochs", [float("inf"), float("nan"), 1e308])
+    def test_steps_for_epochs_needs_finite_epochs(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be positive and finite"):
+            steps_for_epochs(epochs=epochs, n_train=100, batch_size=32)
+
 
 class TestStackRecords:
     def test_shapes(self, records):
-        arrays = stack_records(records)
+        batch = stack_records(list(records))
         n, k = len(records), records[0].n_steps
-        assert arrays.x.shape == (n, k + 1, 2)
-        assert arrays.v.shape == (n, k + 1, 2)
-        assert arrays.a.shape == (n, k + 1, 2)
-        assert arrays.f_par.shape == (n, k + 1)
-        assert arrays.f_perp.shape == (n, k + 1)
-        assert arrays.times.shape == (k + 1,)
+        for name in ("x", "v", "a", "f"):
+            assert getattr(batch, name).shape == (n, k + 1, 2), name
+        for name in ("times", "f_par", "f_perp"):
+            assert getattr(batch, name).shape == (k + 1,), name
+            assert not getattr(batch, name).flags.writeable, name
+        assert batch.index.tolist() == list(range(n))
+
+    def test_sorts_by_index_into_the_same_bits(self, records):
+        batch = stack_records(list(reversed(records)))
+        for name in ("index", "times", "x", "v", "a", "f", "f_par", "f_perp"):
+            assert np.array_equal(getattr(batch, name), getattr(records, name)), name
+
+    def test_a_batch_comes_back_uncopied(self, records):
+        assert stack_records(records) is records
+
+    def test_rejects_mixed_schedules(self, records):
+        other = generate(DatasetSpec(kind="onedot", n_points=6, n_steps=20, seed=7, force_scale=2.0))
+        with pytest.raises(ValueError, match=r"records \[3, 4, 5\] have a force schedule other than record 0's"):
+            stack_records([*records[:3], *other[3:]])
 
     def test_rejects_mixed_grids(self, records):
         other = generate(DatasetSpec(kind="onedot", n_points=2, n_steps=10, seed=7))
@@ -133,9 +153,11 @@ def squared_error(pred, target):
 
 
 def reference_train(records, config):
-    """train() written out as separate forward, backward and per-array Adam calls."""
-    data = stack_records(records)
-    t_grid = (data.times - data.times[0]) / data.duration
+    """train() written out as separate forward, backward and per-array Adam calls,
+    on arrays it stacks from the record rows itself (the force target per row)."""
+    times = records[0].times
+    x, v, a, f_par, f_perp = (np.stack([getattr(r, k) for r in records]) for k in ("x", "v", "a", "f_par", "f_perp"))
+    t_grid = (times - times[0]) / float(times[-1] - times[0])
     streams = np.random.SeedSequence(config.seed).spawn(4)
     batch_rng = np.random.default_rng(streams[STREAM_BATCH])
     hidden, lr = config.hidden_dims, config.learning_rate
@@ -148,21 +170,21 @@ def reference_train(records, config):
             heads["u2"] = ReferenceHead((5, *hidden, 2), streams[STREAM_U2], lr)
     losses = []
     for _ in range(config.steps):
-        traj = batch_rng.integers(0, data.x.shape[0], size=config.batch_size)
-        knot = batch_rng.integers(0, data.x.shape[1], size=config.batch_size)
-        x_t, t_col = data.x[traj, knot], t_grid[knot][:, None]
+        traj = batch_rng.integers(0, x.shape[0], size=config.batch_size)
+        knot = batch_rng.integers(0, x.shape[1], size=config.batch_size)
+        x_t, t_col = x[traj, knot], t_grid[knot][:, None]
         if config.method == "form":
             inp = t_col if config.form_input_mode == "time" else np.concatenate([x_t, t_col], axis=1)
-            target = np.stack([data.f_par[traj, knot], data.f_perp[traj, knot]], axis=-1)
+            target = np.stack([f_par[traj, knot], f_perp[traj, knot]], axis=-1)
             loss, dpred = squared_error(heads["F"].forward(inp), target)
             heads["F"].backward_and_update(inp, dpred)
         else:
             inp1 = np.concatenate([x_t, t_col], axis=1)
             pred1 = heads["u1"].forward(inp1)
-            loss, dpred1 = squared_error(pred1, data.v[traj, knot])
+            loss, dpred1 = squared_error(pred1, v[traj, knot])
             if config.method == "o1o2":
                 inp2 = np.concatenate([pred1, x_t, t_col], axis=1)
-                loss2, dpred2 = squared_error(heads["u2"].forward(inp2), data.a[traj, knot])
+                loss2, dpred2 = squared_error(heads["u2"].forward(inp2), a[traj, knot])
                 loss += loss2
                 dinp2 = heads["u2"].backward_and_update(inp2, dpred2)
                 if config.o1o2_coupling == "joint":
