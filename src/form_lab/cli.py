@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SchemaError, ShapeError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (SchemaError, ShapeError, ValueError, OSError, json.JSONDecodeError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,11 @@
 """Minimal dense networks: tanh MLPs with hand-derived backprop and Adam.
 
-Everything is plain numpy and purely functional: parameters and optimizer
-states are immutable values, updates return fresh copies.  That keeps
-training runs trivially reproducible and lets tests compare whole parameter
-sets bit-for-bit.
+Everything is plain numpy.  The public functions are pure: parameters and
+optimizer states are immutable values, and updates return fresh copies.
+That keeps training runs trivially reproducible and lets tests compare whole
+parameter sets bit-for-bit.  :class:`TrainingWorkspace` steps one head of a
+training run in buffers allocated once, through the same forward, backward
+and Adam kernels that the public functions call with fresh buffers.
 
 A training step is one forward pass and one backward pass:
 :func:`mlp_value_and_grad` keeps the activations of its forward pass, asks
@@ -118,27 +120,44 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
         )
 
 
-def _forward_activations(params: MlpParams, x2d: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass on a (B, d0) batch; returns (output, activations).
+def _forward(weights, biases, acts: list, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward pass from the (B, d0) input block ``acts[0]``; returns the output, written into ``out``.
 
-    activations[l] is the input to layer l: activations[0] = x, then the
-    tanh outputs of each hidden layer.
+    ``acts[l]`` (l >= 1) is the buffer for the input to layer l, or None for a
+    fresh one; ``acts`` is left holding the activations written.
     """
-    acts = [x2d]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = acts[-1] @ w.T
-        z += b
-        acts.append(np.tanh(z, out=z))
-    out = acts[-1] @ params.weights[-1].T
-    out += params.biases[-1]
-    return out, acts
+    for l in range(1, len(acts)):
+        z = acts[l] = np.matmul(acts[l - 1], weights[l - 1].T, out=acts[l])
+        z += biases[l - 1]
+        np.tanh(z, out=z)
+    out = np.matmul(acts[-1], weights[-1].T, out=out)
+    out += biases[-1]
+    return out
+
+
+def _backward(weights, acts, grad_out, grad_w, grad_b, deltas, grad_input=None) -> None:
+    """Backpropagate dLoss/dOut through the activations of a forward pass into
+    ``grad_w``/``grad_b`` (summed over rows), ``deltas`` (buffers or None) and, if
+    given, ``grad_input``.  Overwrites each hidden activation with its tanh slope once it is used."""
+    g = grad_out
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(g.T, acts[l], out=grad_w[l])
+        np.add.reduce(g, axis=0, out=grad_b[l])
+        if l > 0:
+            g = np.matmul(g, weights[l], out=deltas[l - 1])
+            slope = np.square(acts[l], out=acts[l])  # tanh' = 1 - tanh^2
+            np.subtract(1.0, slope, out=slope)
+            g *= slope
+        elif grad_input is not None:
+            np.matmul(g, weights[0], out=grad_input)
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Evaluate the net; accepts (d0,) or any (..., d0) batch."""
     x = np.asarray(x, dtype=np.float64)
     _check_input(params, x)
-    out, _ = _forward_activations(params, x.reshape(-1, x.shape[-1]))
+    acts = [x.reshape(-1, x.shape[-1])] + [None] * (len(params.weights) - 1)
+    out = _forward(params.weights, params.biases, acts)
     return out.reshape(*x.shape[:-1], params.layer_dims[-1])
 
 
@@ -155,7 +174,9 @@ def mlp_value_and_grad(params: MlpParams, x, grad_fn) -> tuple[object, MlpGrads,
     _check_input(params, x)
     lead = x.shape[:-1]
     x2d = x.reshape(-1, x.shape[-1])
-    out, acts = _forward_activations(params, x2d)
+    n_layers = len(params.weights)
+    acts = [x2d] + [None] * (n_layers - 1)
+    out = _forward(params.weights, params.biases, acts)
     loss, grad_output = grad_fn(out.reshape(*lead, params.layer_dims[-1]))
     g = np.asarray(grad_output, dtype=np.float64).reshape(-1, params.layer_dims[-1])
     if g.shape[0] != x2d.shape[0]:
@@ -163,17 +184,10 @@ def mlp_value_and_grad(params: MlpParams, x, grad_fn) -> tuple[object, MlpGrads,
 
     flat = np.empty_like(params.flat)
     views = _split(flat, _shapes(params.layer_dims))
-    n_layers = len(params.weights)
-    for l in range(n_layers - 1, -1, -1):
-        np.matmul(g.T, acts[l], out=views[l])
-        np.sum(g, axis=0, out=views[n_layers + l])
-        g = g @ params.weights[l]
-        if l > 0:  # tanh' = 1 - tanh^2, using the stored activation
-            slope = acts[l] ** 2
-            np.subtract(1.0, slope, out=slope)
-            g *= slope
+    grad_input = np.empty(x2d.shape)
+    _backward(params.weights, acts, g, views[:n_layers], views[n_layers:], [None] * (n_layers - 1), grad_input)
     grads = MlpGrads(tuple(views[:n_layers]), tuple(views[n_layers:]), flat)
-    return loss, grads, g.reshape(*lead, params.layer_dims[0])
+    return loss, grads, grad_input.reshape(*lead, params.layer_dims[0])
 
 
 def mlp_backward(params: MlpParams, x, grad_output) -> tuple[MlpGrads, np.ndarray]:
@@ -207,36 +221,82 @@ def adam_init(params: MlpParams, lr: float = 1e-3, beta1: float = 0.9, beta2: fl
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update over the whole flat buffer; returns fresh (params, state).
-
-    The elementwise operations are those of
+def _adam(state: AdamState, t: int, g: np.ndarray, src, dst, scratch: np.ndarray, step: np.ndarray) -> None:
+    """Adam update ``t`` from ``src = (p, m, v)`` into ``dst`` (which may be ``src``; its p' may be ``step``):
     ``m' = b1 m + (1 - b1) g``, ``v' = b2 v + (1 - b2) g g`` and
-    ``p' = p - lr (m' / bc1) / (sqrt(v' / bc2) + eps)``, in that order,
-    written in place into fresh temporaries.
-    """
+    ``p' = p - lr (m' / bc1) / (sqrt(v' / bc2) + eps)``, elementwise in that order."""
+    p, m, v = src
+    new_p, new_m, new_v = dst
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    np.multiply(m, state.beta1, out=new_m)
+    np.multiply(g, 1.0 - state.beta1, out=scratch)
+    new_m += scratch
+    np.multiply(v, state.beta2, out=new_v)
+    np.multiply(g, 1.0 - state.beta2, out=scratch)
+    scratch *= g
+    new_v += scratch
+    np.divide(new_v, bc2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    np.divide(new_m, bc1, out=step)
+    step *= state.lr
+    step /= scratch
+    np.subtract(p, step, out=new_p)
+
+
+def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[MlpParams, AdamState]:
+    """One bias-corrected Adam update over the whole flat buffer; returns fresh (params, state)."""
     if not params.flat.shape == grads.flat.shape == state.m.shape:
         raise ShapeError(
             f"{grads.flat.size} gradients and {state.m.size} moments for {params.flat.size} parameters"
         )
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    g = grads.flat
-
-    m = state.m * state.beta1
-    m += (1.0 - state.beta1) * g
-    v = state.v * state.beta2
-    scratch = (1.0 - state.beta2) * g
-    scratch *= g
-    v += scratch
-    np.divide(v, bc2, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.eps
-    p = m / bc1
-    p *= state.lr
-    p /= scratch
-    np.subtract(params.flat, p, out=p)
-
+    p, m, v, scratch = (np.empty_like(params.flat) for _ in range(4))
+    _adam(state, t, grads.flat, (params.flat, state.m, state.v), (p, m, v), scratch, p)
     new_state = AdamState(m=m, v=v, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps, step=t)
     return _params_from_flat(params.layer_dims, p), new_state
+
+
+class TrainingWorkspace:
+    """One head's training state and every buffer its steps write, allocated once.
+
+    Holds working copies of the parameters (with their per-layer views) and
+    of the Adam moments, plus the activations, deltas and gradient of ``rows``
+    rows.  A step fills the input block ``inp``, calls :meth:`forward`, writes
+    dLoss/dOut into ``grad_out`` and calls :meth:`backward_and_update`, which
+    runs the kernels of :func:`mlp_value_and_grad` and :func:`adam_step` in
+    place.  With ``grad_input`` set, a step also leaves dLoss/dInput there.
+    """
+
+    def __init__(self, params: MlpParams, state: AdamState, rows: int, grad_input: bool = False) -> None:
+        dims = params.layer_dims
+        n = len(dims) - 1
+        shapes = _shapes(dims)
+        self.layer_dims, self.state, self.t = dims, state, state.step
+        self.flat, self.grad = params.flat.copy(), np.empty_like(params.flat)
+        self.m, self.v = state.m.copy(), state.v.copy()
+        self.scratch, self.step_buf = np.empty_like(self.flat), np.empty_like(self.flat)
+        views, grads = _split(self.flat, shapes), _split(self.grad, shapes)
+        self.weights, self.biases = views[:n], views[n:]
+        self.grad_w, self.grad_b = grads[:n], grads[n:]
+        self.acts = [np.empty((rows, d)) for d in dims[:-1]]
+        self.deltas = [np.empty((rows, d)) for d in dims[1:-1]]
+        self.inp = self.acts[0]
+        self.out, self.grad_out = np.empty((rows, dims[-1])), np.empty((rows, dims[-1]))
+        self.grad_input = np.empty_like(self.inp) if grad_input else None
+
+    def forward(self) -> np.ndarray:
+        """The net's output on ``inp``, in the ``out`` buffer."""
+        return _forward(self.weights, self.biases, self.acts, self.out)
+
+    def backward_and_update(self) -> None:
+        """Backpropagate ``grad_out`` through the last forward pass, then take one Adam step."""
+        _backward(self.weights, self.acts, self.grad_out, self.grad_w, self.grad_b, self.deltas, self.grad_input)
+        self.t += 1
+        state = (self.flat, self.m, self.v)
+        _adam(self.state, self.t, self.grad, state, state, self.scratch, self.step_buf)
+
+    def params(self) -> MlpParams:
+        """A fresh copy of the current parameters."""
+        return _params_from_flat(self.layer_dims, self.flat.copy())

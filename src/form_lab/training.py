@@ -19,19 +19,19 @@ their comparison a controlled experiment rather than a reseeding accident.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 # stack_records is importable here too: perfbench/workloads.py calls it as training.stack_records
 from .dynamics import TrajectoryBatch, stack_records  # noqa: F401
 from .errors import NonFiniteError
-from .neural import MlpParams, adam_init, adam_step, mlp_init, mlp_value_and_grad
+from .neural import MlpParams, TrainingWorkspace, adam_init, mlp_init
 
 # Uncalled here, but importable at this site: the benchmark's traced run
 # (perfbench/workloads.py TRACE_SITES) wraps these attributes.
-from .neural import mlp_backward, mlp_forward  # noqa: F401
+from .neural import adam_step, mlp_backward, mlp_forward  # noqa: F401
 from .relativity import DEFAULT_PHYSICS, PhysicsConfig
 
 METHODS = ("o1", "o1o2", "form")
@@ -91,15 +91,18 @@ def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
 
-def _squared_error_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean over batch of the squared norm; returns (loss, dLoss/dPred)."""
-    diff = pred - target
-    loss = float(np.mean(np.sum(diff * diff, axis=-1)))
-    return loss, (2.0 / diff.shape[0]) * diff
+def _squared_error(pred: np.ndarray, target, grad: np.ndarray, sq: np.ndarray, row_sq: np.ndarray) -> float:
+    """Mean over rows of the squared norm of ``pred - target``; writes dLoss/dPred into ``grad``."""
+    rows = grad.shape[0]
+    np.subtract(pred, target, out=grad)
+    np.multiply(grad, grad, out=sq)
+    loss = float(np.add.reduce(np.add.reduce(sq, axis=1, out=row_sq)) / rows)
+    grad *= 2.0 / rows
+    return loss
 
 
 def _check_finite(loss: float, step: int, method: str) -> None:
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NonFiniteError(f"{method} training diverged: loss = {loss!r} at step {step}")
 
 
@@ -109,71 +112,67 @@ def train(
     physics: PhysicsConfig = DEFAULT_PHYSICS,
     dataset_info: dict | None = None,
 ) -> TrainedModel:
-    """Train ``config.method`` on the rows of ``data``, gathered straight from its blocks."""
+    """Train ``config.method`` on the rows of ``data``, gathered straight from its blocks,
+    stepping each head in its own :class:`~form_lab.neural.TrainingWorkspace`."""
     duration = data.duration
     if duration <= 0.0:
         raise ValueError(f"records must span a positive duration, got {duration}")
     n_traj, n_knots = data.x.shape[0], data.x.shape[1]
     t_norm_grid = (data.times - data.times[0]) / duration
+    schedule = np.stack([data.f_par, data.f_perp], axis=-1)  # one (K+1, 2) force target for all rows
 
     streams = _streams(config.seed)
     batch_rng = np.random.default_rng(streams[STREAM_BATCH])
-    hidden = tuple(config.hidden_dims)
+    rows = config.batch_size
 
-    heads: dict[str, MlpParams] = {}
-    opt: dict[str, object] = {}
+    def workspace(in_dim: int, stream: int, grad_input: bool = False) -> TrainingWorkspace:
+        params = mlp_init((in_dim, *config.hidden_dims, 2), np.random.default_rng(streams[stream]))
+        return TrainingWorkspace(params, adam_init(params, lr=config.learning_rate), rows, grad_input)
+
+    heads: dict[str, TrainingWorkspace] = {}
     if config.method in ("o1", "o1o2"):
-        heads["u1"] = mlp_init((3, *hidden, 2), np.random.default_rng(streams[STREAM_U1]))
-        opt["u1"] = adam_init(heads["u1"], lr=config.learning_rate)
+        heads["u1"] = workspace(3, STREAM_U1)
     if config.method == "o1o2":
-        heads["u2"] = mlp_init((5, *hidden, 2), np.random.default_rng(streams[STREAM_U2]))
-        opt["u2"] = adam_init(heads["u2"], lr=config.learning_rate)
+        heads["u2"] = workspace(5, STREAM_U2, grad_input=config.o1o2_coupling == "joint")
     if config.method == "form":
-        in_dim = 1 if config.form_input_mode == "time" else 3
-        heads["F"] = mlp_init((in_dim, *hidden, 2), np.random.default_rng(streams[STREAM_F]))
-        opt["F"] = adam_init(heads["F"], lr=config.learning_rate)
+        heads["F"] = workspace(1 if config.form_input_mode == "time" else 3, STREAM_F)
+    sq, row_sq = np.empty((rows, 2)), np.empty(rows)
 
     losses = np.empty(config.steps, dtype=np.float64)
     for step in range(config.steps):
-        traj_idx = batch_rng.integers(0, n_traj, size=config.batch_size)
-        knot_idx = batch_rng.integers(0, n_knots, size=config.batch_size)
-        x_t = data.x[traj_idx, knot_idx]
-        t_col = t_norm_grid[knot_idx][:, None]
+        traj_idx = batch_rng.integers(0, n_traj, size=rows)
+        knot_idx = batch_rng.integers(0, n_knots, size=rows)
 
         if config.method == "form":
-            target = np.stack([data.f_par[knot_idx], data.f_perp[knot_idx]], axis=-1)  # one schedule for all rows
-            inp = t_col if config.form_input_mode == "time" else np.concatenate([x_t, t_col], axis=1)
-            loss, grads, _ = mlp_value_and_grad(heads["F"], inp, partial(_squared_error_loss, target=target))
-            heads["F"], opt["F"] = adam_step(heads["F"], grads, opt["F"])
+            head = heads["F"]
+            head.inp[:, -1] = t_norm_grid[knot_idx]
+            if config.form_input_mode == "time-position":
+                head.inp[:, :2] = data.x[traj_idx, knot_idx]
+            loss = _squared_error(head.forward(), schedule[knot_idx], head.grad_out, sq, row_sq)
+            head.backward_and_update()
         else:
-            v_t = data.v[traj_idx, knot_idx]
-
-            def u1_loss(pred1):
-                """Velocity loss on u1's output, plus u2's acceleration loss for o1o2."""
-                loss, dpred1 = _squared_error_loss(pred1, v_t)
-                if config.method == "o1o2":
-                    a_t = data.a[traj_idx, knot_idx]
-                    inp2 = np.concatenate([pred1, x_t, t_col], axis=1)
-                    loss2, grads2, dinp2 = mlp_value_and_grad(
-                        heads["u2"], inp2, partial(_squared_error_loss, target=a_t)
-                    )
-                    loss += loss2
-                    if config.o1o2_coupling == "joint":
-                        # acceleration loss also shapes u1 through u2's first input slot
-                        dpred1 = dpred1 + dinp2[:, :2]
-                    heads["u2"], opt["u2"] = adam_step(heads["u2"], grads2, opt["u2"])
-                return loss, dpred1
-
-            inp1 = np.concatenate([x_t, t_col], axis=1)
-            loss, grads1, _ = mlp_value_and_grad(heads["u1"], inp1, u1_loss)
-            heads["u1"], opt["u1"] = adam_step(heads["u1"], grads1, opt["u1"])
+            u1 = heads["u1"]
+            u1.inp[:, :2] = data.x[traj_idx, knot_idx]
+            u1.inp[:, 2] = t_norm_grid[knot_idx]
+            pred1 = u1.forward()
+            loss = _squared_error(pred1, data.v[traj_idx, knot_idx], u1.grad_out, sq, row_sq)
+            if config.method == "o1o2":
+                u2 = heads["u2"]
+                u2.inp[:, :2] = pred1
+                u2.inp[:, 2:] = u1.inp
+                loss += _squared_error(u2.forward(), data.a[traj_idx, knot_idx], u2.grad_out, sq, row_sq)
+                u2.backward_and_update()
+                if config.o1o2_coupling == "joint":
+                    # acceleration loss also shapes u1 through u2's first input slot
+                    u1.grad_out += u2.grad_input[:, :2]
+            u1.backward_and_update()
 
         _check_finite(loss, step, config.method)
         losses[step] = loss
 
     return TrainedModel(
         method=config.method,
-        heads=heads,
+        heads={name: head.params() for name, head in heads.items()},
         duration=duration,
         physics=physics,
         train_config=config,

@@ -176,6 +176,17 @@ class TestTrain:
         assert err.startswith("error:") and "--holdout-fraction" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--batch-size", "--hidden"])
+    def test_size_beyond_memory_is_usage_error(self, workdir, tmp_path, capsys, flag):
+        """Buffers sized by these flags are allocated before the first step; an
+        allocation no machine can serve ends in exit 2, not a traceback."""
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(out), "--method", "o1", "--steps", "2"]
+        assert main([*argv, flag, "1000000000000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Unable to allocate" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_holdout_fraction_trains_on_all(self, workdir, tmp_path, capsys):
         argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.json"), "--method", "o1"]
         assert main([*argv, "--steps", "2", "--hidden", "4", "--holdout-fraction", "0"]) == EXIT_OK

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from form_lab import training
 from form_lab.datasets import DatasetSpec, generate
 from form_lab.errors import NonFiniteError
 from form_lab.neural import MlpParams, mlp_backward, mlp_forward, mlp_init
@@ -217,6 +218,84 @@ class TestAgainstReference:
         for name, ref in heads.items():
             for a, b in zip((*model.heads[name].weights, *model.heads[name].biases), (*ref.weights, *ref.biases)):
                 assert np.array_equal(a, b), name
+
+
+METHOD_CONFIGS = {
+    "o1": dict(method="o1"),
+    "o1o2-detached": dict(method="o1o2", o1o2_coupling="detached"),
+    "o1o2-joint": dict(method="o1o2", o1o2_coupling="joint"),
+    "form-time": dict(method="form", form_input_mode="time"),
+    "form-time-position": dict(method="form", form_input_mode="time-position"),
+}
+
+
+class TestWorkspaceShapes:
+    @pytest.mark.parametrize("method", list(METHOD_CONFIGS))
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(hidden_dims=(7,)),
+            dict(hidden_dims=(16, 8, 4)),
+            dict(batch_size=1),
+            dict(batch_size=256),  # more rows per step than the 6 x 21 (trajectory, knot) pairs
+        ],
+        ids=["one-hidden-layer", "three-hidden-layers", "batch-1", "batch-beyond-rows"],
+    )
+    def test_bit_identical_to_reference(self, records, method, shape):
+        """The preallocated buffers of a step fit any depth, width and batch size."""
+        config = quick(steps=20, **{**METHOD_CONFIGS[method], **shape})
+        model = train(records, config)
+        heads, losses = reference_train(records, config)
+        assert np.array_equal(model.loss_curve, losses)
+        assert set(model.heads) == set(heads)
+        for name, ref in heads.items():
+            assert model.heads[name].layer_dims == ref.layer_dims
+            for a, b in zip((*model.heads[name].weights, *model.heads[name].biases), (*ref.weights, *ref.biases)):
+                assert np.array_equal(a, b), name
+
+
+def _arrays(value):
+    """Every ndarray in ``value``, a list or tuple of them, or None."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+class TestNoAliasing:
+    @pytest.mark.parametrize("method", ["o1", "o1o2-joint", "form-time-position"])
+    def test_heads_own_their_buffers(self, records, monkeypatch, method):
+        """Two runs return heads that share no memory with each other, with the
+        data, or with any buffer the runs stepped in; ``train`` leaves the data as it was."""
+        workspaces = []
+
+        def recording(*args, **kwargs):
+            workspaces.append(real(*args, **kwargs))
+            return workspaces[-1]
+
+        real = training.TrainingWorkspace
+        monkeypatch.setattr(training, "TrainingWorkspace", recording)
+        blocks = {name: getattr(records, name).copy() for name in ("x", "v", "a")}
+        config = quick(**METHOD_CONFIGS[method])
+        first, second = train(records, config), train(records, config)
+
+        heads = [*first.heads.values(), *second.heads.values()]
+        buffers = [a for ws in workspaces for value in vars(ws).values() for a in _arrays(value)]
+        buffers += [getattr(records, name) for name in blocks]
+        assert len(workspaces) == len(heads) and buffers
+        for i, head in enumerate(heads):
+            for other in heads[i + 1 :] + buffers:
+                assert not np.shares_memory(head.flat, other)
+
+        kept = [head.flat.copy() for head in second.heads.values()]
+        for head in first.heads.values():
+            head.flat[:] = 0.0
+            assert all(not np.any(w) for w in head.weights)
+        assert all(np.array_equal(h.flat, k) for h, k in zip(second.heads.values(), kept))
+        assert np.array_equal(kept[0], next(iter(train(records, config).heads.values())).flat)
+        for name, block in blocks.items():
+            assert np.array_equal(getattr(records, name), block), name
 
 
 class TestSharedStreams:
