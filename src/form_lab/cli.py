@@ -137,6 +137,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         args.perp_handedness = HANDEDNESS[args.perp_handedness]
     spec = _from_options(DatasetSpec, args)
     physics = _from_options(PhysicsConfig, args)
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     batch = generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=args.threads)
     write_dataset(args.out, batch, spec, physics, DEFAULT_UNITS)
     max_speed = float(np.max(np.sqrt(np.sum(batch.v * batch.v, axis=-1))))
@@ -351,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--perp-handedness", choices=sorted(HANDEDNESS), dest="perp_handedness")
     g.add_argument("--c", type=float, help="speed of light (du/s)")
     g.add_argument("--mass", type=float)
-    g.add_argument("--threads", type=int, help="worker threads (default: FORM_LAB_THREADS or CPU count)")
+    g.add_argument(
+        "--threads", type=int, help="most worker threads, one per 4096 points (default: FORM_LAB_THREADS or usable CPUs)"
+    )
     g.add_argument("--config")
     g.set_defaults(func=cmd_gen_data, parser=g)
 

@@ -42,6 +42,11 @@ SOURCE_REDRAWS = 10
 
 THREADS_ENV_VAR = "FORM_LAB_THREADS"
 
+# Points a chunk needs before a worker thread of its own pays: on a 2-CPU host,
+# spiral at 2 workers took 1.34x as long as at 1 for 1 000 points, 1.17x for
+# 4 000, 0.96x for 8 000 and 0.76x for 20 000.
+POINTS_PER_WORKER = 4096
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -168,7 +173,10 @@ def initial_velocity(spec: DatasetSpec, x0) -> np.ndarray:
 
 
 def worker_count(explicit: int | None = None) -> int:
-    """Thread-pool width: explicit arg, else FORM_LAB_THREADS, else cpu count."""
+    """Most worker threads ``generate`` may use: explicit arg, else FORM_LAB_THREADS, else usable CPUs.
+
+    A maximum: ``generate`` starts one worker per ``POINTS_PER_WORKER`` points, up to this count.
+    """
     if explicit is not None:
         if explicit < 1:
             raise ValueError(f"worker count must be >= 1, got {explicit}")
@@ -182,6 +190,8 @@ def worker_count(explicit: int | None = None) -> int:
         if n < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -193,15 +203,16 @@ def generate(
 ) -> TrajectoryBatch:
     """Generate the full dataset as one batch, in index order.
 
-    Work is split across a thread pool in contiguous index chunks, whose
-    blocks are concatenated once; chunking never changes the numbers because
-    every per-trajectory quantity depends only on its own index.
+    ``max_workers`` (see :func:`worker_count`) is an upper bound: the work is
+    split into one contiguous index chunk per ``POINTS_PER_WORKER`` points, at
+    most that many, and at least one.  A single chunk runs in the calling
+    thread; several run on a thread pool and their blocks are concatenated
+    once.  Chunking never changes the numbers because every per-trajectory
+    quantity depends only on its own index.
     """
     n = spec.resolved_n_points
     schedule = force_schedule_for(spec, units)
-    workers = min(worker_count(max_workers), n)
-    chunks = np.array_split(np.arange(n), max(1, workers))
-    chunks = [c for c in chunks if len(c)]
+    workers = max(1, min(worker_count(max_workers), n // POINTS_PER_WORKER))
 
     def run_chunk(indices: np.ndarray) -> TrajectoryBatch:
         x0 = source_points(spec, indices, physics)
@@ -217,10 +228,10 @@ def generate(
             indices=indices,
         )
 
-    if len(chunks) == 1:
-        return run_chunk(chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(run_chunk, chunks))
+    if workers == 1:
+        return run_chunk(np.arange(n))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(run_chunk, np.array_split(np.arange(n), workers)))
     return replace(parts[0], **{k: np.concatenate([getattr(p, k) for p in parts]) for k in ("index", *BLOCKS)})
 
 

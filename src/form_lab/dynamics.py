@@ -11,8 +11,9 @@ where ``w = gamma v`` is the celerity.  Working in ``(x, w)`` instead of
 Runge-Kutta stage for any force magnitude, so stress-scaled schedules cannot
 push a state across the limit mid-step.
 
-Each stage derivative is computed on the state's columns and written into
-one ``(N, 4)`` array: ``v = w / sqrt(1 + (w_x^2 + w_y^2) / c^2)`` and
+The state is component-major, ``(4, N)`` with rows ``x, y, w_x, w_y``, so
+each stage derivative is computed on contiguous rows and written into one
+``(4, N)`` array: ``v = w / sqrt(1 + (w_x^2 + w_y^2) / c^2)`` and
 ``f_lab = f_par vhat + f_perp rotate90(vhat)`` with the schedule's two
 components as scalars.  These are the operations of
 :func:`~form_lab.relativity.velocity_from_celerity` and
@@ -239,40 +240,38 @@ def simulate_batch(
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
         # velocity_from_celerity and compose_lab_force written out on the
-        # columns, op for op, so every stage has their bits; a sum of squares
+        # rows, op for op, so every stage has their bits; a sum of squares
         # is never -0.0, so _dot's trailing + 0.0 changes nothing here
-        w = y[:, 2:]
-        if not np.isfinite(w).all():
+        if not np.isfinite(y[2:]).all():
             raise NonFiniteError("celerity must be finite")
-        w_x, w_y = w[:, 0], w[:, 1]
+        w_x, w_y = y[2], y[3]
         dy = np.empty(y.shape)
-        v_x, v_y = dy[:, 0], dy[:, 1]
+        v_x, v_y = dy[0], dy[1]
         gamma = np.sqrt(1.0 + (w_x * w_x + w_y * w_y) / c2)
         np.divide(w_x, gamma, out=v_x)
         np.divide(w_y, gamma, out=v_y)
         f_par, f_perp = float(schedule.f_par(t)), float(schedule.f_perp(t))
         s = np.sqrt(v_x * v_x + v_y * v_y)
         if (s <= EPS_V).any():  # a resting point: only a zero force may act on it
-            dy[:, 2:] = compose_lab_force(f_par, f_perp, dy[:, :2], handedness)
+            dy[2:] = compose_lab_force(f_par, f_perp, dy[:2].T, handedness).T
             return dy
         vhat_x, vhat_y = v_x / s, v_y / s
         # f_perp along rotate90(vhat) = handedness * (-vhat_y, vhat_x)
         f_rot = handedness * f_perp
-        np.subtract(f_par * vhat_x, f_rot * vhat_y, out=dy[:, 2])
-        np.add(f_par * vhat_y, f_rot * vhat_x, out=dy[:, 3])
+        np.subtract(f_par * vhat_x, f_rot * vhat_y, out=dy[2])
+        np.add(f_par * vhat_y, f_rot * vhat_x, out=dy[3])
         return dy
 
-    y0 = np.concatenate([x0, w0], axis=1)
+    y0 = np.concatenate([x0.T, w0.T])
     times, states = integrate_fixed_grid(deriv, y0, 0.0, duration, n_steps, method="rk4")
     if not np.all(np.isfinite(states)):
         raise NonFiniteError("trajectory integration produced non-finite states")
 
-    vs = velocity_from_celerity(states[:, :, 2:], physics)
+    xs, ws = states[:, :2].transpose(0, 2, 1), states[:, 2:].transpose(0, 2, 1)  # (K+1, N, 2) views
+    vs = velocity_from_celerity(ws, physics)
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
     # true force = m * per-unit-mass schedule
-    return trajectory_records(
-        indices, times, states[:, :, :2], vs, physics.m * fp_grid, physics.m * fq_grid, physics, handedness
-    )
+    return trajectory_records(indices, times, xs, vs, physics.m * fp_grid, physics.m * fq_grid, physics, handedness)
 
 
 def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedness: int) -> tuple[np.ndarray, np.ndarray]:

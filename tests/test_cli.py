@@ -91,6 +91,20 @@ class TestGenData:
         assert err.startswith("error:") and "FORM_LAB_THREADS" in err and "'abc'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_threads_names_the_flag(self, tmp_path, capsys, source):
+        out = tmp_path / "d.ndjson"
+        argv = ["gen-data", "--dataset", "onedot", "--out", str(out), "--n", "3", "--steps", "5"]
+        if source == "flag":
+            argv += ["--threads", "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"threads": 0}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --threads must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_bad_variance_is_usage_error(self, tmp_path):
         code = main(
             [

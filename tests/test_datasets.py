@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from form_lab import datasets
 from form_lab.datasets import (
     DEFAULT_N_POINTS,
+    POINTS_PER_WORKER,
     DatasetSpec,
     force_schedule_for,
     generate,
@@ -176,6 +178,45 @@ class TestGenerate:
         with pytest.raises(ValueError):
             worker_count()
         assert worker_count(2) == 2
+
+    def test_chunked_path_does_not_change_bits(self, monkeypatch):
+        """Past ``2 * POINTS_PER_WORKER`` points, 2 and 3 workers run two chunks on the pool, with 1 worker's bits."""
+        chunks = []
+        real = datasets.simulate_batch
+
+        def spy(x0, *args, **kwargs):
+            chunks.append(len(x0))
+            return real(x0, *args, **kwargs)
+
+        monkeypatch.setattr(datasets, "simulate_batch", spy)
+        spec = DatasetSpec(kind="halfmoons", n_points=2 * POINTS_PER_WORKER + 1, n_steps=2, seed=4)
+        one = generate(spec, max_workers=1)
+        assert chunks == [spec.n_points]
+        for workers in (2, 3):
+            chunks.clear()
+            batch = generate(spec, max_workers=workers)
+            assert sorted(chunks) == [POINTS_PER_WORKER, POINTS_PER_WORKER + 1]
+            assert np.array_equal(batch.index, one.index)
+            for k in ("x", "v", "a", "f"):
+                assert getattr(batch, k).tobytes() == getattr(one, k).tobytes()
+
+    def test_small_dataset_starts_no_pool(self, monkeypatch):
+        """The pool width is bounded by the point count, not by ``max_workers`` alone."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError(f"ThreadPoolExecutor constructed with {args} {kwargs}")
+
+        monkeypatch.setattr(datasets, "ThreadPoolExecutor", no_pool)
+        batch = generate(DatasetSpec(kind="spiral", n_points=1000, n_steps=2), max_workers=10**6)
+        assert len(batch) == 1000
+
+    def test_worker_count_default_is_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("FORM_LAB_THREADS", raising=False)
+        monkeypatch.setattr(datasets.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert worker_count() == 3
+        monkeypatch.delattr(datasets.os, "sched_getaffinity")
+        assert worker_count() == 64
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "1e3", "0", "-2"])
     def test_worker_count_env_not_a_positive_integer(self, monkeypatch, value):

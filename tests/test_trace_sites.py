@@ -54,8 +54,9 @@ def test_simulation_passes_through_its_module_globals(monkeypatch):
 
     spy(datasets, "simulate_batch")
     spy(dynamics, "integrate_fixed_grid")
-    records = datasets.generate(datasets.DatasetSpec(kind="halfmoons", n_points=6, n_steps=4), max_workers=2)
-    assert len(records) == 6
+    n_points = 2 * datasets.POINTS_PER_WORKER  # two chunks at max_workers=2
+    records = datasets.generate(datasets.DatasetSpec(kind="halfmoons", n_points=n_points, n_steps=4), max_workers=2)
+    assert len(records) == n_points
     assert sorted(calls) == ["form_lab.datasets.simulate_batch"] * 2 + ["form_lab.dynamics.integrate_fixed_grid"] * 2
 
 
