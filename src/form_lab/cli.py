@@ -308,16 +308,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     n_traj = args.trajectories
+    if n_traj < 0:
+        raise ValueError(f"--trajectories must be >= 0, got {n_traj}")
     if args.data is not None:
         header, batch = read_dataset(args.data)
         source, target = batch.x0, batch.endpoint
-        trajectories = list(batch.x[:n_traj]) if n_traj > 0 else []
+        trajectories = list(batch.x[:n_traj])
         title = args.title if args.title is not None else header["spec"]["kind"]
     else:
         header, entries = read_samples(args.samples)
         source = np.stack([e["x0"] for e in entries])
         target = np.stack([e["endpoint"] for e in entries])
-        trajectories = [e["path"] for e in entries if "path" in e][:n_traj] if n_traj > 0 else []
+        trajectories = [e["path"] for e in entries if "path" in e][:n_traj]
         default_title = f"{header.get('method', '?')} samples ({header.get('dataset') or 'custom'})"
         title = args.title if args.title is not None else default_title
     write_svg(args.out, scatter_svg(source, target, trajectories, title=title))

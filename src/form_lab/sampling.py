@@ -13,10 +13,14 @@ Three engines, all on a uniform grid of ``n_steps`` steps of size
   advances through celerity, every recorded speed is strictly below c for
   any step size and any force magnitude; the textbook per-step Euler
   velocity update is available as ``velocity_update="euler"`` but can
-  overshoot c on coarse grids, which is then a hard error.  A force shared
-  by every point (a time-only head, a dataset schedule) is applied as a
-  scalar, with its ``f_par = 0`` case chosen once per step rather than
-  masked per point; the results are bit-identical to the per-point formula.
+  overshoot c on coarse grids, which is then a hard error.  The celerity is
+  held as two contiguous component rows, ``w_x`` and ``w_y``, and each
+  step's velocity is written straight into the path.  A force shared by
+  every point (a time-only head, a dataset schedule) becomes two Python
+  floats per step, so its at-rest, braking and ``f_par = 0`` decisions are
+  made once rather than masked per point.  The rows take the operations of
+  the per-point formula on ``(..., 2)`` vectors in the same order, so the
+  results are bit-identical to it.
 
 Model-facing wrappers (:func:`sample_o1`, :func:`sample_o1o2`,
 :func:`sample_form`) feed networks normalized time ``t / duration``, exactly
@@ -129,35 +133,56 @@ def force_path(
     """
     if velocity_update not in VELOCITY_UPDATES:
         raise ValueError(f"velocity_update must be one of {VELOCITY_UPDATES}")
-    x = np.array(x0, dtype=np.float64, copy=True)
-    v = np.broadcast_to(np.asarray(v0, dtype=np.float64), x.shape).copy()
+    x = np.asarray(x0, dtype=np.float64)
+    v = np.broadcast_to(np.asarray(v0, dtype=np.float64), x.shape)
     times, d = uniform_grid(duration, n_steps)
     xs = np.empty((n_steps + 1, *x.shape), dtype=np.float64)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
-    w = celerity_from_velocity(v, physics)  # enforces |v0| < c
+    w = np.moveaxis(celerity_from_velocity(v, physics), -1, 0).copy()  # (2, ...) rows; enforces |v0| < c
+    sq = _squared_norm(w)
+    v_rows = np.moveaxis(vs, -1, 1)  # (n_steps+1, 2, ...) views of the path
+    exact = velocity_update == "momentum-exact"
+    half_d = 0.5 * d
 
-    for k in range(n_steps):
-        t = float(times[k])
-        f_par, f_perp = components_fn(x, t)
-        if velocity_update == "momentum-exact":
-            v_new, w = _momentum_exact_update(w, f_par, f_perp, d, physics, handedness)
+    for k, t in enumerate(times[:-1].tolist()):
+        f_par, f_perp = components_fn(xs[k], t)
+        if exact:
+            w, sq = _momentum_exact_update(w, sq, f_par, f_perp, d, physics, handedness, v_rows[k + 1])
         else:
-            v_new = _euler_update(v, f_par, f_perp, d, physics, handedness)
-            w = None  # not tracked in euler mode
-        x_new = xs[k + 1]
-        np.multiply(0.5 * d, v_new + v, out=x_new)
-        x = np.add(x, x_new, out=x_new)  # x + (d/2)(v_new + v), in place in the path
-        v = vs[k + 1] = v_new
+            vs[k + 1] = _euler_update(vs[k], f_par, f_perp, d, physics, handedness)
+        x_new = np.add(vs[k + 1], vs[k], out=xs[k + 1])
+        x_new *= half_d
+        x_new += xs[k]  # x + (d/2)(v_new + v), in place in the path
     _require_finite(xs)
     _require_finite(vs)
     return SamplePath(times=times, x=xs, v=vs)
 
 
+def _squared_norm(w: np.ndarray) -> np.ndarray:
+    """``w_x^2 + w_y^2`` of ``(2, ...)`` rows: the bits of ``np.sum(w * w, axis=0)``, without its reduction loop."""
+    ww = w * w
+    return ww[0] + ww[1]
+
+
+def _shared_or_per_point(f):
+    """A force component as a Python float when one value acts on every point, else a float64 array."""
+    if isinstance(f, float):  # a Python float or a numpy double
+        return float(f)
+    f = np.asarray(f, dtype=np.float64)
+    return float(f) if f.ndim == 0 else f
+
+
 def _momentum_exact_update(
-    w: np.ndarray, f_par, f_perp, d: float, physics: PhysicsConfig, handedness: int
+    w: np.ndarray, sq: np.ndarray, f_par, f_perp, d: float, physics: PhysicsConfig, handedness: int, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance celerity one step under a frozen co-moving force, exactly.
+
+    ``w`` holds the celerity as component rows, shape ``(2, ...)``, and
+    ``sq`` its :func:`_squared_norm`.  The new velocity is written into ``v``
+    (same shape as ``w``, here a view of the path) and the new ``(w, sq)``
+    are returned, so ``|w|^2`` is computed once per step, for the velocity,
+    and reused for ``|w|`` on the next.
 
     With (f_par, f_perp) constant over the step, |w| grows linearly,
     d|w|/dt = f_par / m, and the heading obeys dphi/dt = h f_perp / (m |w|),
@@ -165,34 +190,37 @@ def _momentum_exact_update(
     (m |w_0|) for f_par = 0).  Both pieces are closed-form, so the only
     approximation in the sampler is freezing the components per step.
 
-    A force shared by every point (both components scalars) stays a scalar:
-    its ``f_par = 0`` branch is chosen once, not masked per point.  Since
-    ``h`` is +-1 and IEEE rounding is symmetric in sign, folding it into the
-    scalar factor gives the same bits as applying it to every point.
+    A force shared by every point (both components scalars) becomes two
+    Python floats: the at-rest, braking and ``f_par = 0`` decisions are made
+    on them once, not masked per point.  Since ``h`` is +-1 and IEEE
+    rounding is symmetric in sign, folding it into the scalar factor gives
+    the same bits as applying it to every point.  The rotation and
+    :func:`~form_lab.relativity.velocity_from_celerity` are written out on
+    the rows op for op, so the results are bit-identical to the per-point
+    formula on ``(..., 2)`` vectors.
     """
-    m = physics.m
-    lead = w.shape[:-1]
-    f_par = np.asarray(f_par, dtype=np.float64)
-    f_perp = np.asarray(f_perp, dtype=np.float64)
-    per_point = f_par.ndim > 0 or f_perp.ndim > 0
-    if per_point and np.broadcast_shapes(lead, f_par.shape, f_perp.shape) != lead:
+    f_par, f_perp = _shared_or_per_point(f_par), _shared_or_per_point(f_perp)
+    shared = type(f_par) is float and type(f_perp) is float
+    lead = w.shape[1:]
+    if not shared and np.broadcast_shapes(lead, np.shape(f_par), np.shape(f_perp)) != lead:
         raise ValueError(
-            f"force components of shapes {f_par.shape} and {f_perp.shape} do not broadcast to the points {lead}"
+            f"force components of shapes {np.shape(f_par)} and {np.shape(f_perp)} do not broadcast to the points {lead}"
         )
-    step = d / m
-    w0, w1 = w[..., 0], w[..., 1]
-    wmag = np.sqrt(w0 * w0 + w1 * w1)  # the bits of np.sum(w * w, axis=-1), without its per-row loop
-    resting = wmag <= EPS_V
-    if not resting.any():
+    step = d / physics.m
+    wmag = np.sqrt(sq)
+    if wmag.min(initial=np.inf) > EPS_V:
         safe_w = wmag
-    elif (resting & ((f_par != 0.0) | (f_perp != 0.0))).any():
-        raise DegenerateVelocityError(
-            "force sampler reached (numerically) zero speed with a nonzero force"
-        )
     else:
+        resting = wmag <= EPS_V
+        pushed = (f_par != 0.0 or f_perp != 0.0) if shared else (resting & ((f_par != 0.0) | (f_perp != 0.0))).any()
+        if pushed:
+            raise DegenerateVelocityError(
+                "force sampler reached (numerically) zero speed with a nonzero force"
+            )
         safe_w = np.where(resting, 1.0, wmag)
     wmag_new = wmag + f_par * step
-    if (f_par < 0.0).any():  # without braking, |w| cannot fall from above EPS_V to zero
+    braking = f_par < 0.0 if shared else np.any(f_par < 0.0)
+    if braking:  # without braking, |w| cannot fall from above EPS_V to zero
         crossed = wmag_new <= 0.0
         if safe_w is not wmag:
             crossed &= ~resting
@@ -200,7 +228,7 @@ def _momentum_exact_update(
             raise DegenerateVelocityError(
                 "parallel impulse drives the celerity through zero within one step; increase n_steps"
             )
-    if not per_point:
+    if shared:
         if f_par == 0.0:
             dphi = (handedness * (f_perp * step)) / safe_w
         else:
@@ -213,12 +241,20 @@ def _momentum_exact_update(
             f_perp * step / safe_w,
             (f_perp / np.where(par_zero, 1.0, f_par)) * np.log1p(np.where(par_zero, 0.0, ratio)),
         )
-    cos_p, sin_p = np.cos(dphi), np.sin(dphi)
-    u0, u1 = w0 / safe_w, w1 / safe_w
+    u = w / safe_w
+    cos_u, sin_u = np.cos(dphi) * u, np.sin(dphi) * u
     w_new = np.empty_like(w)
-    np.multiply(wmag_new, cos_p * u0 - sin_p * u1, out=w_new[..., 0])
-    np.multiply(wmag_new, sin_p * u0 + cos_p * u1, out=w_new[..., 1])
-    return velocity_from_celerity(w_new, physics), w_new
+    np.subtract(cos_u[0], sin_u[1], out=w_new[0, ...])  # |w_new| (cos u_x - sin u_y, sin u_x + cos u_y)
+    np.add(sin_u[0], cos_u[1], out=w_new[1, ...])
+    w_new *= wmag_new
+    # velocity_from_celerity on the rows; a sum of squares is never -0.0, so
+    # _dot's trailing + 0.0 changes nothing.  A finite |w|^2 means a finite
+    # w; only where it is not (a square may overflow) is w itself checked.
+    sq = _squared_norm(w_new)
+    if np.count_nonzero(np.isfinite(sq)) != sq.size and not np.isfinite(w_new).all():
+        raise NonFiniteError("celerity must be finite")
+    np.divide(w_new, np.sqrt(1.0 + sq / physics.c**2), out=v)
+    return w_new, sq
 
 
 def _euler_update(

@@ -485,6 +485,21 @@ class TestPlot:
         assert svg.count("<circle") == 4  # 2 held-out sources + endpoints
         assert svg.count("<polyline") == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_trajectories_names_the_flag(self, workdir, tmp_path, capsys, source):
+        """A negative count drew nothing and exited 0."""
+        out = tmp_path / "fig.svg"
+        argv = ["plot", "--data", str(workdir["data"]), "--out", str(out)]
+        if source == "flag":
+            argv += ["--trajectories", "-3"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"trajectories": -3}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --trajectories must be >= 0, got -3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("path", [0, 1, 2]), ("path", [[0, 1, 2], [3, 4, 5]]), ("path", 5), ("v0", "fast"),

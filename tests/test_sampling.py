@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from form_lab import sampling
-from form_lab.datasets import DatasetSpec
-from form_lab.errors import DegenerateVelocityError, SpeedLimitError
+from form_lab import datasets, sampling
+from form_lab.datasets import KINDS, DatasetSpec
+from form_lab.errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
 from form_lab.neural import mlp_init
+from form_lab.ode import uniform_grid
 from form_lab.relativity import (
     EPS_V,
     PhysicsConfig,
@@ -298,13 +299,32 @@ def _reference_update(w, f_par, f_perp, d, physics, handedness):
     return velocity_from_celerity(w_new, physics), w_new
 
 
+def _momentum_exact_update(w, f_par, f_perp, d, physics, handedness):
+    """``sampling._momentum_exact_update`` called like ``_reference_update``:
+    ``(..., 2)`` celerities in, ``(v, w)`` out.  Also checks that the ``|w|^2``
+    it hands to the next step is that of the celerity it returns."""
+    rows = np.moveaxis(np.asarray(w, dtype=np.float64), -1, 0).copy()
+    v = np.empty_like(rows)
+    w_new, sq = sampling._momentum_exact_update(rows, sampling._squared_norm(rows), f_par, f_perp, d, physics, handedness, v)
+    assert _bits(sq) == _bits(np.sum(w_new * w_new, axis=0))
+    return np.moveaxis(v, 0, -1), np.moveaxis(w_new, 0, -1)
+
+
+def _reference_on_rows(w, sq, f_par, f_perp, d, physics, handedness, v):
+    """``_reference_update`` with the row signature ``force_path`` calls each step."""
+    v_new, w_new = _reference_update(np.moveaxis(w, 0, -1).copy(), f_par, f_perp, d, physics, handedness)
+    v[...] = np.moveaxis(v_new, -1, 0)
+    w_rows = np.moveaxis(w_new, -1, 0).copy()
+    return w_rows, np.sum(w_rows * w_rows, axis=0)
+
+
 def _bits(arr):
     arr = np.asarray(arr)
     return arr.shape, arr.dtype, arr.tobytes()
 
 
 def _assert_same_step(w, f_par, f_perp, handedness, d=0.05):
-    got = sampling._momentum_exact_update(w, f_par, f_perp, d, PHYS, handedness)
+    got = _momentum_exact_update(w, f_par, f_perp, d, PHYS, handedness)
     want = _reference_update(w, f_par, f_perp, d, PHYS, handedness)
     for g, r in zip(got, want):
         assert _bits(g) == _bits(r)
@@ -371,7 +391,7 @@ class TestMomentumExactUpdateBits:
         _assert_same_step(w, np.where(speed(w) <= EPS_V, 0.0, -1.0), f_perp, handedness)
         _assert_same_step(np.zeros(2), 0.0, 0.0, handedness)
 
-    @pytest.mark.parametrize("update", [sampling._momentum_exact_update, _reference_update])
+    @pytest.mark.parametrize("update", [_momentum_exact_update, _reference_update])
     @pytest.mark.parametrize(
         "w, f_par, f_perp",
         [
@@ -390,7 +410,7 @@ class TestMomentumExactUpdateBits:
 
     @pytest.mark.parametrize(
         "update, match",
-        [(sampling._momentum_exact_update, "do not broadcast to the points"), (_reference_update, None)],
+        [(_momentum_exact_update, "do not broadcast to the points"), (_reference_update, None)],
     )
     def test_column_force_is_rejected(self, update, match):
         """(N, 1) components on (N,) points would broadcast silently to (N, N)."""
@@ -431,22 +451,148 @@ class TestSampleFormBits:
         x0 = np.random.default_rng(6).normal(scale=0.5, size=(16, 2))
         cfg = SamplerConfig(n_steps=n_steps, handedness=handedness)
         got = sample_form(model, x0, cfg)
-        monkeypatch.setattr(sampling, "_momentum_exact_update", _reference_update)
+        calls = []
+
+        def reference(*args):
+            calls.append(args[0].shape)
+            return _reference_on_rows(*args)
+
+        monkeypatch.setattr(sampling, "_momentum_exact_update", reference)
         want = sample_form(model, x0, cfg)
+        assert calls == [(2, 16)] * n_steps  # force_path took the reference for every step
         assert _bits(got.x) == _bits(want.x)
         assert _bits(got.v) == _bits(want.v)
 
     def test_calls_force_path_through_the_module_global(self, monkeypatch):
-        """Tracing wraps ``form_lab.sampling.force_path``; sample_form must call it there."""
-        calls = []
-        real = sampling.force_path
+        """Tracing wraps ``form_lab.sampling.force_path`` and ``form_lab.sampling.mlp_forward``;
+        sample_form must call them there: a time-only head once per step, one row each."""
+        calls, rows = [], []
+        real_path, real_forward = sampling.force_path, sampling.mlp_forward
 
         def spy(*args, **kwargs):
             calls.append(args[3:5])
-            return real(*args, **kwargs)
+            return real_path(*args, **kwargs)
+
+        def forward_spy(params, x):
+            x = np.asarray(x)
+            rows.append(x.reshape(-1, x.shape[-1]).shape)
+            return real_forward(params, x)
 
         monkeypatch.setattr(sampling, "force_path", spy)
+        monkeypatch.setattr(sampling, "mlp_forward", forward_spy)
         model = _form_model("time", seed=7)
         path = sample_form(model, np.zeros((3, 2)) + 0.3, SamplerConfig(n_steps=4))
         assert calls == [(model.duration, 4)]
+        assert rows == [(1, 1)] * 4
         assert path.x.shape == (5, 3, 2)
+
+
+def _reference_path(components_fn, x0, v0, duration, n_steps, physics, handedness):
+    """``force_path`` as first written: a loop over ``_reference_update`` on
+    ``(..., 2)`` vectors and the trapezoid rule for the positions."""
+    x = np.array(x0, dtype=np.float64)
+    v = np.broadcast_to(np.asarray(v0, dtype=np.float64), x.shape).copy()
+    times, d = uniform_grid(duration, n_steps)
+    w = celerity_from_velocity(v, physics)
+    xs, vs = [x], [v]
+    for k in range(n_steps):
+        f_par, f_perp = components_fn(x, float(times[k]))
+        v_new, w = _reference_update(w, f_par, f_perp, d, physics, handedness)
+        x = x + (0.5 * d) * (v_new + v)
+        v = v_new
+        xs.append(x)
+        vs.append(v)
+    return np.stack(xs), np.stack(vs)
+
+
+def _outcome(run):
+    """The path bits, or the type and message of the error raised."""
+    try:
+        xs, vs = run()
+    except (DegenerateVelocityError, NonFiniteError) as e:
+        return type(e), str(e)
+    return _bits(xs), _bits(vs)
+
+
+def _assert_same_path(components_fn, x0, v0, n_steps, handedness, duration=1.0):
+    def got():
+        path = force_path(components_fn, x0, v0, duration, n_steps, physics=PHYS, handedness=handedness)
+        return path.x, path.v
+
+    def want():
+        return _reference_path(components_fn, x0, v0, duration, n_steps, PHYS, handedness)
+
+    outcome = _outcome(got)
+    assert outcome == _outcome(want)
+    return outcome
+
+
+def _stress_case(kind, seed=4):
+    """A 100x stress schedule on 16 points, as scripts/stress_speed_limit.py builds it."""
+    sspec = datasets.stress_spec(DatasetSpec(kind=kind, n_points=48, seed=seed), factor=100.0)
+    schedule = datasets.force_schedule_for(sspec)
+    x0 = datasets.source_points(sspec, list(range(16)))
+    return sspec, (lambda x, t: (schedule.f_par(t), schedule.f_perp(t))), x0, datasets.initial_velocity(sspec, x0)
+
+
+class TestForcePathBits:
+    """Whole paths of the row sampler equal the loop over ``_reference_update``, bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_steps", [1, 10, 100])
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_stress_schedules(self, kind, n_steps, handedness):
+        sspec, components, x0, v0 = _stress_case(kind)
+        outcome = _assert_same_path(components, x0, v0, n_steps, handedness, sspec.duration)
+        assert outcome[0][0] == (n_steps + 1, 16, 2)  # a path, not an error
+
+    @pytest.mark.parametrize("shape", [(2,), (16, 2), (3, 4, 2)], ids=str)
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize(
+        "components",
+        [
+            lambda x, t: (0.3 * np.sin(5.0 * x[..., 0]) + t, 20.0 * x[..., 1]),  # brakes some points, never to rest
+            lambda x, t: (np.where(x[..., 0] > 0.0, 0.0, 0.3 * np.sin(5.0 * x[..., 1])), np.float64(-4.0)),
+            lambda x, t: (2.0, 15.0 * x[..., 1]),
+            lambda x, t: (0.0, 30.0 * np.sin(3.0 * t)),
+            lambda x, t: (-0.0, -12.0),
+            lambda x, t: (np.array(6.0 * t), np.array(-1.5)),
+        ],
+        ids=["per-point", "per-point-some-zero", "shared-par-per-point-perp", "zero-par", "negative-zero-par", "0d-arrays"],
+    )
+    def test_forces_and_shapes(self, shape, handedness, components):
+        rng = np.random.default_rng(9)
+        x0 = rng.normal(size=shape)
+        v0 = velocity_from_celerity(_celerities(shape, seed=10), PHYS)
+        outcome = _assert_same_path(components, x0, v0, 25, handedness)
+        assert outcome[0][0] == (26, *shape)
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_resting_points_under_zero_force(self, handedness):
+        v0 = velocity_from_celerity(_celerities((6, 2), seed=11), PHYS)
+        v0[[0, 3]] = 0.0
+        v0[4] = [0.0, -0.0]
+        x0 = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+        _assert_same_path(lambda x, t: (0.0, 0.0), x0, v0, 10, handedness)
+        moving = speed(v0) > EPS_V
+        _assert_same_path(lambda x, t: (np.where(moving, 1.5, 0.0), np.where(moving, -7.0, 0.0)), x0, v0, 10, handedness)
+
+    @pytest.mark.parametrize("shape", [(2,), (16, 2)], ids=str)
+    def test_nan_force_raises(self, shape):
+        x0 = np.full(shape, 0.1)
+        for components in (lambda x, t: (np.nan, 1.0), lambda x, t: (2.0, np.full(shape[:-1], np.nan))):
+            outcome = _assert_same_path(components, x0, 0.5 * x0, 5, 1)
+            assert outcome == (NonFiniteError, "celerity must be finite")
+
+    @pytest.mark.parametrize("components", [lambda x, t: (-100.0, 3.0), lambda x, t: (-100.0 * np.ones(4), 3.0)])
+    def test_braking_raises(self, components):
+        outcome = _assert_same_path(components, np.zeros((4, 2)), [0.1, 0.0], 100, 1)
+        assert outcome == (
+            DegenerateVelocityError,
+            "parallel impulse drives the celerity through zero within one step; increase n_steps",
+        )
+
+    def test_push_at_rest_raises(self):
+        v0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        outcome = _assert_same_path(lambda x, t: (0.0, 2.0), np.zeros((2, 2)), v0, 3, 1)
+        assert outcome == (DegenerateVelocityError, "force sampler reached (numerically) zero speed with a nonzero force")
