@@ -16,6 +16,7 @@ threads.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -69,6 +70,12 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("n_points", "n_steps", "seed", "handedness"):
+            value = getattr(self, name)
+            if value is None and name == "n_points":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # 10.0 is not a step count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_points is not None and self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.n_steps < 2:

@@ -26,6 +26,15 @@ nonzero one.
 A simulation comes back as one :class:`TrajectoryBatch`, the in-memory form
 of a dataset everywhere: ``(N, K+1, 2)`` blocks, with the time grid and the
 schedule stored once.  :func:`stack_records` builds one from hand-made records.
+
+A record's lab force ``f`` and acceleration ``a`` follow from ``v`` and the
+schedule; the simulator, the dataset reader and the dataset writer's check
+all derive them with :func:`lab_force_and_acceleration`.  It works on the
+component rows ``v[..., 0]`` and ``v[..., 1]`` of ``REBUILD_BLOCK``
+trajectories at a time, and writes ``f`` and ``a`` straight into their
+``(N, K+1, 2)`` blocks, with the operations of ``compose_lab_force`` and
+``acceleration_from_force`` in their order, so the bits are theirs.  A block
+that holds a resting point goes through those two functions themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, ShapeError
 from .ode import integrate_fixed_grid
 from .relativity import (
     DEFAULT_PHYSICS,
@@ -44,7 +53,7 @@ from .relativity import (
     acceleration_from_force,
     celerity_from_velocity,
     compose_lab_force,
-    velocity_from_celerity,
+    lorentz_factor_from_speed_sq,
 )
 
 # The conventional speed of light used to define the working units.
@@ -238,18 +247,19 @@ def simulate_batch(
     w0 = celerity_from_velocity(v0, physics)  # also enforces |v0| < c
     c2 = physics.c**2
 
+    def gamma_of(w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
+        # velocity_from_celerity's gamma on the rows, op for op; a sum of
+        # squares is never -0.0, so _dot's trailing + 0.0 changes nothing here
+        return np.sqrt(1.0 + (w_x * w_x + w_y * w_y) / c2)
+
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
         # velocity_from_celerity and compose_lab_force written out on the
-        # rows, op for op, so every stage has their bits; a sum of squares
-        # is never -0.0, so _dot's trailing + 0.0 changes nothing here
+        # rows, op for op, so every stage has their bits
         if not np.isfinite(y[2:]).all():
             raise NonFiniteError("celerity must be finite")
-        w_x, w_y = y[2], y[3]
         dy = np.empty(y.shape)
         v_x, v_y = dy[0], dy[1]
-        gamma = np.sqrt(1.0 + (w_x * w_x + w_y * w_y) / c2)
-        np.divide(w_x, gamma, out=v_x)
-        np.divide(w_y, gamma, out=v_y)
+        np.divide(y[2:], gamma_of(y[2], y[3]), out=dy[:2])
         f_par, f_perp = float(schedule.f_par(t)), float(schedule.f_perp(t))
         s = np.sqrt(v_x * v_x + v_y * v_y)
         if (s <= EPS_V).any():  # a resting point: only a zero force may act on it
@@ -267,38 +277,73 @@ def simulate_batch(
     if not np.all(np.isfinite(states)):
         raise NonFiniteError("trajectory integration produced non-finite states")
 
-    xs, ws = states[:, :2].transpose(0, 2, 1), states[:, 2:].transpose(0, 2, 1)  # (K+1, N, 2) views
-    vs = velocity_from_celerity(ws, physics)
+    # the (N, K+1, 2) blocks, filled from the (K+1, 2, N) rows of the state
+    x, v = np.empty((n, n_steps + 1, 2)), np.empty((n, n_steps + 1, 2))
+    x.transpose(1, 2, 0)[...] = states[:, :2]
+    np.divide(states[:, 2:], gamma_of(states[:, 2], states[:, 3])[:, None], out=v.transpose(1, 2, 0))
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
     # true force = m * per-unit-mass schedule
-    return trajectory_records(indices, times, xs, vs, physics.m * fp_grid, physics.m * fq_grid, physics, handedness)
+    return trajectory_records(indices, times, x, v, physics.m * fp_grid, physics.m * fq_grid, physics, handedness)
+
+
+# trajectories per block of the derivation: its temporaries stay a few MB and in cache
+REBUILD_BLOCK = 128
 
 
 def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedness: int) -> tuple[np.ndarray, np.ndarray]:
     """The lab force ``f`` (the co-moving pair composed along ``v``) and the
-    acceleration ``a`` (the force law) that a record carries.
+    acceleration ``a`` (the force law) that a batch carries, as new ``(N, K+1, 2)`` blocks.
 
-    The simulator, the dataset reader and the dataset writer's check all
-    derive them here, so records read back are bit-identical.
+    ``v`` is ``(N, K+1, 2)`` with any strides, and the schedule ``f_par``,
+    ``f_perp`` is ``(K+1,)``.  The simulator, the dataset reader and the
+    dataset writer's check all derive them here, so records read back are
+    bit-identical.  Raises ``DegenerateVelocityError`` for a nonzero force
+    on a resting point, ``SpeedLimitError`` for a speed at or above ``c`` and
+    ``NonFiniteError`` if ``f`` or ``a`` overflows.
     """
-    f_lab = compose_lab_force(f_par, f_perp, v, handedness)
-    return f_lab, acceleration_from_force(v, f_lab, physics)
+    v = np.asarray(v, dtype=np.float64)
+    f_par, f_perp = np.asarray(f_par, dtype=np.float64), np.asarray(f_perp, dtype=np.float64)
+    if v.ndim != 3 or v.shape[2] != 2 or f_par.shape != v.shape[1:2] or f_perp.shape != v.shape[1:2]:
+        raise ShapeError(f"expected v (N, K+1, 2) and a (K+1,) schedule, got {v.shape}, {f_par.shape}, {f_perp.shape}")
+    if handedness not in (1, -1):
+        raise ValueError(f"handedness must be +1 or -1, got {handedness!r}")
+    f, a = np.empty(v.shape), np.empty(v.shape)
+    c2 = physics.c**2
+    f_rot = handedness * f_perp  # f_perp along rotate90(vhat) = handedness * (-vhat_y, vhat_x)
+    for start in range(0, len(v), REBUILD_BLOCK):
+        rows = slice(start, start + REBUILD_BLOCK)
+        (v_x, v_y), (f_x, f_y), (a_x, a_y) = (np.moveaxis(block[rows], 2, 0) for block in (v, f, a))
+        s2 = v_x * v_x + v_y * v_y + 0.0  # _dot's + 0.0 turns a -0.0 sum into +0.0
+        s = np.sqrt(s2)
+        if (s <= EPS_V).any():  # a resting point: only a zero force may act on it
+            f[rows] = compose_lab_force(f_par, f_perp, v[rows], handedness)
+            a[rows] = acceleration_from_force(v[rows], f[rows], physics)
+        else:
+            gamma = lorentz_factor_from_speed_sq(s2, physics)
+            vhat_x, vhat_y = v_x / s, v_y / s
+            np.subtract(f_par * vhat_x, f_rot * vhat_y, out=f_x)
+            np.add(f_par * vhat_y, f_rot * vhat_x, out=f_y)
+            along = (v_x * f_x + v_y * f_y + 0.0) / c2
+            m_gamma = physics.m * gamma
+            np.divide(f_x - along * v_x, m_gamma, out=a_x)
+            np.divide(f_y - along * v_y, m_gamma, out=a_y)
+        if not (np.isfinite(f[rows]).all() and np.isfinite(a[rows]).all()):
+            raise NonFiniteError("lab force or acceleration is non-finite")
+    return f, a
 
 
 def trajectory_records(
     indices, times: np.ndarray, x: np.ndarray, v: np.ndarray, f_par, f_perp, physics: PhysicsConfig, handedness: int
 ) -> TrajectoryBatch:
-    """The batch of N particles from the integrated state on a shared time grid.
+    """The batch of N particles from their ``(N, K+1, 2)`` position and velocity blocks on a shared time grid.
 
-    ``x``, ``v`` are (K+1, N, 2) and the schedule ``f_par``, ``f_perp`` (K+1,);
-    ``f`` and ``a`` come from :func:`lab_force_and_acceleration`.  Each block
-    is laid out once, contiguous; ``times`` and the schedule are read-only copies.
+    The schedule ``f_par``, ``f_perp`` is (K+1,); ``f`` and ``a`` come from
+    :func:`lab_force_and_acceleration`.  Contiguous ``x`` and ``v`` are
+    taken as they are; ``times`` and the schedule are read-only copies.
     """
-    f_lab, accel = lab_force_and_acceleration(v, f_par[:, None], f_perp[:, None], physics, handedness)
-    if not (np.all(np.isfinite(f_lab)) and np.all(np.isfinite(accel))):
-        raise NonFiniteError("lab force or acceleration is non-finite")
-    blocks = (np.ascontiguousarray(col.swapaxes(0, 1)) for col in (x, v, accel, f_lab))
-    return TrajectoryBatch(np.array(indices), _read_only(times), *blocks, _read_only(f_par), _read_only(f_perp))
+    f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
+    x, v = np.ascontiguousarray(x, dtype=np.float64), np.ascontiguousarray(v, dtype=np.float64)
+    return TrajectoryBatch(np.array(indices), _read_only(times), x, v, accel, f_lab, _read_only(f_par), _read_only(f_perp))
 
 
 def simulate_trajectory(

@@ -19,12 +19,19 @@ A dataset stores only what the simulator integrates: one force schedule
 (``f_par``, ``f_perp``) in the header, and ``index``, ``x``, ``v`` per record.
 The writer takes a :class:`~form_lab.dynamics.TrajectoryBatch`, and the
 reader returns one, with ``times``, ``f`` and ``a`` rebuilt as the simulator
-builds them.
+builds them: by :func:`~form_lab.dynamics.lab_force_and_acceleration`, on
+the component rows of 128 trajectories at a time.  The reader decodes each
+record's ``x`` and ``v`` bytes straight into the rows of its ``(N, K+1, 2)``
+blocks, and the writer checks that the batch's ``f`` and ``a`` are the ones
+that reading rebuilds.
 
 Readers validate structure eagerly and raise :class:`SchemaError` with the
 offending line number: an array must be valid base64 of exactly the bytes
 its shape needs, and every value must be finite (``NaN``/``Infinity``
-tokens are rejected too).  Files of another ``schema_version`` are rejected.
+tokens are rejected too).  A dataset's records are checked for finite
+values once per block, after the last line, and the error names the first
+line with a non-finite ``x`` or ``v``.  Files of another ``schema_version``
+are rejected.
 """
 
 from __future__ import annotations
@@ -122,9 +129,14 @@ def _reject_constant(token: str):
     raise SchemaError(f"non-finite JSON token {token!r} is not allowed")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)  # json.loads would build one per line
+
+
 def _loads_line(line: str, line_no: int, path) -> dict:
     try:
-        obj = json.loads(line, parse_constant=_reject_constant)
+        if line.startswith("\ufeff"):  # json.loads' own refusal, which the decoder leaves to its caller
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _DECODER.decode(line)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}:{line_no}: invalid JSON ({e.msg})") from e
     if not isinstance(obj, dict):
@@ -156,21 +168,28 @@ def _check_kind(header: dict, expected: str, path) -> None:
 
 def _parse_array(raw, shape: tuple | None, line_no: int, path, name: str) -> np.ndarray:
     """A finite float64 array from the base64 of its ``<f8`` bytes: exactly ``shape``, or 1-D if ``shape`` is None."""
-    where = f"{path}:{line_no}: field {name!r}"
+    data, shape = _array_bytes(raw, shape, line_no, path, name)
+    arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{path}:{line_no}: field {name!r} contains non-finite values")
+    return arr
+
+
+def _array_bytes(raw, shape: tuple | None, line_no: int, path, name: str) -> tuple[bytes, tuple]:
+    """The ``<f8`` bytes and shape of an array field: valid base64 of exactly ``shape``'s doubles, or 1-D if None."""
     if not isinstance(raw, str):
-        raise SchemaError(f"{where} must be a base64 string of float64 bytes, got {type(raw).__name__}")
+        raise SchemaError(f"{path}:{line_no}: field {name!r} must be a base64 string of float64 bytes, "
+                          f"got {type(raw).__name__}")
     try:
         data = base64.b64decode(raw, validate=True)
     except ValueError as e:  # binascii.Error for bad base64, ValueError for non-ASCII text
-        raise SchemaError(f"{where} is not valid base64 ({e})") from e
+        raise SchemaError(f"{path}:{line_no}: field {name!r} is not valid base64 ({e})") from e
     if shape is None:
         shape = (len(data) // 8,)
     if len(data) != 8 * math.prod(shape):
-        raise SchemaError(f"{where} must hold {math.prod(shape)} doubles of shape {shape}, got {len(data)} bytes")
-    arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.isfinite(arr).all():
-        raise SchemaError(f"{where} contains non-finite values")
-    return arr
+        raise SchemaError(f"{path}:{line_no}: field {name!r} must hold {math.prod(shape)} doubles of shape {shape}, "
+                          f"got {len(data)} bytes")
+    return data, shape
 
 
 def _read_text(path) -> str:
@@ -251,25 +270,20 @@ def write_dataset(
     _write_json_lines(path, [header, *rows])
 
 
-_REBUILD_CHECK_CHUNK = 128  # rows per vectorised writer check: a few MB of temporaries, not tens
-
-
 def _check_rebuilt(batch: TrajectoryBatch, physics: PhysicsConfig, handedness: int) -> None:
     """Raise ValueError unless every row has the ``f``, ``a`` that reading rebuilds."""
     at = f"physics c={physics.c!r}, m={physics.m!r} and handedness {handedness}"
-    for start in range(0, len(batch), _REBUILD_CHECK_CHUNK):
-        rows = batch[start : start + _REBUILD_CHECK_CHUNK]
-        try:
-            f_lab, accel = lab_force_and_acceleration(rows.v, rows.f_par, rows.f_perp, physics, handedness)
-        except (SpeedLimitError, DegenerateVelocityError) as e:
-            raise ValueError(f"records cannot be rebuilt at {at}: {e}") from e
-        for name, stored, rebuilt in (("f", rows.f, f_lab), ("a", rows.a, accel)):
-            bad = np.flatnonzero(np.any(stored != rebuilt, axis=(1, 2)))
-            if bad.size:
-                raise ValueError(
-                    f"records {rows.index[bad[:5]].tolist()} carry an {name} that {at} do not give; "
-                    "write them with the physics they were generated at"
-                )
+    try:
+        f_lab, accel = lab_force_and_acceleration(batch.v, batch.f_par, batch.f_perp, physics, handedness)
+    except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
+        raise ValueError(f"records cannot be rebuilt at {at}: {e}") from e
+    for name, stored, rebuilt in (("f", batch.f, f_lab), ("a", batch.a, accel)):
+        bad = np.flatnonzero(np.any(stored != rebuilt, axis=(1, 2)))
+        if bad.size:
+            raise ValueError(
+                f"records {batch.index[bad[:5]].tolist()} carry an {name} that {at} do not give; "
+                "write them with the physics they were generated at"
+            )
 
 
 def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
@@ -284,24 +298,34 @@ def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
     n = header["n_trajectories"]
     scalar, vec = (spec.n_steps + 1,), (spec.n_steps + 1, 2)
     f_par, f_perp = (_parse_array(_need(header, k, 1, path), scalar, 1, path, k) for k in ("f_par", "f_perp"))
-    try:  # each line's rows land in the blocks as they are parsed
-        x, v = np.empty((n, *vec)), np.empty((n, *vec))
+    try:  # each line's bytes land in its rows of the blocks as they are decoded
+        blocks = {"x": np.empty((n, *vec), dtype="<f8"), "v": np.empty((n, *vec), dtype="<f8")}
     except MemoryError as e:  # sized from the header before any line is checked
         raise SchemaError(f"{path}:1: {n} trajectories of {spec.n_steps} steps do not fit in memory") from e
-    seen = np.zeros(n, dtype=bool)
+    block_bytes = {name: memoryview(block.view(np.uint8).reshape(-1)) for name, block in blocks.items()}
+    row_bytes = 8 * math.prod(vec)
+    line_of = [0] * n  # the line each index was read from; 0 until then
     for line_no, obj in lines:
         index = _need_int(obj, "index", line_no, path)
         if not 0 <= index < n:
             raise SchemaError(f"{path}:{line_no}: trajectory index {index} outside 0..{n - 1}")
-        if seen[index]:
+        if line_of[index]:
             raise SchemaError(f"{path}:{line_no}: duplicate trajectory index {index}")
-        seen[index] = True
-        x[index], v[index] = (_parse_array(_need(obj, k, line_no, path), vec, line_no, path, k) for k in ("x", "v"))
+        line_of[index] = line_no
+        for name, into in block_bytes.items():
+            data, _ = _array_bytes(_need(obj, name, line_no, path), vec, line_no, path, name)
+            into[index * row_bytes : (index + 1) * row_bytes] = data
+    if not all(np.isfinite(block).all() for block in blocks.values()):
+        line_no, _, name = min(
+            (line_of[i], k, name)
+            for k, (name, block) in enumerate(blocks.items())
+            for i in np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))
+        )
+        raise SchemaError(f"{path}:{line_no}: field {name!r} contains non-finite values")
 
     try:
         times, _ = uniform_grid(spec.duration, spec.n_steps)
-        x, v = x.swapaxes(0, 1), v.swapaxes(0, 1)  # (K+1, N, 2) views; trajectory_records keeps the blocks uncopied
-        batch = trajectory_records(range(n), times, x, v, f_par, f_perp, physics, spec.handedness)
+        batch = trajectory_records(range(n), times, blocks["x"], blocks["v"], f_par, f_perp, physics, spec.handedness)
     except (OverflowError, SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         raise SchemaError(f"{path}: cannot rebuild the trajectories ({e})") from e
     return header, batch

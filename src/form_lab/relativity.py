@@ -75,7 +75,11 @@ def speed(v) -> float | np.ndarray:
 def lorentz_factor(v, physics: PhysicsConfig = DEFAULT_PHYSICS) -> float | np.ndarray:
     """gamma = 1 / sqrt(1 - |v|^2 / c^2); raises if any |v| >= c."""
     v = _as_float_array(v)
-    s2 = _dot(v, v)
+    return lorentz_factor_from_speed_sq(_dot(v, v), physics)
+
+
+def lorentz_factor_from_speed_sq(s2: np.ndarray, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.ndarray:
+    """:func:`lorentz_factor` from the squared speeds ``|v|^2``; raises if any is ``>= c^2`` or not finite."""
     c2 = physics.c**2
     if np.any(s2 >= c2) or not np.all(np.isfinite(s2)):
         worst = float(np.sqrt(np.max(s2)))

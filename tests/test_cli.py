@@ -141,6 +141,17 @@ class TestTrain:
         )
         assert code == EXIT_USAGE
 
+    def test_integral_float_step_count_is_usage_error(self, workdir, tmp_path, capsys):
+        """A header whose spec says n_steps 20.0 is malformed: exit 2 with the field named, no traceback."""
+        header, *rows = workdir["data"].read_text().splitlines()
+        header = json.loads(header)
+        header["spec"]["n_steps"] = 20.0
+        data = tmp_path / "d.ndjson"
+        data.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--method", "o1"])
+        assert code == EXIT_USAGE
+        assert "n_steps must be an integer, got 20.0" in capsys.readouterr().err
+
     def test_steps_and_epochs_exclusive(self, workdir, tmp_path):
         code = main(
             [

@@ -17,7 +17,7 @@ from form_lab.dynamics import (
     simulate_trajectory,
     trajectory_records,
 )
-from form_lab.errors import DegenerateVelocityError, NonFiniteError
+from form_lab.errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
 from form_lab.ode import integrate_fixed_grid
 from form_lab.relativity import (
     DEFAULT_PHYSICS,
@@ -134,23 +134,23 @@ class TestBatching:
             assert np.array_equal(batch[i].a, single.a)
 
     def test_records_are_row_views_of_shared_blocks(self):
-        """One contiguous block per array, one read-only grid; the values are the per-column copies'."""
+        """One contiguous block per array, one read-only grid; x and v are the blocks given, f and a composed."""
         rng = np.random.default_rng(5)
         k1, n = 6, 4
-        times, x, v = np.linspace(0.0, 1.0, k1), rng.normal(size=(k1, n, 2)), rng.uniform(0.5, 2.0, size=(k1, n, 2))
+        times, x, v = np.linspace(0.0, 1.0, k1), rng.normal(size=(n, k1, 2)), rng.uniform(0.5, 2.0, size=(n, k1, 2))
         f_par, f_perp = rng.normal(size=k1), rng.normal(size=k1)
         records = trajectory_records(range(n), times, x, v, f_par, f_perp, DEFAULT_PHYSICS, 1)
-        f_lab, accel = lab_force_and_acceleration(
-            v, np.broadcast_to(f_par[:, None], (k1, n)), np.broadcast_to(f_perp[:, None], (k1, n)), DEFAULT_PHYSICS, 1
-        )
+        assert records.x is x and records.v is v
+        f_lab = compose_lab_force(f_par, f_perp, v, 1)
+        accel = acceleration_from_force(v, f_lab, DEFAULT_PHYSICS)
         columns = {"x": x, "v": v, "a": accel, "f": f_lab, "f_par": f_par, "f_perp": f_perp}
         for j, rec in enumerate(records):
             assert rec.times is records[0].times and rec.times.tobytes() == times.tobytes()
             for name in ("times", "f_par", "f_perp"):
                 assert not getattr(rec, name).flags.writeable, name
             for name, col in columns.items():
-                want = col[:, j] if col.ndim == 3 else col
-                assert getattr(rec, name).tobytes() == np.ascontiguousarray(want).tobytes(), name
+                want = col[j] if col.ndim == 3 else col
+                assert getattr(rec, name).tobytes() == want.tobytes(), name
             for name in ("x", "v", "a", "f"):
                 got = getattr(rec, name)
                 assert got.flags.c_contiguous and got.base is getattr(records[0], name).base, name
@@ -233,8 +233,10 @@ class TestScheduleGrid:
 def reference_simulate_batch(x0, v0, schedule, duration, n_steps, physics, handedness):
     """``simulate_batch`` with the stage derivative it had before the
     column-wise stage: ``velocity_from_celerity``, ``compose_lab_force`` and
-    ``np.concatenate``, verbatim.  Those helpers are themselves pinned to
-    their ``np.sum``/``np.stack`` forms in ``test_relativity.py``."""
+    ``np.concatenate``, verbatim, and ``f``/``a`` composed by
+    ``compose_lab_force`` and ``acceleration_from_force`` over the whole
+    ``(K+1, N, 2)`` state.  Those helpers are themselves pinned to their
+    ``np.sum``/``np.stack`` forms in ``test_relativity.py``."""
     w0 = celerity_from_velocity(v0, physics)  # also enforces |v0| < c
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
@@ -249,7 +251,11 @@ def reference_simulate_batch(x0, v0, schedule, duration, n_steps, physics, hande
     vs = velocity_from_celerity(states[:, :, 2:], physics)
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
     f_par, f_perp = physics.m * fp_grid, physics.m * fq_grid
-    return trajectory_records(np.arange(len(x0)), times, states[:, :, :2], vs, f_par, f_perp, physics, handedness)
+    f_lab = compose_lab_force(f_par[:, None], f_perp[:, None], vs, handedness)
+    accel = acceleration_from_force(vs, f_lab, physics)
+    assert np.all(np.isfinite(f_lab)) and np.all(np.isfinite(accel))
+    blocks = (np.ascontiguousarray(col.swapaxes(0, 1)) for col in (states[:, :, :2], vs, accel, f_lab))
+    return TrajectoryBatch(np.arange(len(x0)), times, *blocks, f_par, f_perp)
 
 
 RECORD_ARRAYS = ("times", "x", "v", "a", "f", "f_par", "f_perp")
@@ -317,3 +323,67 @@ class TestColumnStageBitIdentity:
     def test_handedness_is_checked(self):
         with pytest.raises(ValueError, match="handedness"):
             simulate_batch(np.zeros((1, 2)), np.array([[1.0, 0.0]]), ForceSchedule.constant(1.0, 1.0), handedness=2)
+
+
+def composed(v, f_par, f_perp, physics, handedness):
+    """``f`` and ``a`` by ``compose_lab_force`` and ``acceleration_from_force`` on the whole block, verbatim."""
+    f_lab = compose_lab_force(f_par, f_perp, v, handedness)
+    return f_lab, acceleration_from_force(v, f_lab, physics)
+
+
+class TestDerivationKernel:
+    """``lab_force_and_acceleration`` on component rows in blocks, against the composition, byte for byte."""
+
+    @staticmethod
+    def velocities(n, k1, seed=4):
+        """Speeds from 1e-9 to 0.999 c in every direction, signed zeros among the components."""
+        rng = np.random.default_rng(seed)
+        speeds = C * rng.choice([1e-9, 1e-3, 0.5, 0.9, 0.999], size=(n, k1)) * rng.uniform(0.5, 1.0, size=(n, k1))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=(n, k1))
+        v = np.stack([speeds * np.cos(angle), speeds * np.sin(angle)], axis=-1)
+        v[0, :3] = [[0.0, 2.0], [-0.0, -3.0], [4.0, -0.0]]
+        return v
+
+    @pytest.mark.parametrize("physics", [DEFAULT_PHYSICS, PhysicsConfig(m=3.0)], ids=["m1", "m3"])
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize("layout", ["trajectory-major", "time-major"])
+    def test_matches_the_composition(self, layout, handedness, physics):
+        """300 rows (three blocks, the last one short), as a contiguous (N, K+1, 2) block or as the
+        transposed view of a (K+1, N, 2) array; the schedule has signed zeros and both signs."""
+        n, k1 = 300, 9
+        v = self.velocities(n, k1)
+        if layout == "time-major":
+            v = np.ascontiguousarray(v.swapaxes(0, 1)).swapaxes(0, 1)
+        f_par = np.array([0.0, -0.0, 1.5, -2.0, 1e-300, 7.0, 0.0, -3.0, 2.5]) * physics.m
+        f_perp = np.array([0.0, 2.0, -0.0, 3.0, -1.0, 0.0, -0.0, 1e3, -4.0]) * physics.m
+        f, a = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
+        want_f, want_a = composed(v, f_par, f_perp, physics, handedness)
+        assert f.flags.c_contiguous and a.flags.c_contiguous and f.shape == a.shape == (n, k1, 2)
+        assert f.tobytes() == want_f.tobytes() and a.tobytes() == want_a.tobytes()
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_resting_row_under_zero_force(self, handedness):
+        """A resting row in the second block sends that block through the composition itself."""
+        n, k1 = 200, 5
+        v = self.velocities(n, k1)
+        v[150] = 0.0
+        f_par = np.array([0.0, 1.0, -2.0, 0.0, 3.0])
+        f_perp = np.array([0.0, -1.0, 0.5, 0.0, 0.0])
+        f_par[1:3] = f_perp[1:3] = 0.0  # no force at all where row 150 rests
+        v[150, 3:] = [[1.0, 2.0], [-3.0, 0.5]]  # the row moves again once it is pushed
+        f, a = lab_force_and_acceleration(v, f_par, f_perp, DEFAULT_PHYSICS, handedness)
+        want_f, want_a = composed(v, f_par, f_perp, DEFAULT_PHYSICS, handedness)
+        assert f.tobytes() == want_f.tobytes() and a.tobytes() == want_a.tobytes()
+        assert not f[150, :3].any() and not a[150, :3].any()
+
+    def test_resting_row_under_a_nonzero_force_is_degenerate(self):
+        v = self.velocities(200, 4)
+        v[170, 2] = 0.0
+        with pytest.raises(DegenerateVelocityError):
+            lab_force_and_acceleration(v, np.ones(4), np.zeros(4), DEFAULT_PHYSICS, 1)
+
+    def test_row_at_c_is_over_the_speed_limit(self):
+        v = self.velocities(200, 4)
+        v[130, 1] = [0.0, C]
+        with pytest.raises(SpeedLimitError, match=f"speed {C!r} >= c"):
+            lab_force_and_acceleration(v, np.ones(4), np.ones(4), DEFAULT_PHYSICS, 1)

@@ -209,6 +209,23 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("faults, named", [
+        ([(3, "v", math.nan), (5, "x", math.inf)], ":4: field 'v'"),
+        ([(2, "v", -math.inf), (2, "x", math.nan)], ":3: field 'x'"),
+    ], ids=["first-line", "x-before-v"])
+    def test_first_non_finite_line_is_named(self, tmp_path, spec, records, faults, named):
+        """NaN bytes in line 4's v and an Inf in line 6's x name line 4 and its field; on one line, x comes first."""
+        def mutate(lines):
+            for at, name, value in faults:
+                obj = json.loads(lines[at])
+                obj[name] = _recode(obj[name], lambda b: b[:40] + np.float64(value).tobytes() + b[48:])
+                lines[at] = json.dumps(obj)
+            return lines
+
+        path = self._write_then_mutate(tmp_path, spec, records, mutate)
+        with pytest.raises(SchemaError, match=f"{named} contains non-finite values"):
+            read_dataset(path)
+
     def test_overflowing_force_scale_rejected(self, tmp_path, spec, records):
         """A spec field that parses as inf is a malformed header, not a dataset."""
         path = self._write_then_mutate(
@@ -281,11 +298,15 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match="empty"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("physics", [DEFAULT_PHYSICS, PhysicsConfig(m=3.0)], ids=["m1", "m3"])
+    @pytest.mark.parametrize(
+        "physics, handedness",
+        [(DEFAULT_PHYSICS, 1), (PhysicsConfig(m=3.0), 1), (DEFAULT_PHYSICS, -1), (PhysicsConfig(m=3.0), -1)],
+        ids=["m1", "m3", "m1-cw", "m3-cw"],
+    )
     @pytest.mark.parametrize("kind", KINDS)
-    def test_read_back_is_bit_identical(self, tmp_path, kind, physics):
+    def test_read_back_is_bit_identical(self, tmp_path, kind, physics, handedness):
         """times, f and a are not stored; the ones rebuilt on reading are generate()'s, bit for bit."""
-        spec = DatasetSpec(kind=kind, n_points=6, n_steps=15, seed=7)
+        spec = DatasetSpec(kind=kind, n_points=6, n_steps=15, seed=7, handedness=handedness)
         records = generate(spec, physics=physics)
         write_dataset(tmp_path / "d.ndjson", records, spec, physics)
         _, back = read_dataset(tmp_path / "d.ndjson")
@@ -375,6 +396,28 @@ class TestDatasetFiles:
         for other in (replace(spec, n_steps=spec.n_steps + 1), replace(spec, duration=2.0)):
             with pytest.raises(ValueError, match="grid"):
                 write_dataset(tmp_path / "d.ndjson", records, other, DEFAULT_PHYSICS)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_steps", 12.0), ("n_points", 5.0), ("seed", True), ("seed", 4.0), ("handedness", 1.0), ("n_steps", "12"),
+])
+@pytest.mark.parametrize("where", ["dataset header", "checkpoint dataset"])
+def test_non_integer_spec_field_is_a_schema_error(tmp_path, spec, records, model, where, field, value):
+    """An integral float such as n_steps 12.0 is not an integer: the spec refuses it, the reader says so."""
+    path = tmp_path / "f.json"
+    if where == "dataset header":
+        write_dataset(path, records, spec, DEFAULT_PHYSICS)
+        header, *rows = path.read_text().splitlines()
+        header = json.loads(header)
+        header["spec"][field] = value
+        path.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+    else:
+        write_checkpoint(path, model)
+        payload = json.loads(path.read_text())
+        payload["dataset"][field] = value
+        path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=f"{field} must be an integer, got {value!r}"):
+        (read_dataset if where == "dataset header" else read_checkpoint)(path)
 
 
 @pytest.fixture(scope="module")
@@ -574,7 +617,7 @@ ARRAYS = {
     "checkpoint": ([("heads", "u1", "weights", 0), ("heads", "u1", "biases", 1), ("loss_curve",)], []),
 }
 FREE_LENGTH = {("loss_curve",)}
-WILD_VALUES = [True, None, "x", "", [], {}, -1, 0, 2.5, [[1.0]], [1.0, 2.0], 10**400]
+WILD_VALUES = [True, None, "x", "", [], {}, -1, 0, 2.5, 3.0, [[1.0]], [1.0, 2.0], 10**400]
 ALIEN_CHARS = ["!", " ", "-", "_", "\n", "é", "\x00"]
 
 
