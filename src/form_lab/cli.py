@@ -7,6 +7,9 @@ Each value is converted and checked by its flag's type and choices, and
 ``null`` leaves the option unset.  An option that maps onto a dataclass
 field is passed on only when set, so the dataclass default is the default.
 
+Each subcommand calls the ``form_lab.pipeline`` stage that ``run_table`` calls for its step; the rule
+pairing a model with its held-out rows is ``pipeline.heldout_for``, the split ``datasets.holdout_split``.
+
 Exit codes: 0 success; 2 usage, validation, or file-format problems;
 3 numerical failures (speed-limit, degenerate velocity, non-finite values).
 """
@@ -20,8 +23,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .datasets import HOLDOUT_FRACTION, KINDS, DatasetSpec, generate, holdout_split, source_points
-from .dynamics import DEFAULT_UNITS, TrajectoryBatch
+from . import pipeline
+from .datasets import HOLDOUT_FRACTION, KINDS, DatasetSpec, holdout_split, source_points
 from .errors import (
     DegenerateVelocityError,
     NonFiniteError,
@@ -44,14 +47,12 @@ from .formats import (
     read_checkpoint,
     read_dataset,
     read_samples,
-    write_checkpoint,
-    write_dataset,
     write_report,
     write_samples,
 )
 from .relativity import PhysicsConfig
 from .sampling import VELOCITY_UPDATES
-from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, steps_for_epochs, train
+from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, steps_for_epochs
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 2, 3
 
@@ -139,8 +140,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     physics = _from_options(PhysicsConfig, args)
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    batch = generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=args.threads)
-    write_dataset(args.out, batch, spec, physics, DEFAULT_UNITS)
+    batch = pipeline.make_dataset(args.out, spec, physics, args.threads)
     max_speed = float(np.max(np.sqrt(np.sum(batch.v * batch.v, axis=-1))))
     print(
         f"wrote {args.out}: {len(batch)} x {spec.n_steps} step "
@@ -156,16 +156,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not 0.0 <= args.holdout_fraction < 1.0:
         raise ValueError(f"--holdout-fraction must be in [0, 1) (0 trains on all), got {args.holdout_fraction}")
     header, batch = read_dataset(args.data)
-    physics = physics_from_header(header)
-
-    if args.holdout_fraction > 0.0:
-        batch, _ = holdout_split(batch, args.holdout_fraction)
-
+    batch, _ = holdout_split(batch, args.holdout_fraction)
     config = _from_options(TrainConfig, args)
     if args.epochs is not None:
         config = replace(config, steps=steps_for_epochs(args.epochs, len(batch), config.batch_size))
-    model = train(batch, config, physics=physics, dataset_info=header["spec"])
-    write_checkpoint(args.out, model)
+    model = pipeline.fit(args.out, batch, config, header["spec"], physics_from_header(header))
     print(
         f"trained {config.method} on {len(batch)} trajectories "
         f"({config.steps} steps, batch {config.batch_size}): final loss {model.final_loss:.6g}"
@@ -207,15 +202,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.data is None:
             raise ValueError("--source heldout needs --data to supply held-out source points")
         header, batch = read_dataset(args.data)
-        kind, trained_on = header["spec"]["kind"], (model.dataset_info or {}).get("kind")
-        if trained_on not in (None, kind):
-            raise ValueError(f"model {args.model} was trained on {trained_on!r}, but {args.data} is a {kind!r} dataset")
-        _, heldout = holdout_split(batch)
+        _, heldout = pipeline.heldout_for(model, {header["spec"]["kind"]: holdout_split(batch)[1]}, args.model)
         if args.n is not None and args.n > len(heldout):
             raise ValueError(f"--n {args.n} is more than the {len(heldout)} held-out trajectories of {args.data}")
         heldout = heldout[: args.n]
         indices, x0 = heldout.index, heldout.x0
-        dataset_seed = None
     else:  # fresh draws from the model's source distribution
         if model.dataset_info is None:
             raise ValueError("--source noise needs a model trained with dataset info")
@@ -223,14 +214,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         spec = replace(DatasetSpec.from_dict(model.dataset_info), seed=args.seed, n_points=n)
         indices = list(range(n))
         x0 = source_points(spec, indices, model.physics)
-        dataset_seed = args.seed
 
-    v0 = None
-    if model.method == "form":
-        if args.init_velocity == "zero":
-            v0 = "zero"
-        elif args.init_velocity == "explicit":
-            v0 = np.broadcast_to(args.v0, x0.shape)
+    v0 = None  # the dataset-matched rule; _check_velocity_flags refused any other on a flow model
+    if args.init_velocity == "zero":
+        v0 = "zero"
+    elif args.init_velocity == "explicit":
+        v0 = np.broadcast_to(args.v0, x0.shape)
     path = sample_model(model, x0, sampler, v0=v0)
 
     entries = []
@@ -246,7 +235,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "method": model.method,
         "dataset": (model.dataset_info or {}).get("kind"),
         "source": args.source,
-        "seed": dataset_seed,
+        "seed": args.seed if args.source == "noise" else None,
         "sampler_steps": sampler.n_steps,
         "duration": model.duration,
         "init_velocity": args.init_velocity if model.method == "form" else None,
@@ -261,29 +250,20 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    datasets_by_kind: dict[str, tuple[dict, TrajectoryBatch]] = {}
+    headers, heldouts = {}, {}
     for path in args.data:
         header, batch = read_dataset(path)
         kind = header["spec"]["kind"]
-        if kind in datasets_by_kind:
+        if kind in headers:
             raise ValueError(f"two datasets of kind {kind!r} given; one per kind, please")
-        datasets_by_kind[kind] = (header, batch)
+        headers[kind], heldouts[kind] = header, holdout_split(batch)[1]
 
-    heldouts = {kind: holdout_split(batch)[1] for kind, (_, batch) in datasets_by_kind.items()}
     sampler = _from_options(SamplerConfig, args)
     cells = []
     for model_path in args.model:
         model = read_checkpoint(model_path)
-        kind = (model.dataset_info or {}).get("kind")
-        if kind is None and len(datasets_by_kind) == 1:
-            kind = next(iter(datasets_by_kind))
-        if kind not in datasets_by_kind:
-            raise ValueError(
-                f"model {model_path} was trained on {kind!r}, but no such dataset was given"
-            )
-        cells.append(
-            evaluate_model(model, heldouts[kind], sampler, mode=args.mode, dataset_name=kind)
-        )
+        kind, heldout = pipeline.heldout_for(model, heldouts, model_path)
+        cells.append(evaluate_model(model, heldout, sampler, mode=args.mode, dataset_name=kind))
 
     metadata = {
         "sampler_steps": sampler.n_steps,
@@ -294,7 +274,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "n_heldout": len(heldouts[kind]),
                 "seed": header["spec"]["seed"],
             }
-            for kind, (header, _) in datasets_by_kind.items()
+            for kind, header in headers.items()
         },
         "config_digest": config_digest({"sampler_steps": sampler.n_steps, "mode": args.mode}),
     }
@@ -346,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--duration", type=float)
     g.add_argument("--seed", type=int)
     g.add_argument("--variance", type=float, help="source Gaussian variance (onedot, halfmoons)")
-    g.add_argument("--velocity-scale", type=float, dest="velocity_scale")
-    g.add_argument("--initial-speed", type=float, dest="initial_speed")
-    g.add_argument("--core-speed", type=float, dest="core_speed")
-    g.add_argument("--ring-speed", type=float, dest="ring_speed")
-    g.add_argument("--disc-radius", type=float, dest="disc_radius")
-    g.add_argument("--force-scale", type=float, dest="force_scale")
-    g.add_argument("--perp-handedness", choices=sorted(HANDEDNESS), dest="perp_handedness")
+    g.add_argument("--velocity-scale", type=float)
+    g.add_argument("--initial-speed", type=float)
+    g.add_argument("--core-speed", type=float)
+    g.add_argument("--ring-speed", type=float)
+    g.add_argument("--disc-radius", type=float)
+    g.add_argument("--force-scale", type=float)
+    g.add_argument("--perp-handedness", choices=sorted(HANDEDNESS))
     g.add_argument("--c", type=float, help="speed of light (du/s)")
     g.add_argument("--mass", type=float)
     g.add_argument(
@@ -367,17 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--method", required=True, choices=METHODS)
     t.add_argument("--steps", type=int)
     t.add_argument("--epochs", type=float, help="alternative budget; steps = ceil(epochs*N/batch)")
-    t.add_argument("--batch-size", type=int, dest="batch_size")
+    t.add_argument("--batch-size", type=int)
     t.add_argument("--lr", type=float)
     t.add_argument("--seed", type=int)
     t.add_argument("--hidden", type=_int_list, help="comma-separated hidden widths, e.g. 64,64")
-    t.add_argument("--form-input-mode", choices=FORM_INPUT_MODES, dest="form_input_mode")
-    t.add_argument("--o1o2-coupling", choices=O1O2_COUPLINGS, dest="o1o2_coupling")
+    t.add_argument("--form-input-mode", choices=FORM_INPUT_MODES)
+    t.add_argument("--o1o2-coupling", choices=O1O2_COUPLINGS)
     t.add_argument(
         "--holdout-fraction",
         type=float,
         default=HOLDOUT_FRACTION,
-        dest="holdout_fraction",
         help="fraction of trailing indices reserved for eval (0 trains on all)",
     )
     t.add_argument("--config")
@@ -388,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--data", help="dataset file for held-out source points")
     s.add_argument("--n", type=int)
-    s.add_argument("--sampler-steps", "--M", type=int, dest="sampler_steps")
+    s.add_argument("--sampler-steps", "--M", type=int)
     s.add_argument("--seed", type=int, default=0, help="seed for --source noise draws")
     s.add_argument("--source", choices=("heldout", "noise"), default="heldout")
     s.add_argument(
-        "--init-velocity", choices=("dataset", "zero", "explicit"), default="dataset", dest="init_velocity"
+        "--init-velocity", choices=("dataset", "zero", "explicit"), default="dataset"
     )
     s.add_argument("--v0", type=_vector, help="explicit initial velocity 'vx,vy'")
     s.add_argument("--paths", action=btrue, default=False, help="store full paths, not just endpoints")
@@ -404,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True, action="append", help="checkpoint (repeatable)")
     e.add_argument("--data", required=True, action="append", help="dataset file (repeatable)")
     e.add_argument("--report", required=True)
-    e.add_argument("--sampler-steps", "--M", type=int, dest="sampler_steps")
+    e.add_argument("--sampler-steps", "--M", type=int)
     e.add_argument("--mode", choices=EVAL_MODES, default="paired")
     e.add_argument("--reference", action=btrue, default=False, help="append previously reported losses")
     e.add_argument("--config")
@@ -431,7 +410,8 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults, so explicit flags still win
             args.parser.set_defaults(**_config_defaults(args.parser, args.config))
             args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the finite checks report an overflow once, as a numerical failure
+            return args.func(args)
     except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -245,16 +245,16 @@ def generate(
 def holdout_split(batch: TrajectoryBatch, fraction: float = HOLDOUT_FRACTION):
     """Split an index-ordered batch into (train, heldout) row slices; heldout = the last ``fraction``.
 
-    Both sides must be nonempty.
+    A fraction of 0 holds out nothing (train on all); any other must leave both sides nonempty.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"holdout fraction must be in [0, 1), got {fraction}")
     n_eval = int(len(batch) * fraction)
-    if n_eval < 1 or n_eval >= len(batch):
+    if fraction and (n_eval < 1 or n_eval >= len(batch)):
         raise ValueError(
             f"cannot hold out {n_eval} of {len(batch)} records; need both sides nonempty"
         )
-    return batch[:-n_eval], batch[-n_eval:]
+    return batch[: len(batch) - n_eval], batch[len(batch) - n_eval :]
 
 
 def stress_spec(spec: DatasetSpec, factor: float = 100.0) -> DatasetSpec:

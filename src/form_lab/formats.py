@@ -225,7 +225,12 @@ def _read_ndjson(path, kind: str, count_key: str):
 
 
 def _read_object(path, kind: str) -> dict:
-    payload = _loads_line(_read_text(path), 1, path)
+    text = _read_text(path)
+    try:
+        payload = _loads_line(text, 1, path)
+    except SchemaError:  # another kind's NDJSON, e.g. a dataset given as a checkpoint, fails past line 1: name its kind
+        _check_kind(_loads_line(text.partition("\n")[0], 1, path), kind, path)
+        raise
     _check_kind(payload, kind, path)
     return payload
 

@@ -10,6 +10,9 @@ into one directory:
     <outdir>/figures/<kind>-<method>.svg         model samples vs targets
     <outdir>/report.json                         machine-readable loss report
 
+The CLI subcommands call the same stages, :func:`make_dataset`, :func:`fit` and :func:`heldout_for`,
+the one rule pairing a model with its held-out rows; the split rule is :func:`datasets.holdout_split`.
+
 Every stage is called through its module (``training.train``, not a local
 alias), so a wrapper installed at that attribute sees every call.
 """
@@ -19,14 +22,37 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import datasets, evaluate, figures, formats, training
-from .dynamics import DEFAULT_UNITS
-from .relativity import DEFAULT_PHYSICS
+from .dynamics import DEFAULT_UNITS, TrajectoryBatch
+from .relativity import DEFAULT_PHYSICS, PhysicsConfig
 from .sampling import SamplerConfig
 
 # ``quick``: tiny datasets and short training, for smoke testing the pipeline.
 QUICK_POINTS = {"onedot": 40, "halfmoons": 60, "spiral": 60}
 QUICK_DATASET_STEPS = 50
 QUICK_TRAIN = {"steps": 300, "batch_size": 32}
+
+
+def make_dataset(path, spec, physics: PhysicsConfig = DEFAULT_PHYSICS, max_workers=None) -> TrajectoryBatch:
+    """Generate ``spec`` at ``DEFAULT_UNITS`` and write it to ``path`` with the same physics."""
+    batch = datasets.generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=max_workers)
+    formats.write_dataset(path, batch, spec, physics, DEFAULT_UNITS)
+    return batch
+
+
+def fit(path, rows, config, spec_dict: dict, physics: PhysicsConfig = DEFAULT_PHYSICS) -> training.TrainedModel:
+    """Train ``config`` on ``rows``, recording ``spec_dict`` as the model's dataset, and write it to ``path``."""
+    model = training.train(rows, config, physics=physics, dataset_info=spec_dict)
+    formats.write_checkpoint(path, model)
+    return model
+
+
+def heldout_for(model: training.TrainedModel, heldouts_by_kind: dict, name) -> tuple[str, TrajectoryBatch]:
+    """The kind and held-out rows ``model`` is scored on: its dataset's, or the only ones given if it records none."""
+    only = next(iter(heldouts_by_kind)) if len(heldouts_by_kind) == 1 else None
+    kind = (model.dataset_info or {}).get("kind", only)
+    if kind not in heldouts_by_kind:
+        raise ValueError(f"model {name} was trained on {kind!r}, but the datasets given are {sorted(heldouts_by_kind)}")
+    return kind, heldouts_by_kind[kind]
 
 
 def run_table(
@@ -73,8 +99,7 @@ def run_table(
     data, models, cells = {}, {}, []
     for spec in specs:
         kind = spec.kind
-        batch = datasets.generate(spec)
-        formats.write_dataset(outdir / "datasets" / f"{kind}.ndjson", batch, spec, DEFAULT_PHYSICS, DEFAULT_UNITS)
+        batch = make_dataset(outdir / "datasets" / f"{kind}.ndjson", spec)
         train_batch, heldout = datasets.holdout_split(batch)
         data[kind] = {"spec": spec, "records": batch, "heldout": heldout}
 
@@ -86,8 +111,7 @@ def run_table(
 
         for config in configs:
             method = config.method
-            model = training.train(train_batch, config, dataset_info=spec.to_dict())
-            formats.write_checkpoint(outdir / "checkpoints" / f"{kind}-{method}.ndjson", model)
+            model = fit(outdir / "checkpoints" / f"{kind}-{method}.ndjson", train_batch, config, spec.to_dict())
             models[(kind, method)] = model
 
             cell = evaluate.evaluate_model(model, heldout, sampler=sampler, dataset_name=kind)

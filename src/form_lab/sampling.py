@@ -54,17 +54,14 @@ VELOCITY_UPDATES = ("momentum-exact", "euler")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Grid and update rule; duration, physics and a ``None`` handedness are the model's."""
+    """Grid and update rule; duration, physics and handedness are the model's."""
 
     n_steps: int = 100
-    handedness: int | None = None
     velocity_update: str = "momentum-exact"
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.handedness not in (None, 1, -1):
-            raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
         if self.velocity_update not in VELOCITY_UPDATES:
             raise ValueError(f"velocity_update must be one of {VELOCITY_UPDATES}")
 
@@ -380,7 +377,7 @@ def sample_form(model: TrainedModel, x0, config: SamplerConfig | None = None, v0
     if "F" not in model.heads:
         raise ValueError(f"model method {model.method!r} has no force head")
     cfg = config or SamplerConfig()
-    handed = cfg.handedness or int((model.dataset_info or {}).get("handedness", 1))
+    handed = int((model.dataset_info or {}).get("handedness", 1))
     x0 = np.asarray(x0, dtype=np.float64)
     if v0 is None:
         v0_arr = model_initial_velocity(model, x0)

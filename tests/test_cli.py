@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from form_lab import cli
+from form_lab import cli, training
 from form_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from form_lab.datasets import DatasetSpec
 from form_lab.formats import read_checkpoint, read_dataset, read_report, read_samples, write_samples
@@ -403,12 +403,16 @@ class TestSample:
         assert not out.exists()
         assert main([*argv, "--init-velocity", "dataset", "--update", "momentum-exact"]) == EXIT_OK
 
-    def test_dataset_of_another_kind_is_usage_error(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_dataset_of_another_kind_is_usage_error(self, workdir, tmp_path, capsys, command):
         """As in eval: held-out points must come from the kind of dataset the model was trained on."""
         data = tmp_path / "halfmoons.ndjson"
         assert main(["gen-data", "--dataset", "halfmoons", "--out", str(data), "--n", "10", "--steps", "20"]) == EXIT_OK
         out = tmp_path / "s.ndjson"
-        argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(data), "--out", str(out)]
+        model = str(workdir["models"]["form"])
+        argv = ["sample", "--model", model, "--data", str(data), "--out", str(out)]
+        if command == "eval":
+            argv = ["eval", "--model", model, "--data", str(data), "--report", str(out)]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'onedot'" in err and "'halfmoons'" in err
@@ -667,7 +671,7 @@ class TestDefaults:
         assert header["spec"] == DatasetSpec(kind="onedot").to_dict()
 
     def test_train_config(self, workdir, tmp_path, monkeypatch):
-        real_train = cli.train
+        real_train = training.train
 
         def one_step_train(records, config, **kwargs):
             """Train one step, but keep the configuration the CLI asked for."""
@@ -675,7 +679,7 @@ class TestDefaults:
             model.train_config = config
             return model
 
-        monkeypatch.setattr(cli, "train", one_step_train)
+        monkeypatch.setattr(training, "train", one_step_train)
         out = tmp_path / "m.json"
         argv = ["train", "--data", str(workdir["data"]), "--out", str(out), "--method", "form"]
         assert main(argv) == EXIT_OK
@@ -738,6 +742,20 @@ class TestFileValidation:
         assert err.startswith("error:") and err.count("\n") == 1 and f"schema_version {version}" in err
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_dataset_given_as_model_names_its_kind(self, workdir, tmp_path, capsys, command):
+        """The dataset's second line made this an invalid-JSON error ("Extra data")."""
+        out = tmp_path / "o"
+        data = str(workdir["data"])
+        argv = {
+            "sample": ["sample", "--model", data, "--data", data, "--out", str(out)],
+            "eval": ["eval", "--model", data, "--data", data, "--report", str(out)],
+        }[command]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {data}:1: expected kind 'form-lab-checkpoint', got 'form-lab-dataset'\n"
+        assert not out.exists()
+
 
 def _as_text_arrays(path):
     """Rewrite a dataset or checkpoint in place with each array as a flat JSON list (versions 1-3 wrote numbers)."""
@@ -763,11 +781,11 @@ def _as_v2_dataset(path):
     return path
 
 
-def _run_module(*args):
-    """``python -m form_lab.cli ARGS`` with this checkout's package first on the path."""
+def _run_module(*args, warnings=None):
+    """``python -m form_lab.cli ARGS`` with this checkout's package first on the path (and ``-W warnings``)."""
     pythonpath = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-m", "form_lab.cli", *args],
+        [sys.executable, *(["-W", warnings] if warnings else []), "-m", "form_lab.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
@@ -780,6 +798,20 @@ class TestProcessBoundary:
         proc = _run_module("gen-data", "--dataset", "onedot", "--out", str(out), "--n", "3", "--steps", "5")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-data", "--dataset", "onedot", "--n", "4", "--steps", "10", "--variance", "1e308"],
+         ["train", "--method", "o1", "--steps", "2", "--hidden", "4", "--lr", "1e308"]],
+        ids=["gen-data-variance", "train-lr"],
+    )
+    def test_overflow_is_one_numerical_failure_line(self, workdir, tmp_path, argv):
+        """Each printed numpy RuntimeWarnings, with their source lines, before its exit-3 message."""
+        inputs = ["--data", str(workdir["data"])] if argv[0] == "train" else []
+        proc = _run_module(*argv, *inputs, "--out", str(tmp_path / "o"), warnings="error::RuntimeWarning")
+        assert proc.returncode == EXIT_NUMERIC
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("numerical failure:")
 
     def test_usage_exit_code_through_process(self, tmp_path):
         proc = _run_module(

@@ -237,6 +237,12 @@ class TestHoldout:
         train, heldout = holdout_split(stack_records(list(reversed(records))))
         assert [r.index for r in heldout] == [4]
 
+    def test_zero_fraction_holds_out_nothing(self):
+        records = generate(DatasetSpec(kind="onedot", n_points=3, n_steps=10, seed=0))
+        train, heldout = holdout_split(records, fraction=0.0)
+        assert [r.index for r in train] == [0, 1, 2]
+        assert len(heldout) == 0
+
     def test_split_validation(self):
         records = generate(DatasetSpec(kind="onedot", n_points=3, n_steps=10, seed=0))
         with pytest.raises(ValueError):

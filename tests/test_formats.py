@@ -470,6 +470,20 @@ class TestCheckpointFiles:
         with pytest.raises(SchemaError):
             read_checkpoint(path)
 
+    def test_dataset_given_as_checkpoint_names_its_kind(self, tmp_path, spec, records):
+        """A dataset's second line made this an invalid-JSON error ("Extra data")."""
+        path = tmp_path / "d.ndjson"
+        write_dataset(path, records, spec, DEFAULT_PHYSICS)
+        with pytest.raises(SchemaError, match="expected kind 'form-lab-checkpoint', got 'form-lab-dataset'"):
+            read_checkpoint(path)
+
+    def test_trailing_junk_is_still_invalid_json(self, tmp_path, model):
+        path = tmp_path / "m.json"
+        write_checkpoint(path, model)
+        path.write_text(path.read_text() + "junk\n")
+        with pytest.raises(SchemaError, match=r":1: invalid JSON \(Extra data\)"):
+            read_checkpoint(path)
+
 
 class TestSamplesFiles:
     HEADER = {"method": "form", "sampler_steps": 2}
@@ -563,6 +577,12 @@ class TestReportFiles:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
         with pytest.raises(SchemaError, match="schema_version"):
+            read_report(path)
+
+    def test_dataset_given_as_report_names_its_kind(self, tmp_path, spec, records):
+        path = tmp_path / "d.ndjson"
+        write_dataset(path, records, spec, DEFAULT_PHYSICS)
+        with pytest.raises(SchemaError, match="expected kind 'form-lab-report', got 'form-lab-dataset'"):
             read_report(path)
 
     def test_non_report_rejected(self, tmp_path):

@@ -40,7 +40,6 @@ class TestConfig:
         "kw",
         [
             dict(n_steps=0),
-            dict(handedness=2),
             dict(velocity_update="bogus"),
         ],
     )
@@ -223,12 +222,6 @@ class TestModelAdapters:
         v0 = np.array([[1.0, 2.0]])
         path = sample_form(tiny_models["form"], x0, SamplerConfig(n_steps=5), v0=v0)
         assert np.array_equal(path.v[0], v0)
-
-    def test_handedness_override_changes_path(self, tiny_models):
-        x0 = np.array([[0.2, 0.1]])
-        a = sample_form(tiny_models["form"], x0, SamplerConfig(n_steps=8, handedness=1))
-        b = sample_form(tiny_models["form"], x0, SamplerConfig(n_steps=8, handedness=-1))
-        assert not np.allclose(a.endpoint, b.endpoint)
 
     def test_time_normalization(self):
         """Adapters feed the head t / duration: evaluating the wrapped head
@@ -426,12 +419,12 @@ class TestMomentumExactUpdateBits:
             force_path(lambda x, t: (np.ones((4, 1)), np.ones((4, 1))), np.zeros((4, 2)), [1.0, 0.0], 1.0, 3)
 
 
-def _form_model(input_mode, seed):
-    """An untrained force head scaled up so that it steers hard, pushing forward."""
+def _form_model(input_mode, seed, handedness=1):
+    """An untrained force head scaled up so that it steers hard, pushing forward, on a dataset of ``handedness``."""
     head = mlp_init((1 if input_mode == "time" else 3, 16, 2), seed=seed)
     head.weights[-1][...] *= 10.0
     head.biases[-1][...] = (30.0, 0.0)
-    spec = DatasetSpec(kind="halfmoons", n_points=16, seed=seed)
+    spec = DatasetSpec(kind="halfmoons", n_points=16, seed=seed, handedness=handedness)
     return TrainedModel(
         method="form",
         heads={"F": head},
@@ -447,9 +440,9 @@ class TestSampleFormBits:
     @pytest.mark.parametrize("n_steps", [1, 10])
     @pytest.mark.parametrize("handedness", [1, -1])
     def test_matches_reference_update(self, monkeypatch, input_mode, n_steps, handedness):
-        model = _form_model(input_mode, seed=5)
+        model = _form_model(input_mode, seed=5, handedness=handedness)
         x0 = np.random.default_rng(6).normal(scale=0.5, size=(16, 2))
-        cfg = SamplerConfig(n_steps=n_steps, handedness=handedness)
+        cfg = SamplerConfig(n_steps=n_steps)
         got = sample_form(model, x0, cfg)
         calls = []
 
