@@ -50,7 +50,7 @@ from .formats import (
     write_report,
     write_samples,
 )
-from .relativity import PhysicsConfig
+from .relativity import PhysicsConfig, speed
 from .sampling import VELOCITY_UPDATES
 from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, steps_for_epochs
 
@@ -141,7 +141,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     batch = pipeline.make_dataset(args.out, spec, physics, args.threads)
-    max_speed = float(np.max(np.sqrt(np.sum(batch.v * batch.v, axis=-1))))
+    max_speed = float(np.max(speed(batch.v)))
     print(
         f"wrote {args.out}: {len(batch)} x {spec.n_steps} step "
         f"{spec.kind} trajectories, duration {spec.duration} s"
@@ -244,7 +244,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     write_samples(args.out, header_extra, entries)
     print(f"wrote {args.out}: {len(entries)} {model.method} endpoints ({sampler.n_steps} steps)")
     if path.v is not None:
-        max_speed = float(np.max(np.sqrt(np.sum(path.v * path.v, axis=-1))))
+        max_speed = float(np.max(speed(path.v)))
         print(f"max sampled speed {max_speed:.6g} du/s ({max_speed / model.physics.c:.6g} c)")
     return EXIT_OK
 

@@ -12,16 +12,10 @@ Runge-Kutta stage for any force magnitude, so stress-scaled schedules cannot
 push a state across the limit mid-step.
 
 The state is component-major, ``(4, N)`` with rows ``x, y, w_x, w_y``, so
-each stage derivative is computed on contiguous rows and written into one
-``(4, N)`` array: ``v = w / sqrt(1 + (w_x^2 + w_y^2) / c^2)`` and
-``f_lab = f_par vhat + f_perp rotate90(vhat)`` with the schedule's two
-components as scalars.  These are the operations of
-:func:`~form_lab.relativity.velocity_from_celerity` and
-:func:`~form_lab.relativity.compose_lab_force` in the same order, so the
-results are bit-identical to theirs.  A stage in which some point's speed is
-``<= EPS_V`` goes through ``compose_lab_force`` itself, which lets a zero
-force act on a resting point and raises ``DegenerateVelocityError`` for a
-nonzero one.
+each stage derivative is computed on contiguous rows by
+:func:`~form_lab.relativity.velocity_rows` and
+:func:`~form_lab.relativity.lab_force_rows`, with the schedule's two
+components as scalars, and written into one ``(4, N)`` array.
 
 A simulation comes back as one :class:`TrajectoryBatch`, the in-memory form
 of a dataset everywhere: ``(N, K+1, 2)`` blocks, with the time grid and the
@@ -29,12 +23,11 @@ schedule stored once.  :func:`stack_records` builds one from hand-made records.
 
 A record's lab force ``f`` and acceleration ``a`` follow from ``v`` and the
 schedule; the simulator, the dataset reader and the dataset writer's check
-all derive them with :func:`lab_force_and_acceleration`.  It works on the
-component rows ``v[..., 0]`` and ``v[..., 1]`` of ``REBUILD_BLOCK``
-trajectories at a time, and writes ``f`` and ``a`` straight into their
-``(N, K+1, 2)`` blocks, with the operations of ``compose_lab_force`` and
-``acceleration_from_force`` in their order, so the bits are theirs.  A block
-that holds a resting point goes through those two functions themselves.
+all derive them with :func:`lab_force_and_acceleration`.  It runs
+:func:`~form_lab.relativity.lab_force_rows` and
+:func:`~form_lab.relativity.acceleration_rows` on the component rows of
+``REBUILD_BLOCK`` trajectories at a time, and writes ``f`` and ``a`` straight
+into their ``(N, K+1, 2)`` blocks.
 """
 
 from __future__ import annotations
@@ -48,12 +41,11 @@ from .errors import NonFiniteError, ShapeError
 from .ode import integrate_fixed_grid
 from .relativity import (
     DEFAULT_PHYSICS,
-    EPS_V,
     PhysicsConfig,
-    acceleration_from_force,
+    acceleration_rows,
     celerity_from_velocity,
-    compose_lab_force,
-    lorentz_factor_from_speed_sq,
+    lab_force_rows,
+    velocity_rows,
 )
 
 # The conventional speed of light used to define the working units.
@@ -241,35 +233,13 @@ def simulate_batch(
         indices = np.arange(n)
     if len(indices) != n:
         raise ValueError(f"got {len(indices)} indices for {n} particles")
-    if handedness not in (1, -1):
-        raise ValueError(f"handedness must be +1 or -1, got {handedness!r}")
 
     w0 = celerity_from_velocity(v0, physics)  # also enforces |v0| < c
-    c2 = physics.c**2
-
-    def gamma_of(w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
-        # velocity_from_celerity's gamma on the rows, op for op; a sum of
-        # squares is never -0.0, so _dot's trailing + 0.0 changes nothing here
-        return np.sqrt(1.0 + (w_x * w_x + w_y * w_y) / c2)
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        # velocity_from_celerity and compose_lab_force written out on the
-        # rows, op for op, so every stage has their bits
-        if not np.isfinite(y[2:]).all():
-            raise NonFiniteError("celerity must be finite")
         dy = np.empty(y.shape)
-        v_x, v_y = dy[0], dy[1]
-        np.divide(y[2:], gamma_of(y[2], y[3]), out=dy[:2])
-        f_par, f_perp = float(schedule.f_par(t)), float(schedule.f_perp(t))
-        s = np.sqrt(v_x * v_x + v_y * v_y)
-        if (s <= EPS_V).any():  # a resting point: only a zero force may act on it
-            dy[2:] = compose_lab_force(f_par, f_perp, dy[:2].T, handedness).T
-            return dy
-        vhat_x, vhat_y = v_x / s, v_y / s
-        # f_perp along rotate90(vhat) = handedness * (-vhat_y, vhat_x)
-        f_rot = handedness * f_perp
-        np.subtract(f_par * vhat_x, f_rot * vhat_y, out=dy[2])
-        np.add(f_par * vhat_y, f_rot * vhat_x, out=dy[3])
+        velocity_rows(y[2:], physics, dy[:2])
+        lab_force_rows(float(schedule.f_par(t)), float(schedule.f_perp(t)), dy[:2], handedness, dy[2:])
         return dy
 
     y0 = np.concatenate([x0.T, w0.T])
@@ -280,7 +250,7 @@ def simulate_batch(
     # the (N, K+1, 2) blocks, filled from the (K+1, 2, N) rows of the state
     x, v = np.empty((n, n_steps + 1, 2)), np.empty((n, n_steps + 1, 2))
     x.transpose(1, 2, 0)[...] = states[:, :2]
-    np.divide(states[:, 2:], gamma_of(states[:, 2], states[:, 3])[:, None], out=v.transpose(1, 2, 0))
+    velocity_rows(states[:, 2:].swapaxes(0, 1), physics, v.transpose(2, 1, 0))
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
     # true force = m * per-unit-mass schedule
     return trajectory_records(indices, times, x, v, physics.m * fp_grid, physics.m * fq_grid, physics, handedness)
@@ -305,28 +275,12 @@ def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedn
     f_par, f_perp = np.asarray(f_par, dtype=np.float64), np.asarray(f_perp, dtype=np.float64)
     if v.ndim != 3 or v.shape[2] != 2 or f_par.shape != v.shape[1:2] or f_perp.shape != v.shape[1:2]:
         raise ShapeError(f"expected v (N, K+1, 2) and a (K+1,) schedule, got {v.shape}, {f_par.shape}, {f_perp.shape}")
-    if handedness not in (1, -1):
-        raise ValueError(f"handedness must be +1 or -1, got {handedness!r}")
     f, a = np.empty(v.shape), np.empty(v.shape)
-    c2 = physics.c**2
-    f_rot = handedness * f_perp  # f_perp along rotate90(vhat) = handedness * (-vhat_y, vhat_x)
     for start in range(0, len(v), REBUILD_BLOCK):
         rows = slice(start, start + REBUILD_BLOCK)
-        (v_x, v_y), (f_x, f_y), (a_x, a_y) = (np.moveaxis(block[rows], 2, 0) for block in (v, f, a))
-        s2 = v_x * v_x + v_y * v_y + 0.0  # _dot's + 0.0 turns a -0.0 sum into +0.0
-        s = np.sqrt(s2)
-        if (s <= EPS_V).any():  # a resting point: only a zero force may act on it
-            f[rows] = compose_lab_force(f_par, f_perp, v[rows], handedness)
-            a[rows] = acceleration_from_force(v[rows], f[rows], physics)
-        else:
-            gamma = lorentz_factor_from_speed_sq(s2, physics)
-            vhat_x, vhat_y = v_x / s, v_y / s
-            np.subtract(f_par * vhat_x, f_rot * vhat_y, out=f_x)
-            np.add(f_par * vhat_y, f_rot * vhat_x, out=f_y)
-            along = (v_x * f_x + v_y * f_y + 0.0) / c2
-            m_gamma = physics.m * gamma
-            np.divide(f_x - along * v_x, m_gamma, out=a_x)
-            np.divide(f_y - along * v_y, m_gamma, out=a_y)
+        v_rows, f_rows, a_rows = (np.moveaxis(block[rows], 2, 0) for block in (v, f, a))
+        s2 = lab_force_rows(f_par, f_perp, v_rows, handedness, f_rows)
+        acceleration_rows(v_rows, f_rows, s2, physics, a_rows)
         if not (np.isfinite(f[rows]).all() and np.isfinite(a[rows]).all()):
             raise NonFiniteError("lab force or acceleration is non-finite")
     return f, a

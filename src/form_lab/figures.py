@@ -17,6 +17,8 @@ SOURCE_COLOR = "#1f77b4"  # blue
 TARGET_COLOR = "#e377c2"  # pink
 TRAJECTORY_COLOR = "#999999"
 
+_WIDTH = _HEIGHT = 540.0
+_POINT_RADIUS = 2.5
 _MARGIN = 56.0
 _TICKS = 5
 
@@ -35,9 +37,6 @@ def scatter_svg(
     target: np.ndarray,
     trajectories: list[np.ndarray] | None = None,
     title: str = "",
-    width: float = 540.0,
-    height: float = 540.0,
-    point_radius: float = 2.5,
 ) -> str:
     """Render source/target point clouds (and optional paths) as SVG text."""
     source = np.atleast_2d(np.asarray(source, dtype=np.float64))
@@ -56,28 +55,28 @@ def scatter_svg(
     center = 0.5 * (lo + hi)
     span = float(max(np.max(hi - lo), 1e-9)) * 1.16
     x_min, y_min = center - 0.5 * span
-    plot = min(width, height) - 2.0 * _MARGIN
+    plot = min(_WIDTH, _HEIGHT) - 2.0 * _MARGIN
     scale = plot / span
 
     def sx(x: float) -> float:
         return _MARGIN + (x - x_min) * scale
 
     def sy(y: float) -> float:
-        return height - _MARGIN - (y - y_min) * scale  # SVG y grows downward
+        return _HEIGHT - _MARGIN - (y - y_min) * scale  # SVG y grows downward
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '
+        f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">'
     )
-    parts.append(f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>')
+    parts.append(f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="white"/>')
     parts.append(
-        f'<rect x="{_fmt(_MARGIN)}" y="{_fmt(height - _MARGIN - plot)}" width="{_fmt(plot)}" '
+        f'<rect x="{_fmt(_MARGIN)}" y="{_fmt(_HEIGHT - _MARGIN - plot)}" width="{_fmt(plot)}" '
         f'height="{_fmt(plot)}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
     if title:
         parts.append(
-            f'<text x="{_fmt(width / 2)}" y="{_fmt(_MARGIN * 0.55)}" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_MARGIN * 0.55)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
 
@@ -87,7 +86,7 @@ def scatter_svg(
         data_x = x_min + frac * span
         data_y = y_min + frac * span
         px, py = sx(data_x), sy(data_y)
-        bottom = height - _MARGIN
+        bottom = _HEIGHT - _MARGIN
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" x2="{_fmt(px)}" y2="{_fmt(bottom + 5)}" '
             f'stroke="#333333" stroke-width="1"/>'
@@ -105,12 +104,12 @@ def scatter_svg(
             f'font-family="sans-serif" font-size="11">{_tick_label(data_y)}</text>'
         )
     parts.append(
-        f'<text x="{_fmt(width / 2)}" y="{_fmt(height - 12)}" text-anchor="middle" '
+        f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_HEIGHT - 12)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">x (du)</text>'
     )
     parts.append(
-        f'<text x="16" y="{_fmt(height / 2)}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {_fmt(height / 2)})">y (du)</text>'
+        f'<text x="16" y="{_fmt(_HEIGHT / 2)}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 16 {_fmt(_HEIGHT / 2)})">y (du)</text>'
     )
 
     for traj in trajectories:
@@ -124,12 +123,12 @@ def scatter_svg(
     for pts, color in ((source, SOURCE_COLOR), (target, TARGET_COLOR)):
         for p in pts:
             parts.append(
-                f'<circle cx="{_fmt(sx(p[0]))}" cy="{_fmt(sy(p[1]))}" r="{_fmt(point_radius)}" '
+                f'<circle cx="{_fmt(sx(p[0]))}" cy="{_fmt(sy(p[1]))}" r="{_fmt(_POINT_RADIUS)}" '
                 f'fill="{color}" fill-opacity="0.75"/>'
             )
 
     # legend: rect swatches so circles stay reserved for data points
-    lx, ly = _MARGIN + 10.0, height - _MARGIN - plot + 14.0
+    lx, ly = _MARGIN + 10.0, _HEIGHT - _MARGIN - plot + 14.0
     for row, (label, color) in enumerate((("source", SOURCE_COLOR), ("target", TARGET_COLOR))):
         y = ly + 16.0 * row
         parts.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y - 8)}" width="10" height="10" fill="{color}"/>')

@@ -7,12 +7,11 @@ parameter sets bit-for-bit.  :class:`TrainingWorkspace` steps one head of a
 training run in buffers allocated once, through the same forward, backward
 and Adam kernels that the public functions call with fresh buffers.
 
-A training step is one forward pass and one backward pass:
-:func:`mlp_value_and_grad` keeps the activations of its forward pass, asks
-the caller's loss for dLoss/dOutput, and backpropagates through the stored
-activations.  Parameters, gradients and Adam moments each live in one flat
-float64 buffer (every weight matrix, then every bias vector) with the per-layer
-arrays as reshaped views, so :func:`adam_step` updates a whole net with one
+A training step is one forward pass and one backward pass through the
+activations that forward pass stored.  Parameters, gradients and Adam moments
+each live in one flat float64 buffer (every weight matrix, then every bias
+vector) with the per-layer arrays as reshaped views, so gradients come back
+as an :class:`MlpParams` and :func:`adam_step` updates a whole net with one
 set of elementwise operations instead of one set per array.
 """
 
@@ -42,17 +41,6 @@ def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _pack(obj, shapes) -> None:
-    """Copy ``obj``'s weights and biases into one fresh buffer and point ``obj`` at views of it."""
-    arrays = (*obj.weights, *obj.biases)
-    flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-    views = _split(flat, shapes)
-    n = len(obj.weights)
-    object.__setattr__(obj, "flat", flat)
-    object.__setattr__(obj, "weights", tuple(views[:n]))
-    object.__setattr__(obj, "biases", tuple(views[n:]))
-
-
 @dataclass(frozen=True)
 class MlpParams:
     """Fully connected net: tanh on hidden layers, identity on the output.
@@ -74,20 +62,14 @@ class MlpParams:
             got = [np.shape(a) for a in (*self.weights, *self.biases)]
             if len(self.weights) != len(self.biases) or got != shapes:
                 raise ShapeError(f"weight and bias shapes {got} do not fit layer_dims {tuple(self.layer_dims)}")
-            _pack(self, shapes)
-
-
-@dataclass(frozen=True)
-class MlpGrads:
-    """Gradients laid out like :class:`MlpParams`, in one ``flat`` buffer."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.flat is None:
-            _pack(self, [np.shape(a) for a in (*self.weights, *self.biases)])
+            # copy the arrays into one fresh buffer and point the fields at views of it
+            arrays = (*self.weights, *self.biases)
+            flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+            views = _split(flat, shapes)
+            n = len(self.weights)
+            object.__setattr__(self, "flat", flat)
+            object.__setattr__(self, "weights", tuple(views[:n]))
+            object.__setattr__(self, "biases", tuple(views[n:]))
 
 
 def _params_from_flat(layer_dims: tuple[int, ...], flat: np.ndarray) -> MlpParams:
@@ -161,47 +143,36 @@ def mlp_forward(params: MlpParams, x) -> np.ndarray:
     return out.reshape(*x.shape[:-1], params.layer_dims[-1])
 
 
-def mlp_value_and_grad(params: MlpParams, x, grad_fn) -> tuple[object, MlpGrads, np.ndarray]:
-    """One forward pass, then backpropagation of the loss ``grad_fn`` puts on its output.
+def mlp_backward(params: MlpParams, x, grad_output) -> tuple[MlpParams, np.ndarray]:
+    """Backpropagate ``grad_output`` (dLoss/dOutput, with ``x``'s leading shape) through the net.
 
-    ``grad_fn(out) -> (loss, dLoss/dOut)`` sees the output with ``x``'s
-    leading shape, as :func:`mlp_forward` returns it.  Returns (loss,
-    parameter gradients, dLoss/dInput).  Gradients are summed over the batch,
-    matching a loss that sums (not averages) over batch rows; put any 1/B
-    factor into dLoss/dOut.
+    Runs the forward pass for its activations, then the backward pass.
+    Returns (parameter gradients, laid out like ``params``, and dLoss/dInput).
+    Gradients are summed over the batch, matching a loss that sums (not
+    averages) over batch rows; put any 1/B factor into ``grad_output``.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_input(params, x)
-    lead = x.shape[:-1]
     x2d = x.reshape(-1, x.shape[-1])
-    n_layers = len(params.weights)
-    acts = [x2d] + [None] * (n_layers - 1)
-    out = _forward(params.weights, params.biases, acts)
-    loss, grad_output = grad_fn(out.reshape(*lead, params.layer_dims[-1]))
     g = np.asarray(grad_output, dtype=np.float64).reshape(-1, params.layer_dims[-1])
     if g.shape[0] != x2d.shape[0]:
         raise ShapeError(f"grad_output batch {g.shape[0]} != input batch {x2d.shape[0]}")
-
-    flat = np.empty_like(params.flat)
-    views = _split(flat, _shapes(params.layer_dims))
+    n_layers = len(params.weights)
+    acts = [x2d] + [None] * (n_layers - 1)
+    _forward(params.weights, params.biases, acts)
+    grads = _params_from_flat(params.layer_dims, np.empty_like(params.flat))
     grad_input = np.empty(x2d.shape)
-    _backward(params.weights, acts, g, views[:n_layers], views[n_layers:], [None] * (n_layers - 1), grad_input)
-    grads = MlpGrads(tuple(views[:n_layers]), tuple(views[n_layers:]), flat)
-    return loss, grads, grad_input.reshape(*lead, params.layer_dims[0])
+    _backward(params.weights, acts, g, grads.weights, grads.biases, [None] * (n_layers - 1), grad_input)
+    return grads, grad_input.reshape(*x.shape[:-1], params.layer_dims[0])
 
 
-def mlp_backward(params: MlpParams, x, grad_output) -> tuple[MlpGrads, np.ndarray]:
-    """Backpropagate ``grad_output`` (dLoss/dOutput) through the net.
-
-    Returns (parameter gradients, dLoss/dInput), as :func:`mlp_value_and_grad`.
-    """
-    _, grads, grad_input = mlp_value_and_grad(params, x, lambda out: (None, grad_output))
-    return grads, grad_input
+# Adam's decay rates and denominator offset: the usual values, which every run uses.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moments and hyperparameters for one parameter set.
+    """Adam moments, learning rate and step count for one parameter set.
 
     ``m`` and ``v`` are laid out like the parameters' ``flat`` buffer.
     """
@@ -209,16 +180,13 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
 
-def adam_init(params: MlpParams, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: MlpParams, lr: float = 1e-3) -> AdamState:
     if not lr > 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
 def _adam(state: AdamState, t: int, g: np.ndarray, src, dst, scratch: np.ndarray, step: np.ndarray) -> None:
@@ -227,25 +195,25 @@ def _adam(state: AdamState, t: int, g: np.ndarray, src, dst, scratch: np.ndarray
     ``p' = p - lr (m' / bc1) / (sqrt(v' / bc2) + eps)``, elementwise in that order."""
     p, m, v = src
     new_p, new_m, new_v = dst
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    np.multiply(m, state.beta1, out=new_m)
-    np.multiply(g, 1.0 - state.beta1, out=scratch)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    np.multiply(m, ADAM_BETA1, out=new_m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
     new_m += scratch
-    np.multiply(v, state.beta2, out=new_v)
-    np.multiply(g, 1.0 - state.beta2, out=scratch)
+    np.multiply(v, ADAM_BETA2, out=new_v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
     scratch *= g
     new_v += scratch
     np.divide(new_v, bc2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += state.eps
+    scratch += ADAM_EPS
     np.divide(new_m, bc1, out=step)
     step *= state.lr
     step /= scratch
     np.subtract(p, step, out=new_p)
 
 
-def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[MlpParams, AdamState]:
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update over the whole flat buffer; returns fresh (params, state)."""
     if not params.flat.shape == grads.flat.shape == state.m.shape:
         raise ShapeError(
@@ -254,7 +222,7 @@ def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState) -> tuple[Mlp
     t = state.step + 1
     p, m, v, scratch = (np.empty_like(params.flat) for _ in range(4))
     _adam(state, t, grads.flat, (params.flat, state.m, state.v), (p, m, v), scratch, p)
-    new_state = AdamState(m=m, v=v, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps, step=t)
+    new_state = AdamState(m=m, v=v, lr=state.lr, step=t)
     return _params_from_flat(params.layer_dims, p), new_state
 
 
@@ -265,7 +233,7 @@ class TrainingWorkspace:
     of the Adam moments, plus the activations, deltas and gradient of ``rows``
     rows.  A step fills the input block ``inp``, calls :meth:`forward`, writes
     dLoss/dOut into ``grad_out`` and calls :meth:`backward_and_update`, which
-    runs the kernels of :func:`mlp_value_and_grad` and :func:`adam_step` in
+    runs the kernels of :func:`mlp_backward` and :func:`adam_step` in
     place.  With ``grad_input`` set, a step also leaves dLoss/dInput there.
     """
 

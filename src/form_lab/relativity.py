@@ -7,7 +7,11 @@ an integration bug into a silently wrong dataset.
 
 Every function accepts a single 2-vector ``(2,)`` or a batch ``(..., 2)`` and
 broadcasts elementwise, so batched code paths produce bit-identical numbers
-to the single-particle ones.
+to the single-particle ones.  Three formulas also come in row form, for the
+loops that hold vectors as ``(2, ...)`` component rows so that every operation
+runs on contiguous rows: :func:`velocity_rows`, :func:`lab_force_rows` and
+:func:`acceleration_rows` write into ``out`` and take the operations of the
+function each names in its order, so the bits are that function's.
 """
 
 from __future__ import annotations
@@ -211,9 +215,70 @@ def velocity_from_celerity(w, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.nd
     The exact map satisfies |v| < c for every finite w.  In float64 the
     strict inequality holds up to |w| ~ c / sqrt(eps) (gamma ~ 1e8); beyond
     that the nearest representable double is c itself and the result
-    saturates at exactly c, never above it.
+    saturates at exactly c, never above it.  A celerity that is not finite,
+    or whose ``|w|^2 / c^2`` overflows (about 1e154 and up), raises.
     """
     w = _as_float_array(w)
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteError("celerity must be finite")
-    return w / _column(np.sqrt(1.0 + _dot(w, w) / physics.c**2))
+    gamma = np.sqrt(1.0 + _dot(w, w) / physics.c**2)
+    _require_finite_gamma(w, gamma)
+    return w / _column(gamma)
+
+
+def _require_finite_gamma(w: np.ndarray, gamma: np.ndarray) -> None:
+    """Refuse a non-finite celerity, or one whose ``w / gamma`` would read 0 because gamma overflows."""
+    if np.count_nonzero(np.isfinite(gamma)) != gamma.size:
+        if not np.isfinite(w).all():
+            raise NonFiniteError("celerity must be finite")
+        raise NonFiniteError("celerity overflows float64: |w|^2 / c^2 is not finite")
+
+
+# --- component rows (see the module docstring) --------------------------------
+#
+# A sum of squares is never -0.0, so _dot's trailing ``+ 0.0`` is left out
+# after one, not after <v, f>.
+
+
+def velocity_rows(w: np.ndarray, physics: PhysicsConfig, out: np.ndarray) -> np.ndarray:
+    """:func:`velocity_from_celerity` of the rows ``w``, written into ``out``; returns ``|w|^2``."""
+    ww = w * w
+    sq = ww[0] + ww[1]
+    gamma = np.sqrt(1.0 + sq / physics.c**2)
+    _require_finite_gamma(w, gamma)
+    np.divide(w, gamma, out=out)
+    return sq
+
+
+def lab_force_rows(f_par, f_perp, v: np.ndarray, handedness: int, out: np.ndarray) -> np.ndarray:
+    """:func:`compose_lab_force` along the rows ``v``, written into ``out``; returns ``|v|^2``.
+
+    ``f_par`` and ``f_perp`` are scalars or arrays that broadcast to
+    ``v[0]``.  If any point rests (speed ``<= EPS_V``), the rows go through
+    ``compose_lab_force`` itself, which lets a zero force act there and
+    refuses a nonzero one.
+    """
+    if handedness not in (1, -1):
+        raise ValueError(f"handedness must be +1 or -1, got {handedness!r}")
+    vv = v * v
+    s2 = vv[0] + vv[1]
+    s = np.sqrt(s2)
+    if (s <= EPS_V).any():
+        np.moveaxis(out, 0, -1)[...] = compose_lab_force(f_par, f_perp, np.moveaxis(v, 0, -1), handedness)
+        return s2
+    vhat_x, vhat_y = v[0] / s, v[1] / s
+    f_rot = handedness * f_perp  # f_perp along rotate90(vhat) = handedness * (-vhat_y, vhat_x)
+    np.subtract(f_par * vhat_x, f_rot * vhat_y, out=out[0])
+    np.add(f_par * vhat_y, f_rot * vhat_x, out=out[1])
+    return s2
+
+
+def acceleration_rows(v: np.ndarray, f: np.ndarray, s2: np.ndarray, physics: PhysicsConfig, out: np.ndarray) -> None:
+    """:func:`acceleration_from_force` of the rows ``v`` and ``f``, written into ``out``.
+
+    ``s2`` is ``|v|^2`` as :func:`lab_force_rows` returns it.  Raises
+    ``SpeedLimitError`` for a speed at or above ``c``.
+    """
+    gamma = lorentz_factor_from_speed_sq(s2, physics)
+    along = (v[0] * f[0] + v[1] * f[1] + 0.0) / physics.c**2
+    m_gamma = physics.m * gamma
+    np.divide(f[0] - along * v[0], m_gamma, out=out[0])
+    np.divide(f[1] - along * v[1], m_gamma, out=out[1])

@@ -15,12 +15,13 @@ Three engines, all on a uniform grid of ``n_steps`` steps of size
   velocity update is available as ``velocity_update="euler"`` but can
   overshoot c on coarse grids, which is then a hard error.  The celerity is
   held as two contiguous component rows, ``w_x`` and ``w_y``, and each
-  step's velocity is written straight into the path.  A force shared by
-  every point (a time-only head, a dataset schedule) becomes two Python
-  floats per step, so its at-rest, braking and ``f_par = 0`` decisions are
-  made once rather than masked per point.  The rows take the operations of
-  the per-point formula on ``(..., 2)`` vectors in the same order, so the
-  results are bit-identical to it.
+  step's velocity is written straight into the path by
+  :func:`~form_lab.relativity.velocity_rows`.  A force shared by every point
+  (a time-only head, a dataset schedule) becomes two Python floats per step,
+  so its at-rest, braking and ``f_par = 0`` decisions are made once rather
+  than masked per point.  The rows take the operations of the per-point
+  formula on ``(..., 2)`` vectors in the same order, so the results are
+  bit-identical to it.
 
 Model-facing wrappers (:func:`sample_o1`, :func:`sample_o1o2`,
 :func:`sample_form`) feed networks normalized time ``t / duration``, exactly
@@ -44,7 +45,9 @@ from .relativity import (
     acceleration_from_force,
     celerity_from_velocity,
     compose_lab_force,
+    speed,
     velocity_from_celerity,
+    velocity_rows,
 )
 from .neural import mlp_forward
 from .training import TrainedModel
@@ -137,7 +140,7 @@ def force_path(
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
     w = np.moveaxis(celerity_from_velocity(v, physics), -1, 0).copy()  # (2, ...) rows; enforces |v0| < c
-    sq = _squared_norm(w)
+    sq = w[0] * w[0] + w[1] * w[1]  # |w|^2, as velocity_rows returns it for the next steps
     v_rows = np.moveaxis(vs, -1, 1)  # (n_steps+1, 2, ...) views of the path
     exact = velocity_update == "momentum-exact"
     half_d = 0.5 * d
@@ -156,12 +159,6 @@ def force_path(
     return SamplePath(times=times, x=xs, v=vs)
 
 
-def _squared_norm(w: np.ndarray) -> np.ndarray:
-    """``w_x^2 + w_y^2`` of ``(2, ...)`` rows: the bits of ``np.sum(w * w, axis=0)``, without its reduction loop."""
-    ww = w * w
-    return ww[0] + ww[1]
-
-
 def _shared_or_per_point(f):
     """A force component as a Python float when one value acts on every point, else a float64 array."""
     if isinstance(f, float):  # a Python float or a numpy double
@@ -176,7 +173,7 @@ def _momentum_exact_update(
     """Advance celerity one step under a frozen co-moving force, exactly.
 
     ``w`` holds the celerity as component rows, shape ``(2, ...)``, and
-    ``sq`` its :func:`_squared_norm`.  The new velocity is written into ``v``
+    ``sq`` its ``|w|^2``.  The new velocity is written into ``v``
     (same shape as ``w``, here a view of the path) and the new ``(w, sq)``
     are returned, so ``|w|^2`` is computed once per step, for the velocity,
     and reused for ``|w|`` on the next.
@@ -191,10 +188,9 @@ def _momentum_exact_update(
     Python floats: the at-rest, braking and ``f_par = 0`` decisions are made
     on them once, not masked per point.  Since ``h`` is +-1 and IEEE
     rounding is symmetric in sign, folding it into the scalar factor gives
-    the same bits as applying it to every point.  The rotation and
-    :func:`~form_lab.relativity.velocity_from_celerity` are written out on
-    the rows op for op, so the results are bit-identical to the per-point
-    formula on ``(..., 2)`` vectors.
+    the same bits as applying it to every point.  The rotation is written
+    out on the rows op for op, so the results are bit-identical to the
+    per-point formula on ``(..., 2)`` vectors.
     """
     f_par, f_perp = _shared_or_per_point(f_par), _shared_or_per_point(f_perp)
     shared = type(f_par) is float and type(f_perp) is float
@@ -244,14 +240,7 @@ def _momentum_exact_update(
     np.subtract(cos_u[0], sin_u[1], out=w_new[0, ...])  # |w_new| (cos u_x - sin u_y, sin u_x + cos u_y)
     np.add(sin_u[0], cos_u[1], out=w_new[1, ...])
     w_new *= wmag_new
-    # velocity_from_celerity on the rows; a sum of squares is never -0.0, so
-    # _dot's trailing + 0.0 changes nothing.  A finite |w|^2 means a finite
-    # w; only where it is not (a square may overflow) is w itself checked.
-    sq = _squared_norm(w_new)
-    if np.count_nonzero(np.isfinite(sq)) != sq.size and not np.isfinite(w_new).all():
-        raise NonFiniteError("celerity must be finite")
-    np.divide(w_new, np.sqrt(1.0 + sq / physics.c**2), out=v)
-    return w_new, sq
+    return w_new, velocity_rows(w_new, physics, v)
 
 
 def _euler_update(
@@ -260,7 +249,7 @@ def _euler_update(
     """Textbook update v <- v + d * a; raises if the step crosses c."""
     f_lab = compose_lab_force(f_par, f_perp, v, handedness)
     v_new = v + d * acceleration_from_force(v, f_lab, physics)
-    speeds = np.sqrt(np.sum(v_new * v_new, axis=-1))
+    speeds = speed(v_new)
     if np.any(speeds >= physics.c):
         raise SpeedLimitError(
             f"euler velocity update crossed the speed limit (max speed {float(np.max(speeds))!r}, "

@@ -813,6 +813,32 @@ class TestProcessBoundary:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("sampler_steps", ["1", "5"])
+    def test_overflowing_celerity_is_one_numerical_failure_line(self, tmp_path, sampler_steps):
+        """A particle of mass 1e-300 overflows |w|^2 in the first sampler step:
+        exit 3 naming the overflow, not v = 0 (1 step) or "celerity must be finite" (5)."""
+        data, model = tmp_path / "d.ndjson", tmp_path / "m.ndjson"
+        gen = ["gen-data", "--dataset", "onedot", "--n", "30", "--steps", "10", "--mass", "1e-300", "--out", str(data)]
+        assert main(gen) == EXIT_OK
+        assert main(["train", "--data", str(data), "--method", "form", "--steps", "50", "--out", str(model)]) == EXIT_OK
+        proc = _run_module(
+            "sample", "--model", str(model), "--data", str(data), "--sampler-steps", sampler_steps,
+            "--out", str(tmp_path / "s.ndjson"), warnings="error::RuntimeWarning",
+        )
+        assert proc.returncode == EXIT_NUMERIC
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("numerical failure: celerity overflows")
+
+    def test_overflowing_simulation_names_the_overflow(self, tmp_path):
+        """A step of 1e308 s overflows the celerity in the first stage, not a speed of 0 that a force cannot push."""
+        proc = _run_module(
+            "gen-data", "--dataset", "onedot", "--duration", "1e308", "--out", str(tmp_path / "d.ndjson"),
+            warnings="error::RuntimeWarning",
+        )
+        assert proc.returncode == EXIT_NUMERIC
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("numerical failure: celerity overflows")
+
     def test_usage_exit_code_through_process(self, tmp_path):
         proc = _run_module(
             "train", "--data", str(tmp_path / "nope.ndjson"), "--out", str(tmp_path / "m.json"), "--method", "o1"

@@ -6,14 +6,12 @@ from numpy.testing import assert_allclose
 
 from form_lab.errors import ShapeError
 from form_lab.neural import (
-    MlpGrads,
     MlpParams,
     adam_init,
     adam_step,
     mlp_backward,
     mlp_forward,
     mlp_init,
-    mlp_value_and_grad,
 )
 
 
@@ -46,7 +44,7 @@ def numerical_grads(params, x, grad_output, h=1e-5):
             bm[l][idx] -= h
             g[idx] = (loss_with(params.weights, bp) - loss_with(params.weights, bm)) / (2 * h)
         db.append(g)
-    return MlpGrads(weights=tuple(dw), biases=tuple(db))
+    return MlpParams(params.layer_dims, tuple(dw), tuple(db))
 
 
 def max_rel_err(a, b):
@@ -212,36 +210,24 @@ class TestBackward:
         for a, b in zip(full.weights, summed):
             assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
-
-class TestValueAndGrad:
     @pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["single", "batch", "two-axes"])
-    def test_equals_forward_then_backward(self, lead):
-        """One forward pass gives the output, gradients and input gradient of
-        mlp_forward + mlp_backward, and of a two-pass per-array reference, bit for bit."""
+    def test_equals_two_pass_reference(self, lead):
+        """Gradients, laid out like the parameters, and the input gradient equal
+        those of a two-pass per-array reference, bit for bit."""
         p = mlp_init((3, 16, 16, 2), seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(*lead, 3))
         gout = rng.normal(size=(*lead, 2))
-        seen = []
-
-        def grad_fn(out):
-            seen.append(out.copy())
-            return "loss", gout
-
-        loss, grads, gx = mlp_value_and_grad(p, x, grad_fn)
-        ref_grads, ref_gx = mlp_backward(p, x, gout)
-        assert loss == "loss" and len(seen) == 1
-        assert np.array_equal(seen[0], mlp_forward(p, x))
-        assert all_equal(arrays(grads), arrays(ref_grads))
-        assert gx.shape == x.shape and np.array_equal(gx, ref_gx)
+        grads, gx = mlp_backward(p, x, gout)
+        assert grads.layer_dims == p.layer_dims and grads.flat.shape == p.flat.shape
         two_pass, two_pass_gx = reference_backward(p, x.reshape(-1, 3), gout.reshape(-1, 2))
         assert all_equal(arrays(grads), two_pass)
-        assert np.array_equal(gx, two_pass_gx.reshape(x.shape))
+        assert gx.shape == x.shape and np.array_equal(gx, two_pass_gx.reshape(x.shape))
 
     def test_grad_output_batch_mismatch(self):
         p = mlp_init((2, 5, 3), seed=0)
         with pytest.raises(ShapeError):
-            mlp_value_and_grad(p, np.ones((4, 2)), lambda out: (0.0, np.ones((5, 3))))
+            mlp_backward(p, np.ones((4, 2)), np.ones((5, 3)))
 
 
 class TestAdam:
@@ -250,9 +236,10 @@ class TestAdam:
         gradient is well above eps."""
         p = mlp_init((2, 4, 1), seed=0)
         rng = np.random.default_rng(1)
-        grads = MlpGrads(
-            weights=tuple(rng.normal(1.0, 0.1, size=w.shape) for w in p.weights),
-            biases=tuple(rng.normal(1.0, 0.1, size=b.shape) for b in p.biases),
+        grads = MlpParams(
+            p.layer_dims,
+            tuple(rng.normal(1.0, 0.1, size=w.shape) for w in p.weights),
+            tuple(rng.normal(1.0, 0.1, size=b.shape) for b in p.biases),
         )
         lr = 0.05
         p2, s2 = adam_step(p, grads, adam_init(p, lr=lr))
@@ -264,9 +251,10 @@ class TestAdam:
     def test_functional_purity(self):
         """Parameters, gradients and the incoming state are left as they were."""
         p = mlp_init((1, 3, 1), seed=0)
-        grads = MlpGrads(
-            weights=tuple(np.ones_like(w) for w in p.weights),
-            biases=tuple(np.ones_like(b) for b in p.biases),
+        grads = MlpParams(
+            p.layer_dims,
+            tuple(np.ones_like(w) for w in p.weights),
+            tuple(np.ones_like(b) for b in p.biases),
         )
         _, state = adam_step(p, grads, adam_init(p))  # nonzero moments for the second step
         before = [a.copy() for a in (*arrays(p), *arrays(grads), state.m, state.v)]
@@ -295,10 +283,10 @@ class TestAdam:
             assert all_equal(split_like(p, state.v), ref_state[2])
 
     def test_separate_grads_equal_flat_grads(self):
-        """MlpGrads built from separate arrays update exactly as mlp_backward's flat ones."""
+        """Gradients built from separate arrays update exactly as mlp_backward's flat ones."""
         p = mlp_init((2, 6, 1), seed=3)
         grads, _ = mlp_backward(p, np.ones((3, 2)), np.ones((3, 1)))
-        copied = MlpGrads(tuple(w.copy() for w in grads.weights), tuple(b.copy() for b in grads.biases))
+        copied = MlpParams(p.layer_dims, tuple(w.copy() for w in grads.weights), tuple(b.copy() for b in grads.biases))
         a, _ = adam_step(p, grads, adam_init(p))
         b, _ = adam_step(p, copied, adam_init(p))
         assert np.array_equal(a.flat, b.flat)

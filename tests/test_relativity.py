@@ -15,9 +15,11 @@ from form_lab.relativity import (
     EPS_V,
     PhysicsConfig,
     acceleration_from_force,
+    acceleration_rows,
     celerity_from_velocity,
     compose_lab_force,
     decompose_parallel_perp,
+    lab_force_rows,
     lorentz_factor,
     momentum,
     relativistic_force,
@@ -25,6 +27,7 @@ from form_lab.relativity import (
     speed,
     speed_sq_derivative,
     velocity_from_celerity,
+    velocity_rows,
 )
 
 
@@ -192,6 +195,34 @@ class TestCelerity:
         with pytest.raises(NonFiniteError):
             velocity_from_celerity([np.inf, 0.0])
 
+    @pytest.mark.parametrize(
+        "w, physics",
+        [
+            ([1e155, 0.0], DEFAULT_PHYSICS),  # |w|^2 overflows
+            ([[1.0, 2.0], [-3e154, 3e154]], DEFAULT_PHYSICS),
+            ([1e150, 0.0], PhysicsConfig(c=1e-10)),  # |w|^2 is finite, |w|^2 / c^2 is not
+        ],
+    )
+    def test_overflowing_celerity_is_refused(self, w, physics):
+        """A finite celerity whose ``|w|^2 / c^2`` overflows would give v = 0,
+        not the saturated speed c: both forms refuse it and name the overflow."""
+        w = np.array(w)
+        rows = np.moveaxis(w, -1, 0).copy()
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="celerity overflows"):
+                velocity_from_celerity(w, physics)
+            with pytest.raises(NonFiniteError, match="celerity overflows"):
+                velocity_rows(rows, physics, np.empty_like(rows))
+
+    @pytest.mark.parametrize("w", [[np.inf, 0.0], [1e155, np.nan], [[1.0, 0.0], [-np.inf, np.inf]]])
+    def test_non_finite_celerity_is_not_an_overflow(self, w):
+        w = np.array(w)
+        rows = np.moveaxis(w, -1, 0).copy()
+        with np.errstate(over="ignore"):
+            for run in (lambda: velocity_from_celerity(w), lambda: velocity_rows(rows, DEFAULT_PHYSICS, np.empty_like(rows))):
+                with pytest.raises(NonFiniteError, match="^celerity must be finite$"):
+                    run()
+
 
 class TestPhysicsConfig:
     def test_validation(self):
@@ -237,9 +268,9 @@ def _ref_compose_lab_force(f_par, f_perp, v, handedness):
 SHAPES = [(2,), (7, 2), (3, 5, 2)]
 
 
-def _wide_vectors(rng, shape):
-    """Signed magnitudes 1e-200..1e200, with +0.0 and -0.0 sprinkled in."""
-    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-200.0, 200.0, size=shape)
+def _wide_vectors(rng, shape, decades=200.0):
+    """Signed magnitudes 1e-200..1e200 (or 10**-decades..10**decades), with +0.0 and -0.0 sprinkled in."""
+    out = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-decades, decades, size=shape)
     flat = out.reshape(-1)
     flat[rng.random(flat.size) < 0.1] = 0.0
     flat[rng.random(flat.size) < 0.1] = -0.0
@@ -305,3 +336,89 @@ class TestTwoVectorHelpersBitIdentity:
             compose_lab_force(too_wide, 0.0, v)
         with pytest.raises(ValueError):
             compose_lab_force(0.0, np.ones(shape[-2] + 1), v)
+
+
+# --- the row kernels against their (..., 2) functions ----------------------------
+
+ROW_SHAPES = [(500, 2), (20, 25, 2)]
+PHYSICS_CASES = [DEFAULT_PHYSICS, PhysicsConfig(m=3.0)]
+# flat indices of the resting points; in both ROW_SHAPES also their indices along the last point axis
+RESTING = [0, 7]
+
+
+def _rows(a):
+    """``(..., 2)`` vectors as a contiguous copy of their ``(2, ...)`` component rows."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _rows_same_bits(rows, want):
+    return _same_bits(np.moveaxis(rows, 0, -1), want)
+
+
+class TestRowKernelsBitIdentity:
+    """Each row kernel gives its ``(..., 2)`` function's bits: magnitudes 1e-150..1e150 with signed zeros."""
+
+    @pytest.mark.parametrize("physics", [*PHYSICS_CASES, PhysicsConfig(c=3.0)], ids=["m1", "m3", "c3"])
+    @pytest.mark.parametrize("shape", ROW_SHAPES, ids=str)
+    def test_velocity_rows(self, shape, physics):
+        w = _wide_vectors(np.random.default_rng(4), shape, decades=150.0)
+        w.reshape(-1, 2)[RESTING] = [[0.0, -0.0], [-0.0, -0.0]]
+        out = np.empty((2, *shape[:-1]))
+        with np.errstate(under="ignore"):
+            sq = velocity_rows(_rows(w), physics, out)
+            assert _rows_same_bits(out, velocity_from_celerity(w, physics))
+            assert _same_bits(sq, _ref_dot(w, w))
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    @pytest.mark.parametrize("resting", [False, True], ids=["moving", "resting"])
+    @pytest.mark.parametrize("shape", ROW_SHAPES, ids=str)
+    def test_lab_force_rows(self, shape, resting, handedness):
+        """Forces per point, per index of the last point axis (as a schedule acts on a time axis), shared, and mixed."""
+        rng = np.random.default_rng(5)
+        v = _wide_vectors(rng, shape, decades=150.0)
+        lead = shape[:-1]
+        forces = [tuple(_wide_vectors(rng, dims, decades=150.0) for _ in range(2)) for dims in (lead, lead[-1:])]
+        points = v.reshape(-1, 2)
+        with np.errstate(under="ignore"):
+            points[np.sqrt(_ref_dot(points, points)) <= EPS_V] = [1.0, -1e-150]  # no point rests ...
+        if resting:  # ... or two do, under a zero force of either sign
+            points[RESTING] = [[0.0, -0.0], [-0.0, 0.0]]
+            for f in (f for pair in forces for f in pair):
+                f.reshape(-1)[RESTING] = [0.0, -0.0]
+            forces.append((0.0, -0.0))
+        else:
+            forces.append(tuple(float(f) for f in _wide_vectors(rng, (2,), decades=150.0)))
+        forces.append((forces[0][0], forces[-1][1]))
+        with np.errstate(under="ignore"):
+            for f_par, f_perp in forces:
+                out = np.empty((2, *lead))
+                s2 = lab_force_rows(f_par, f_perp, _rows(v), handedness, out)
+                assert _rows_same_bits(out, compose_lab_force(f_par, f_perp, v, handedness))
+                assert _same_bits(s2, _ref_dot(v, v))
+
+    def test_lab_force_rows_refuses_a_push_at_rest(self):
+        v = np.array([[3.0, 0.0], [0.0, -0.0]])
+        with pytest.raises(DegenerateVelocityError):
+            lab_force_rows(0.0, 1.0, _rows(v), 1, np.empty((2, 2)))
+
+    @pytest.mark.parametrize("physics", PHYSICS_CASES, ids=["m1", "m3"])
+    @pytest.mark.parametrize("resting", [False, True], ids=["moving", "resting"])
+    @pytest.mark.parametrize("shape", ROW_SHAPES, ids=str)
+    def test_acceleration_rows(self, shape, resting, physics):
+        """Subluminal velocities (components up to 7, c = 10) under forces of every magnitude."""
+        rng = np.random.default_rng(6)
+        v = _wide_vectors(rng, shape, decades=150.0)
+        v = np.where(np.abs(v) > 7.0, np.copysign(7.0, v) * rng.random(shape), v)
+        f = _wide_vectors(rng, shape, decades=150.0)
+        if resting:
+            v.reshape(-1, 2)[RESTING] = [[0.0, -0.0], [-0.0, 0.0]]
+            f.reshape(-1, 2)[RESTING] = [[-0.0, 0.0], [-0.0, -0.0]]
+        out = np.empty((2, *shape[:-1]))
+        with np.errstate(under="ignore"):
+            acceleration_rows(_rows(v), _rows(f), _ref_dot(v, v), physics, out)
+            assert _rows_same_bits(out, acceleration_from_force(v, f, physics))
+
+    def test_acceleration_rows_refuses_a_speed_at_c(self):
+        v = np.array([[3.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(SpeedLimitError):
+            acceleration_rows(_rows(v), np.ones((2, 2)), _ref_dot(v, v), DEFAULT_PHYSICS, np.empty((2, 2)))

@@ -151,6 +151,14 @@ class TestForcePath:
         b = force_path(*args, physics=PHYS, velocity_update="euler")
         assert_allclose(a.endpoint, b.endpoint, atol=5e-3)
 
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_overflowing_celerity_is_refused(self, n_steps):
+        """The first step of a particle of mass 1e-300 takes |w| to 1e300, so
+        |w|^2 overflows: it is refused there, not recorded as v = 0."""
+        light = PhysicsConfig(c=10.0, m=1e-300)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="celerity overflows"):
+            force_path(lambda x, t: (1.0, 0.0), np.zeros((3, 2)), [1.0, 0.0], 1.0, n_steps, physics=light)
+
     def test_rest_start_with_force_is_error(self):
         with pytest.raises(DegenerateVelocityError):
             force_path(lambda x, t: (1.0, 0.0), np.zeros(2), np.zeros(2), 1.0, 10, physics=PHYS)
@@ -298,7 +306,7 @@ def _momentum_exact_update(w, f_par, f_perp, d, physics, handedness):
     it hands to the next step is that of the celerity it returns."""
     rows = np.moveaxis(np.asarray(w, dtype=np.float64), -1, 0).copy()
     v = np.empty_like(rows)
-    w_new, sq = sampling._momentum_exact_update(rows, sampling._squared_norm(rows), f_par, f_perp, d, physics, handedness, v)
+    w_new, sq = sampling._momentum_exact_update(rows, np.sum(rows * rows, axis=0), f_par, f_perp, d, physics, handedness, v)
     assert _bits(sq) == _bits(np.sum(w_new * w_new, axis=0))
     return np.moveaxis(v, 0, -1), np.moveaxis(w_new, 0, -1)
 
