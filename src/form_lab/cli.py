@@ -215,11 +215,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         indices = list(range(n))
         x0 = source_points(spec, indices, model.physics)
 
-    v0 = None  # the dataset-matched rule; _check_velocity_flags refused any other on a flow model
-    if args.init_velocity == "zero":
-        v0 = "zero"
-    elif args.init_velocity == "explicit":
-        v0 = np.broadcast_to(args.v0, x0.shape)
+    # None is the dataset-matched rule; _check_velocity_flags refused any other on a flow model
+    v0 = {"dataset": None, "zero": np.zeros_like(x0), "explicit": args.v0}[args.init_velocity]
     path = sample_model(model, x0, sampler, v0=v0)
 
     entries = []

@@ -61,11 +61,14 @@ def euclidean_distance_loss(generated, target, mode: str = "paired") -> float:
     raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
 
 
-def sample_model(model: TrainedModel, x0, sampler: SamplerConfig | None = None, v0=None) -> SamplePath:
+def sample_model(model: TrainedModel, x0, sampler: SamplerConfig = SamplerConfig(), v0=None) -> SamplePath:
     """Run the sampler that matches ``model.method``.
 
-    ``v0`` is the force sampler's initial velocity (see ``sample_form``);
-    flow models have no velocity state, so they reject it.
+    ``v0`` is the force sampler's initial velocity: ``None`` for the
+    dataset-matched rule, or an array (see ``sample_form``).  Flow models
+    have no velocity state, so they refuse any other than ``None``.  The
+    samplers are module globals looked up at each call, so a wrapper
+    installed on one sees every run.
     """
     if model.method == "form":
         return sample_form(model, x0, sampler, v0=v0)
@@ -97,7 +100,7 @@ class EvalCell:
 def evaluate_model(
     model: TrainedModel,
     heldout: TrajectoryBatch,
-    sampler: SamplerConfig | None = None,
+    sampler: SamplerConfig = SamplerConfig(),
     mode: str = "paired",
     dataset_name: str | None = None,
 ) -> EvalCell:
@@ -106,7 +109,6 @@ def evaluate_model(
         raise ValueError("cannot evaluate on an empty held-out split")
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-    sampler = sampler if sampler is not None else SamplerConfig()
     path = sample_model(model, heldout.x0, sampler)
     name = dataset_name or (model.dataset_info or {}).get("kind", "unknown")
     return EvalCell(

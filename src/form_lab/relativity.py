@@ -149,12 +149,13 @@ def rotate90(u, handedness: int = 1) -> np.ndarray:
     return out
 
 
-def comoving_frame(v, handedness: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors (parallel, perpendicular) of the frame riding along ``v``.
+def decompose_parallel_perp(f, v, handedness: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Project a lab-frame 2-D force onto the co-moving frame of ``v``: (f_par, f_perp).
 
     Raises :class:`DegenerateVelocityError` when any speed is <= EPS_V,
     because the frame orientation is undefined at rest.
     """
+    f = _as_float_array(f)
     v = _as_float_array(v)
     s = speed(v)
     if np.any(s <= EPS_V):
@@ -162,14 +163,7 @@ def comoving_frame(v, handedness: int = 1) -> tuple[np.ndarray, np.ndarray]:
             f"velocity direction undefined at speed <= {EPS_V} (min speed {float(np.min(s))!r})"
         )
     vhat = v / _column(s)
-    return vhat, rotate90(vhat, handedness)
-
-
-def decompose_parallel_perp(f, v, handedness: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Project a lab-frame 2-D force onto the co-moving frame of ``v``: (f_par, f_perp)."""
-    f = _as_float_array(f)
-    vhat, vperp = comoving_frame(v, handedness)
-    return _dot(f, vhat), _dot(f, vperp)
+    return _dot(f, vhat), _dot(f, rotate90(vhat, handedness))
 
 
 def compose_lab_force(f_par, f_perp, v, handedness: int = 1) -> np.ndarray:

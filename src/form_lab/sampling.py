@@ -1,11 +1,10 @@
 """Samplers: turn trained heads (or plain callables) into trajectories.
 
-Three engines, all on a uniform grid of ``n_steps`` steps of size
-``d = duration / n_steps`` and all batched over leading axes of ``x0``:
+Two engines, both on a uniform grid of ``n_steps`` steps of size
+``d = duration / n_steps`` and both batched over leading axes of ``x0``:
 
-* :func:`flow_path_o1` - forward Euler on a learned velocity field.
-* :func:`flow_path_o1o2` - Euler plus the second-order ``d^2/2`` correction
-  from a learned acceleration field.
+* :func:`flow_path` - forward Euler on a learned velocity field (O1), plus the
+  second-order ``d^2/2`` correction when given a learned acceleration (O1+O2).
 * :func:`force_path` - the relativistic force sampler.  Per step it holds
   the predicted co-moving force fixed and applies that step *exactly* in
   momentum space: the celerity magnitude grows linearly under ``f_par`` and
@@ -25,7 +24,7 @@ Three engines, all on a uniform grid of ``n_steps`` steps of size
 
 Model-facing wrappers (:func:`sample_o1`, :func:`sample_o1o2`,
 :func:`sample_form`) feed networks normalized time ``t / duration``, exactly
-as during training.
+as during training, through :func:`head_fn`.
 """
 
 from __future__ import annotations
@@ -86,21 +85,8 @@ class SamplePath:
         return len(self.times) - 1
 
 
-def flow_path_o1(velocity_fn: Callable, x0, duration: float, n_steps: int) -> SamplePath:
-    """x <- x + d * u1(x, t), the first-order probability-flow sampler."""
-    x = np.array(x0, dtype=np.float64, copy=True)
-    times, d = uniform_grid(duration, n_steps)
-    xs = np.empty((n_steps + 1, *x.shape), dtype=np.float64)
-    xs[0] = x
-    for k in range(n_steps):
-        x = x + d * velocity_fn(x, float(times[k]))
-        xs[k + 1] = x
-    _require_finite(xs)
-    return SamplePath(times=times, x=xs)
-
-
-def flow_path_o1o2(velocity_fn: Callable, accel_fn: Callable, x0, duration: float, n_steps: int) -> SamplePath:
-    """x <- x + d u1 + (d^2/2) u2(u1, x, t), the second-order refinement."""
+def flow_path(velocity_fn: Callable, x0, duration: float, n_steps: int, accel_fn: Callable | None = None) -> SamplePath:
+    """x <- x + d u1(x, t), the first-order flow sampler, then + (d^2/2) u2(u1, x, t) if given ``accel_fn``."""
     x = np.array(x0, dtype=np.float64, copy=True)
     times, d = uniform_grid(duration, n_steps)
     xs = np.empty((n_steps + 1, *x.shape), dtype=np.float64)
@@ -108,8 +94,10 @@ def flow_path_o1o2(velocity_fn: Callable, accel_fn: Callable, x0, duration: floa
     for k in range(n_steps):
         t = float(times[k])
         u1 = velocity_fn(x, t)
-        x = x + d * u1 + (0.5 * d * d) * accel_fn(u1, x, t)
-        xs[k + 1] = x
+        xs[k + 1] = x + d * u1
+        if accel_fn is not None:
+            xs[k + 1] += (0.5 * d * d) * accel_fn(u1, x, t)
+        x = xs[k + 1]
     _require_finite(xs)
     return SamplePath(times=times, x=xs)
 
@@ -154,8 +142,7 @@ def force_path(
         x_new = np.add(vs[k + 1], vs[k], out=xs[k + 1])
         x_new *= half_d
         x_new += xs[k]  # x + (d/2)(v_new + v), in place in the path
-    _require_finite(xs)
-    _require_finite(vs)
+    _require_finite(xs)  # each v[k+1] was refused in its own step if not finite
     return SamplePath(times=times, x=xs, v=vs)
 
 
@@ -246,9 +233,11 @@ def _momentum_exact_update(
 def _euler_update(
     v: np.ndarray, f_par, f_perp, d: float, physics: PhysicsConfig, handedness: int
 ) -> np.ndarray:
-    """Textbook update v <- v + d * a; raises if the step crosses c."""
+    """Textbook update v <- v + d * a; raises if the step is not finite or crosses c."""
     f_lab = compose_lab_force(f_par, f_perp, v, handedness)
     v_new = v + d * acceleration_from_force(v, f_lab, physics)
+    if not np.isfinite(v_new).all():  # NaN >= c is False, so the speed check alone would let it through
+        raise NonFiniteError("euler velocity update is not finite")
     speeds = speed(v_new)
     if np.any(speeds >= physics.c):
         raise SpeedLimitError(
@@ -301,86 +290,59 @@ def _require_finite(arr: np.ndarray) -> None:
 # --- trained-model adapters ------------------------------------------------
 
 
-def velocity_head_fn(model: TrainedModel) -> Callable:
-    head = model.heads["u1"]
-    duration = model.duration
+def head_fn(model: TrainedModel, name: str) -> Callable:
+    """``fn(*blocks, t)``: head ``name`` on its input blocks and then ``t / duration``, as in training."""
+    if name not in model.heads:
+        raise ValueError(f"model method {model.method!r} has no {name!r} head")
+    head, duration = model.heads[name], model.duration
 
-    def fn(x: np.ndarray, t: float) -> np.ndarray:
-        t_col = np.full((*x.shape[:-1], 1), t / duration)
-        return mlp_forward(head, np.concatenate([x, t_col], axis=-1))
-
-    return fn
-
-
-def accel_head_fn(model: TrainedModel) -> Callable:
-    head = model.heads["u2"]
-    duration = model.duration
-
-    def fn(u1: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-        t_col = np.full((*x.shape[:-1], 1), t / duration)
-        return mlp_forward(head, np.concatenate([u1, x, t_col], axis=-1))
+    def fn(*blocks_and_t) -> np.ndarray:
+        *blocks, t = blocks_and_t
+        t_col = np.full((*blocks[0].shape[:-1], 1), t / duration)
+        return mlp_forward(head, np.concatenate([*blocks, t_col], axis=-1))
 
     return fn
 
 
 def force_head_fn(model: TrainedModel) -> Callable:
-    head = model.heads["F"]
-    duration = model.duration
-    time_only = model.train_config.form_input_mode == "time"
+    """``fn(x, t) -> (f_par, f_perp)``; a time-only head sees one row, so its force is shared by every point."""
+    position_fn = head_fn(model, "F")  # also refuses a model without a force head
+    head, duration = model.heads["F"], model.duration
 
-    def fn(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if time_only:
-            out = mlp_forward(head, np.array([t / duration]))
-            return out[0], out[1]
-        t_col = np.full((*x.shape[:-1], 1), t / duration)
-        out = mlp_forward(head, np.concatenate([x, t_col], axis=-1))
+    def time_only(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        out = mlp_forward(head, np.array([t / duration]))
+        return out[0], out[1]
+
+    def time_position(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        out = position_fn(x, t)
         return out[..., 0], out[..., 1]
 
-    return fn
+    return time_only if model.train_config.form_input_mode == "time" else time_position
 
 
-def model_initial_velocity(model: TrainedModel, x0) -> np.ndarray:
-    """The dataset-matched initial velocity rule attached to the model."""
-    if model.dataset_info is None:
-        raise ValueError("model carries no dataset info; pass v0 explicitly")
-    return initial_velocity(DatasetSpec.from_dict(model.dataset_info), x0)
+def sample_o1(model: TrainedModel, x0, config: SamplerConfig = SamplerConfig()) -> SamplePath:
+    return flow_path(head_fn(model, "u1"), x0, model.duration, config.n_steps)
 
 
-def sample_o1(model: TrainedModel, x0, config: SamplerConfig | None = None) -> SamplePath:
-    if "u1" not in model.heads:
-        raise ValueError(f"model method {model.method!r} has no velocity head")
-    n_steps = (config or SamplerConfig()).n_steps
-    return flow_path_o1(velocity_head_fn(model), x0, model.duration, n_steps)
+def sample_o1o2(model: TrainedModel, x0, config: SamplerConfig = SamplerConfig()) -> SamplePath:
+    return flow_path(head_fn(model, "u1"), x0, model.duration, config.n_steps, accel_fn=head_fn(model, "u2"))
 
 
-def sample_o1o2(model: TrainedModel, x0, config: SamplerConfig | None = None) -> SamplePath:
-    if "u1" not in model.heads or "u2" not in model.heads:
-        raise ValueError(f"model method {model.method!r} lacks u1/u2 heads")
-    n_steps = (config or SamplerConfig()).n_steps
-    return flow_path_o1o2(velocity_head_fn(model), accel_head_fn(model), x0, model.duration, n_steps)
-
-
-def sample_form(model: TrainedModel, x0, config: SamplerConfig | None = None, v0=None) -> SamplePath:
-    """Force-sampler run; ``v0=None`` uses the dataset-matched rule, ``"zero"``
-    starts at rest (only sensible if the learned force starts at zero)."""
-    if "F" not in model.heads:
-        raise ValueError(f"model method {model.method!r} has no force head")
-    cfg = config or SamplerConfig()
-    handed = int((model.dataset_info or {}).get("handedness", 1))
-    x0 = np.asarray(x0, dtype=np.float64)
+def sample_form(model: TrainedModel, x0, config: SamplerConfig = SamplerConfig(), v0=None) -> SamplePath:
+    """Force-sampler run from ``v0``: ``None`` takes the dataset-matched rule,
+    an array is the initial velocity (broadcast to ``x0``)."""
+    components_fn = force_head_fn(model)  # refuses a model without a force head before the v0 rule runs
     if v0 is None:
-        v0_arr = model_initial_velocity(model, x0)
-    elif isinstance(v0, str) and v0 == "zero":
-        v0_arr = np.zeros_like(x0)
-    else:
-        v0_arr = np.asarray(v0, dtype=np.float64)
+        if model.dataset_info is None:
+            raise ValueError("model carries no dataset info; pass v0 explicitly")
+        v0 = initial_velocity(DatasetSpec.from_dict(model.dataset_info), x0)
     return force_path(
-        force_head_fn(model),
+        components_fn,
         x0,
-        v0_arr,
+        v0,
         model.duration,
-        cfg.n_steps,
+        config.n_steps,
         physics=model.physics,
-        handedness=handed,
-        velocity_update=cfg.velocity_update,
+        handedness=int((model.dataset_info or {}).get("handedness", 1)),
+        velocity_update=config.velocity_update,
     )

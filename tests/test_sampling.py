@@ -20,15 +20,13 @@ from form_lab.relativity import (
 )
 from form_lab.sampling import (
     SamplerConfig,
-    flow_path_o1,
-    flow_path_o1o2,
+    flow_path,
     force_path,
-    model_initial_velocity,
+    head_fn,
     ode_reference_path,
     sample_form,
     sample_o1,
     sample_o1o2,
-    velocity_head_fn,
 )
 from form_lab.training import TrainConfig, TrainedModel
 
@@ -52,7 +50,7 @@ class TestFlowPaths:
     def test_o1_constant_velocity_exact(self):
         """Euler on a constant field reproduces straight-line motion."""
         v = np.array([3.0, -1.5])
-        path = flow_path_o1(lambda x, t: v, np.zeros(2), duration=2.0, n_steps=16)
+        path = flow_path(lambda x, t: v, np.zeros(2), duration=2.0, n_steps=16)
         assert_allclose(path.endpoint, 2.0 * v, rtol=1e-12)
         assert path.x.shape == (17, 2)
         assert path.n_steps == 16
@@ -61,12 +59,12 @@ class TestFlowPaths:
         # [DERIVED] u1 = (1, 0), u2 = (0, 2), duration 1, 2 steps of d = 0.5:
         #   x1 = (0.5*1, 0.125*2) = (0.5, 0.25)
         #   x2 = x1 + (0.5, 0.25) = (1.0, 0.5)
-        path = flow_path_o1o2(
+        path = flow_path(
             lambda x, t: np.broadcast_to([1.0, 0.0], x.shape),
-            lambda u1, x, t: np.broadcast_to([0.0, 2.0], x.shape),
             np.zeros(2),
             duration=1.0,
             n_steps=2,
+            accel_fn=lambda u1, x, t: np.broadcast_to([0.0, 2.0], x.shape),
         )
         assert_allclose(path.x[1], [0.5, 0.25], rtol=0, atol=0)
         assert_allclose(path.endpoint, [1.0, 0.5], rtol=0, atol=0)
@@ -82,15 +80,33 @@ class TestFlowPaths:
         def u2(u1v, x, t):
             return np.broadcast_to(a, x.shape)
 
-        path = flow_path_o1o2(u1, u2, np.zeros(2), duration=1.0, n_steps=7)
+        path = flow_path(u1, np.zeros(2), duration=1.0, n_steps=7, accel_fn=u2)
         assert_allclose(path.endpoint, 0.5 * a, rtol=1e-13)
 
     def test_batched(self):
         x0 = np.random.default_rng(0).normal(size=(5, 2))
-        path = flow_path_o1(lambda x, t: -x, x0, duration=1.0, n_steps=4)
+        path = flow_path(lambda x, t: -x, x0, duration=1.0, n_steps=4)
         assert path.x.shape == (5, 5, 2)
-        single = flow_path_o1(lambda x, t: -x, x0[2], duration=1.0, n_steps=4)
+        single = flow_path(lambda x, t: -x, x0[2], duration=1.0, n_steps=4)
         assert np.array_equal(path.x[:, 2], single.x)
+
+    def test_second_order_term_is_added_last(self):
+        """Each step is (x + d u1) + (d^2/2) u2, in that order, with u2 fed the step's u1 and x."""
+        x0 = np.random.default_rng(1).normal(size=(7, 2))
+
+        def u1(x, t):
+            return np.sin(3.0 * x) + t
+
+        def u2(u1v, x, t):
+            return u1v * x - 1.7 * t
+
+        path = flow_path(u1, x0, duration=0.9, n_steps=5, accel_fn=u2)
+        times, d = uniform_grid(0.9, 5)
+        x = x0
+        for k in range(5):
+            t = float(times[k])
+            x = x + d * u1(x, t) + (0.5 * d * d) * u2(u1(x, t), x, t)
+            assert _bits(path.x[k + 1]) == _bits(x)
 
 
 class TestForcePath:
@@ -151,6 +167,28 @@ class TestForcePath:
         b = force_path(*args, physics=PHYS, velocity_update="euler")
         assert_allclose(a.endpoint, b.endpoint, atol=5e-3)
 
+    @pytest.mark.parametrize("update", ["momentum-exact", "euler"])
+    @pytest.mark.parametrize("start", [0, 4], ids=["t0", "mid-run"])
+    @pytest.mark.parametrize("per_point", [False, True], ids=["shared", "per-point"])
+    @pytest.mark.parametrize(
+        "bad", [(np.nan, 0.2), (0.5, np.nan), (np.inf, 0.2), (0.5, np.inf), (0.5, -np.inf), (-np.inf, 0.2)], ids=str
+    )
+    def test_non_finite_force_is_refused_at_its_step(self, update, start, per_point, bad):
+        """A NaN or infinite force is refused in the step that meets it.  The one
+        exception is an infinite braking force under the momentum-exact update:
+        the braking guard refuses it first, since it takes |w| through zero."""
+        seen = []
+
+        def components(x, t):
+            seen.append(t)
+            f = bad if len(seen) > start else (0.5, 0.2)
+            return tuple(np.full(x.shape[:-1], c) for c in f) if per_point else f
+
+        want = DegenerateVelocityError if bad[0] == -np.inf and update == "momentum-exact" else NonFiniteError
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(want):
+            force_path(components, np.zeros((3, 2)), [1.0, 0.5], 1.0, 10, physics=PHYS, velocity_update=update)
+        assert len(seen) == start + 1
+
     @pytest.mark.parametrize("n_steps", [1, 5])
     def test_overflowing_celerity_is_refused(self, n_steps):
         """The first step of a particle of mass 1e-300 takes |w| to 1e300, so
@@ -205,17 +243,16 @@ class TestModelAdapters:
 
     def test_head_mismatch_raises(self, tiny_models):
         x0 = np.zeros((1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has no 'u1' head"):
             sample_o1(tiny_models["form"], x0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has no 'u2' head"):
             sample_o1o2(tiny_models["o1"], x0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has no 'F' head"):
             sample_form(tiny_models["o1"], x0)
 
     def test_form_default_v0_matches_dataset_rule(self, tiny_models):
         """For this dataset family the rule is v0 = velocity_scale * x0."""
         x0 = np.array([[0.2, -0.1], [-0.3, 0.4]])
-        assert_allclose(model_initial_velocity(tiny_models["form"], x0), 4.0 * x0, rtol=1e-15)
         path = sample_form(tiny_models["form"], x0, SamplerConfig(n_steps=5))
         assert_allclose(path.v[0], 4.0 * x0, rtol=1e-15)
 
@@ -223,6 +260,10 @@ class TestModelAdapters:
         """Starting at rest is only legal when the learned force vanishes
         there; this briefly-trained head does not, so it must hard-error."""
         with pytest.raises(DegenerateVelocityError):
+            sample_form(tiny_models["form"], np.array([[0.2, 0.1]]), SamplerConfig(n_steps=5), v0=np.zeros(2))
+
+    def test_form_v0_is_none_or_an_array(self, tiny_models):
+        with pytest.raises(ValueError):
             sample_form(tiny_models["form"], np.array([[0.2, 0.1]]), SamplerConfig(n_steps=5), v0="zero")
 
     def test_form_explicit_v0(self, tiny_models):
@@ -245,7 +286,7 @@ class TestModelAdapters:
             physics=DEFAULT_PHYSICS,
             train_config=TrainConfig(method="o1"),
         )
-        fn = velocity_head_fn(model)
+        fn = head_fn(model, "u1")
         x = np.array([[0.3, -0.7]])
         got = fn(x, 1.0)
         expected = mlp_forward(head, np.array([[0.3, -0.7, 0.5]]))

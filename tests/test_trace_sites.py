@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from form_lab import datasets, dynamics, formats
+from form_lab import datasets, dynamics, evaluate, formats, sampling
 from form_lab.relativity import DEFAULT_PHYSICS
+from form_lab.sampling import SamplerConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,6 +59,32 @@ def test_simulation_passes_through_its_module_globals(monkeypatch):
     records = datasets.generate(datasets.DatasetSpec(kind="halfmoons", n_points=n_points, n_steps=4), max_workers=2)
     assert len(records) == n_points
     assert sorted(calls) == ["form_lab.datasets.simulate_batch"] * 2 + ["form_lab.dynamics.integrate_fixed_grid"] * 2
+
+
+@pytest.mark.parametrize("method, head_calls_per_step", [("o1", 1), ("o1o2", 2), ("form", 1)])
+def test_sampling_passes_through_its_module_globals(monkeypatch, tiny_models, tiny_onedot, method, head_calls_per_step):
+    """``evaluate_model`` looks up ``sample_o1``/``sample_o1o2``/``sample_form``
+    as ``evaluate`` globals at each call, and the samplers' heads run through
+    ``sampling.mlp_forward``, so wrappers installed there see every sampler
+    run and every head evaluation."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("sample_o1", "sample_o1o2", "sample_form"):
+        spy(evaluate, name)
+    spy(sampling, "mlp_forward")
+    heldout = datasets.holdout_split(tiny_onedot[1])[1]
+    evaluate.evaluate_model(tiny_models[method], heldout, sampler=SamplerConfig(n_steps=6))
+    head_calls = ["form_lab.sampling.mlp_forward"] * (6 * head_calls_per_step)
+    assert sorted(calls) == [f"form_lab.evaluate.sample_{method}", *head_calls]
 
 
 def test_benchmark_warm_up_runs(workloads, tmp_path):
