@@ -7,6 +7,9 @@ comparison table into ``<outdir>/table.txt``.
 
 The full run (defaults) takes about 100 s on a 2-CPU machine; pass --quick
 for a small smoke-test configuration that finishes in about 2 s.
+
+Exit codes are ``form-lab``'s: 2 for a bad flag, a file problem or a size
+beyond memory, 3 for a numerical failure, each with one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from form_lab.datasets import KINDS, DatasetSpec
+from form_lab.errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
 from form_lab.evaluate import render_table
 from form_lab.pipeline import QUICK_TRAIN, run_table
 from form_lab.sampling import SamplerConfig
@@ -66,9 +70,12 @@ def main(argv=None) -> int:
         (args.outdir / "table.txt").write_text(table + "\n", encoding="utf-8")
     except ValueError as e:
         parser.error(str(e))
-    except OSError as e:
+    except (OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
     print(table)
     print(f"\nwrote {args.outdir}/report.json and {args.outdir}/table.txt in {time.monotonic() - t0:.0f}s")
     return 0

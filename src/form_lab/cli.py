@@ -9,6 +9,8 @@ field is passed on only when set, so the dataclass default is the default.
 
 Each subcommand calls the ``form_lab.pipeline`` stage that ``run_table`` calls for its step; the rule
 pairing a model with its held-out rows is ``pipeline.heldout_for``, the split ``datasets.holdout_split``.
+One flag per setting: ``sample --init-velocity`` takes ``dataset``, ``zero`` or the vector ``vx,vy``,
+and ``gen-data --threads`` is the only thread cap (default: the affinity mask's usable CPUs).
 
 Exit codes: 0 success; 2 usage, validation, or file-format problems;
 3 numerical failures (speed-limit, degenerate velocity, non-finite values).
@@ -118,13 +120,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from e
 
 
-def _vector(text: str) -> np.ndarray:
+def _init_velocity(text: str) -> str | np.ndarray:
+    """``dataset`` or ``zero`` as the rule's name, a finite ``vx,vy`` as a vector."""
+    if text in ("dataset", "zero"):
+        return text
     try:
         vec = np.array([float(p) for p in text.split(",")], dtype=np.float64)
     except ValueError:
         vec = None
     if vec is None or vec.shape != (2,):
-        raise argparse.ArgumentTypeError(f"expected 'vx,vy', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 'dataset', 'zero' or 'vx,vy', got {text!r}")
     if not np.all(np.isfinite(vec)):
         raise argparse.ArgumentTypeError(f"expected finite components, got {text!r}")
     return vec
@@ -169,26 +174,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _check_velocity_flags(args: argparse.Namespace, model, sampler: SamplerConfig) -> None:
-    """Refuse force-sampler flags that the model's sampler would ignore, and a ``--v0`` at or above c."""
+    """Refuse force-sampler flags that the model's sampler would ignore, and an initial velocity at or above c."""
+    init = args.init_velocity
     if model.method != "form":
         ignored = []
-        if args.init_velocity != "dataset":
-            ignored.append(f"--init-velocity {args.init_velocity}")
+        if isinstance(init, np.ndarray) or init != "dataset":
+            ignored.append(f"--init-velocity {init if isinstance(init, str) else ','.join(map(repr, init.tolist()))}")
         if sampler.velocity_update != SamplerConfig().velocity_update:
             ignored.append(f"--update {sampler.velocity_update}")
-        if args.v0 is not None:
-            ignored.append("--v0")
         if ignored:
             raise ValueError(f"{', '.join(ignored)}: only form models have a force sampler, not {model.method}")
-    elif args.v0 is None:
-        if args.init_velocity == "explicit":
-            raise ValueError("--init-velocity explicit needs --v0 'vx,vy'")
-    elif args.init_velocity != "explicit":
-        raise ValueError("--v0 needs --init-velocity explicit")
-    else:
-        v0_speed = float(np.hypot(*args.v0))
+    elif isinstance(init, np.ndarray):
+        v0_speed = float(np.hypot(*init))
         if v0_speed >= model.physics.c:
-            raise ValueError(f"--v0 speed {v0_speed!r} is not below c = {model.physics.c!r}")
+            raise ValueError(f"--init-velocity speed {v0_speed!r} is not below c = {model.physics.c!r}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -216,7 +215,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         x0 = source_points(spec, indices, model.physics)
 
     # None is the dataset-matched rule; _check_velocity_flags refused any other on a flow model
-    v0 = {"dataset": None, "zero": np.zeros_like(x0), "explicit": args.v0}[args.init_velocity]
+    init = args.init_velocity
+    v0 = {"dataset": None, "zero": np.zeros_like(x0)}[init] if isinstance(init, str) else init
     path = sample_model(model, x0, sampler, v0=v0)
 
     entries = []
@@ -235,7 +235,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "seed": args.seed if args.source == "noise" else None,
         "sampler_steps": sampler.n_steps,
         "duration": model.duration,
-        "init_velocity": args.init_velocity if model.method == "form" else None,
+        "init_velocity": (init if isinstance(init, str) else "explicit") if model.method == "form" else None,
         "velocity_update": sampler.velocity_update if model.method == "form" else None,
     }
     write_samples(args.out, header_extra, entries)
@@ -332,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--perp-handedness", choices=sorted(HANDEDNESS))
     g.add_argument("--c", type=float, help="speed of light (du/s)")
     g.add_argument("--mass", type=float)
-    g.add_argument(
-        "--threads", type=int, help="most worker threads, one per 4096 points (default: FORM_LAB_THREADS or usable CPUs)"
-    )
+    g.add_argument("--threads", type=int, help="most worker threads, one per 4096 points (default: usable CPUs)")
     g.add_argument("--config")
     g.set_defaults(func=cmd_gen_data, parser=g)
 
@@ -367,10 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sampler-steps", "--M", type=int)
     s.add_argument("--seed", type=int, default=0, help="seed for --source noise draws")
     s.add_argument("--source", choices=("heldout", "noise"), default="heldout")
-    s.add_argument(
-        "--init-velocity", choices=("dataset", "zero", "explicit"), default="dataset"
-    )
-    s.add_argument("--v0", type=_vector, help="explicit initial velocity 'vx,vy'")
+    s.add_argument("--init-velocity", type=_init_velocity, default="dataset", help="dataset, zero or 'vx,vy'")
     s.add_argument("--paths", action=btrue, default=False, help="store full paths, not just endpoints")
     s.add_argument("--update", choices=VELOCITY_UPDATES, help="force-sampler velocity update")
     s.add_argument("--config")

@@ -11,7 +11,8 @@ order, and :func:`holdout_split` cuts it into two row slices.
 Randomness is keyed per trajectory index with ``SeedSequence(seed,
 spawn_key=(index,))``, so record ``i`` is bit-identical regardless of how
 many points are generated, in which order, or across how many worker
-threads.
+threads.  ``generate`` works in the fixed unit system ``DEFAULT_UNITS``;
+only the physics (``c`` and the mass) is a parameter.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_UNITS, BLOCKS, ForceSchedule, TrajectoryBatch, UnitSystem, simulate_batch
+from .dynamics import DEFAULT_UNITS, BLOCKS, ForceSchedule, TrajectoryBatch, simulate_batch
 from .errors import DegenerateVelocityError
 from .relativity import DEFAULT_PHYSICS, EPS_V, PhysicsConfig
 
@@ -32,7 +33,7 @@ KINDS = ("onedot", "halfmoons", "spiral")
 DEFAULT_N_POINTS = {"onedot": 200, "halfmoons": 1000, "spiral": 1000}
 
 # Per-unit-mass force amplitudes, stated in SI (m/s^2) and converted to
-# du/s^2 through the unit system (default: divide by 3e7).
+# du/s^2 through DEFAULT_UNITS (divide by 3e7).
 ONEDOT_FORCE_SI = 1.5e8
 PAR_FORCE_SI = 1.0e7
 PERP_FORCE_SI = 7.0e8
@@ -40,8 +41,6 @@ PERP_FORCE_SI = 7.0e8
 HOLDOUT_FRACTION = 0.2
 
 SOURCE_REDRAWS = 10
-
-THREADS_ENV_VAR = "FORM_LAB_THREADS"
 
 # Points a chunk needs before a worker thread of its own pays: on a 2-CPU host,
 # spiral at 2 workers took 1.34x as long as at 1 for 1 000 points, 1.17x for
@@ -54,7 +53,7 @@ class DatasetSpec:
     """Everything needed to regenerate a dataset deterministically."""
 
     kind: str
-    n_points: int | None = None  # None = dataset default (200 / 1000 / 1000)
+    n_points: int | None = None  # None = DEFAULT_N_POINTS[kind], resolved on construction
     n_steps: int = 200
     duration: float = 1.0
     seed: int = 0
@@ -70,13 +69,13 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; expected one of {KINDS}")
+        if self.n_points is None:
+            object.__setattr__(self, "n_points", DEFAULT_N_POINTS[self.kind])
         for name in ("n_points", "n_steps", "seed", "handedness"):
             value = getattr(self, name)
-            if value is None and name == "n_points":
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # 10.0 is not a step count
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_points is not None and self.n_points < 1:
+        if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
@@ -91,14 +90,8 @@ class DatasetSpec:
         if self.handedness not in (1, -1):
             raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
 
-    @property
-    def resolved_n_points(self) -> int:
-        return self.n_points if self.n_points is not None else DEFAULT_N_POINTS[self.kind]
-
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_points"] = self.resolved_n_points
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "DatasetSpec":
@@ -106,14 +99,14 @@ class DatasetSpec:
         return DatasetSpec(**fields)
 
 
-def force_schedule_for(spec: DatasetSpec, units: UnitSystem = DEFAULT_UNITS) -> ForceSchedule:
+def force_schedule_for(spec: DatasetSpec) -> ForceSchedule:
     """The co-moving force schedule of a dataset, in du/s^2 per unit mass."""
     s = spec.force_scale
     if spec.kind == "onedot":
-        amp = s * units.force_from_si(ONEDOT_FORCE_SI)
+        amp = s * DEFAULT_UNITS.force_from_si(ONEDOT_FORCE_SI)
         return ForceSchedule.constant(amp, amp)
-    par = s * units.force_from_si(PAR_FORCE_SI)
-    perp = s * units.force_from_si(PERP_FORCE_SI)
+    par = s * DEFAULT_UNITS.force_from_si(PAR_FORCE_SI)
+    perp = s * DEFAULT_UNITS.force_from_si(PERP_FORCE_SI)
     if spec.kind == "halfmoons":
         return ForceSchedule.sinusoidal(par, 1.0, perp, 8.0)
     return ForceSchedule.sinusoidal(par, 1.0, perp, 1.0)  # spiral
@@ -180,23 +173,15 @@ def initial_velocity(spec: DatasetSpec, x0) -> np.ndarray:
 
 
 def worker_count(explicit: int | None = None) -> int:
-    """Most worker threads ``generate`` may use: explicit arg, else FORM_LAB_THREADS, else usable CPUs.
+    """Most worker threads ``generate`` may use: the explicit count, else the usable CPUs.
 
     A maximum: ``generate`` starts one worker per ``POINTS_PER_WORKER`` points, up to this count.
+    The usable CPUs are the affinity mask's, so ``taskset`` caps the default.
     """
     if explicit is not None:
         if explicit < 1:
             raise ValueError(f"worker count must be >= 1, got {explicit}")
         return explicit
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
-        return n
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -205,7 +190,6 @@ def worker_count(explicit: int | None = None) -> int:
 def generate(
     spec: DatasetSpec,
     physics: PhysicsConfig = DEFAULT_PHYSICS,
-    units: UnitSystem = DEFAULT_UNITS,
     max_workers: int | None = None,
 ) -> TrajectoryBatch:
     """Generate the full dataset as one batch, in index order.
@@ -217,8 +201,8 @@ def generate(
     once.  Chunking never changes the numbers because every per-trajectory
     quantity depends only on its own index.
     """
-    n = spec.resolved_n_points
-    schedule = force_schedule_for(spec, units)
+    n = spec.n_points
+    schedule = force_schedule_for(spec)
     workers = max(1, min(worker_count(max_workers), n // POINTS_PER_WORKER))
 
     def run_chunk(indices: np.ndarray) -> TrajectoryBatch:

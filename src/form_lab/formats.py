@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DatasetSpec
-from .dynamics import TrajectoryBatch, UnitSystem, lab_force_and_acceleration, trajectory_records
+from .dynamics import DEFAULT_UNITS, TrajectoryBatch, UnitSystem, lab_force_and_acceleration, trajectory_records
 from .errors import DegenerateVelocityError, NonFiniteError, SchemaError, SpeedLimitError
 from .neural import MlpParams
 from .ode import uniform_grid
@@ -244,7 +244,7 @@ def physics_from_header(header: dict) -> PhysicsConfig:
 
 
 def write_dataset(
-    path, batch: TrajectoryBatch, spec: DatasetSpec, physics: PhysicsConfig, units: UnitSystem | None = None
+    path, batch: TrajectoryBatch, spec: DatasetSpec, physics: PhysicsConfig, units: UnitSystem = DEFAULT_UNITS
 ) -> None:
     """NDJSON: a header with the batch's ``f_par``/``f_perp``, then one ``{index, x, v}`` line per trajectory.
 
@@ -261,7 +261,6 @@ def write_dataset(
     if not np.array_equal(batch.times, uniform_grid(spec.duration, spec.n_steps)[0]):
         raise ValueError(f"records are off the spec's grid ({spec.n_steps} steps, {spec.duration} s)")
     _check_rebuilt(batch, physics, spec.handedness)
-    units = units if units is not None else UnitSystem()
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": DATASET_KIND,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import datasets, evaluate, figures, formats, training
-from .dynamics import DEFAULT_UNITS, TrajectoryBatch
+from .dynamics import TrajectoryBatch
 from .relativity import DEFAULT_PHYSICS, PhysicsConfig
 from .sampling import SamplerConfig
 
@@ -33,9 +33,9 @@ QUICK_TRAIN = {"steps": 300, "batch_size": 32}
 
 
 def make_dataset(path, spec, physics: PhysicsConfig = DEFAULT_PHYSICS, max_workers=None) -> TrajectoryBatch:
-    """Generate ``spec`` at ``DEFAULT_UNITS`` and write it to ``path`` with the same physics."""
-    batch = datasets.generate(spec, physics=physics, units=DEFAULT_UNITS, max_workers=max_workers)
-    formats.write_dataset(path, batch, spec, physics, DEFAULT_UNITS)
+    """Generate ``spec`` and write it to ``path`` with the same physics, both in ``DEFAULT_UNITS``."""
+    batch = datasets.generate(spec, physics=physics, max_workers=max_workers)
+    formats.write_dataset(path, batch, spec, physics)
     return batch
 
 

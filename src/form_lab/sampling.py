@@ -201,6 +201,8 @@ def _momentum_exact_update(
     wmag_new = wmag + f_par * step
     braking = f_par < 0.0 if shared else np.any(f_par < 0.0)
     if braking:  # without braking, |w| cannot fall from above EPS_V to zero
+        if not np.all(np.isfinite(f_par)):  # an infinite brake is no step-size problem
+            raise NonFiniteError("force sampler's parallel force f_par is not finite")
         crossed = wmag_new <= 0.0
         if safe_w is not wmag:
             crossed &= ~resting

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -83,13 +84,13 @@ class TestGenData:
         )
         assert code == EXIT_NUMERIC
 
-    def test_non_integer_thread_variable_is_named(self, tmp_path, capsys, monkeypatch):
+    def test_thread_variable_is_ignored(self, tmp_path, monkeypatch):
+        """``--threads`` is the only thread cap; ``FORM_LAB_THREADS`` used to be a second one."""
+        argv = ["gen-data", "--dataset", "onedot", "--n", "3", "--steps", "5"]
+        assert main([*argv, "--out", str(tmp_path / "a.ndjson")]) == EXIT_OK
         monkeypatch.setenv("FORM_LAB_THREADS", "abc")
-        out = tmp_path / "d.ndjson"
-        assert main(["gen-data", "--dataset", "onedot", "--out", str(out), "--n", "3", "--steps", "5"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "FORM_LAB_THREADS" in err and "'abc'" in err
-        assert not out.exists()
+        assert main([*argv, "--out", str(tmp_path / "b.ndjson")]) == EXIT_OK
+        assert (tmp_path / "a.ndjson").read_bytes() == (tmp_path / "b.ndjson").read_bytes()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_zero_threads_names_the_flag(self, tmp_path, capsys, source):
@@ -311,8 +312,7 @@ class TestSample:
                 "--data", str(workdir["data"]),
                 "--out", str(out),
                 "--sampler-steps", "5",
-                "--init-velocity", "explicit",
-                "--v0", "1.0,2.0",
+                "--init-velocity", "1.0,2.0",
             ]
         )
         assert code == EXIT_OK
@@ -353,15 +353,15 @@ class TestSample:
         assert main([*argv, "--n", "2", "--sampler-steps", "10"]) == EXIT_OK
         assert read_samples(out)[0]["n_samples"] == 2
 
-    @pytest.mark.parametrize("v0", ["nan,0", "0,inf", "-inf,1", "1,2,3", "a,b"])
+    @pytest.mark.parametrize("v0", ["nan,0", "0,inf", "-inf,1", "1,2,3", "a,b", "explicit"])
     def test_malformed_v0_is_refused_at_parse_time(self, workdir, tmp_path, capsys, v0):
         out = tmp_path / "s.ndjson"
         argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--init-velocity", "explicit", f"--v0={v0}"])
+            main([*argv, f"--init-velocity={v0}"])
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "argument --v0" in err and v0 in err
+        assert "argument --init-velocity" in err and v0 in err
         assert not out.exists()
 
     @pytest.mark.parametrize("v0", ["10,0", "6,-8", "20,0", "0,1e300"])
@@ -369,29 +369,34 @@ class TestSample:
         """The model's c is 10; such a v0 used to end in a numerical failure (exit 3)."""
         out = tmp_path / "s.ndjson"
         argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
-        assert main([*argv, "--init-velocity", "explicit", f"--v0={v0}"]) == EXIT_USAGE
+        assert main([*argv, f"--init-velocity={v0}"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--v0" in err and "c = 10.0" in err
+        assert err.startswith("error:") and "--init-velocity" in err and "c = 10.0" in err
         assert not out.exists()
-        assert main([*argv, "--init-velocity", "explicit", "--v0=9.5,0"]) == EXIT_OK
+        assert main([*argv, "--init-velocity=9.5,0"]) == EXIT_OK
 
-    def test_v0_without_explicit_init_velocity_is_usage_error(self, workdir, tmp_path, capsys):
+    def test_v0_flag_and_key_are_gone(self, workdir, tmp_path, capsys):
+        """``--init-velocity`` takes the vector; ``--v0`` and its config key used to be a second channel."""
         out = tmp_path / "s.ndjson"
         argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
-        assert main([*argv, "--v0", "1,0"]) == EXIT_USAGE
-        assert "--v0 needs --init-velocity explicit" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--v0", "1,0"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --v0" in capsys.readouterr().err
+        assert main(argv + _write_config(tmp_path, {"v0": "1,0"})) == EXIT_USAGE
+        assert "unknown keys: ['v0']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["o1", "o1o2"])
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--v0", "1,0"], "--v0"),
+            (["--init-velocity", "1,0"], "--init-velocity 1.0,0.0"),
             (["--init-velocity", "zero"], "--init-velocity zero"),
-            (["--init-velocity", "explicit", "--v0", "1,0"], "--init-velocity explicit, --v0"),
+            (["--init-velocity", "zero", "--update", "euler"], "--init-velocity zero, --update euler"),
             (["--update", "euler"], "--update euler"),
         ],
-        ids=["v0", "zero", "explicit", "euler"],
+        ids=["v0", "zero", "zero-euler", "euler"],
     )
     def test_force_sampler_flags_on_flow_model_are_usage_errors(self, workdir, tmp_path, capsys, method, flags, named):
         """A flow model has no force sampler; these flags used to be ignored with exit 0."""
@@ -557,7 +562,7 @@ DEFAULT_CONFIGS = {
     },
     "sample": {
         "n": None, "sampler_steps": 100, "seed": 0, "source": "heldout",
-        "init_velocity": "dataset", "v0": None, "paths": False, "update": "momentum-exact",
+        "init_velocity": "dataset", "paths": False, "update": "momentum-exact",
     },
     "eval": {"sampler_steps": 100, "mode": "paired", "reference": False},
     "plot": {"trajectories": 0, "title": None},
@@ -584,6 +589,10 @@ SMALL_RUN = {
     "eval": ["--sampler-steps", "6"],
     "plot": [],
 }
+
+
+# Each --config key is set to each of these in turn: wrong JSON types, edge numbers, non-finite spellings.
+CONFIG_FUZZ_VALUES = ([], {}, True, False, "abc", "nan", "inf", -1, 0, 1.5, float("inf"), None, "1,2")
 
 
 def _write_config(tmp_path, cfg):
@@ -617,7 +626,6 @@ class TestConfig:
             ("sample", {"source": "bogus"}),
             ("sample", {"init_velocity": "bogus"}),
             ("sample", {"paths": "false"}),
-            ("sample", {"v0": "nan,0"}),
             ("eval", {"reference": "no"}),
         ],
         ids=lambda v: "+".join(v) if isinstance(v, dict) else v,
@@ -633,6 +641,36 @@ class TestConfig:
     def test_steps_and_epochs_exclusive_across_sources(self, workdir, tmp_path):
         argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.json"), "--method", "o1"]
         assert main(argv + ["--epochs", "1"] + _write_config(tmp_path, {"steps": 5})) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
+    def test_every_key_at_every_fuzz_value_ends_in_one_line_or_none(self, workdir, tmp_path, capsys, command):
+        """Each case exits 0 with nothing on stderr, or 2 or 3 with one ``error:`` or
+        ``numerical failure:`` line: no traceback and no warning.  The small-run flags
+        stay, except the one that would override the key under test (and ``--steps``
+        under ``epochs``, which it excludes).  No value is a large size."""
+        parser = cli.build_parser().parse_args(_argv(command, workdir, "o")).parser
+        keys = [a.dest for a in parser._actions if a.dest not in cli.NOT_IN_CONFIG]
+        out, bad, codes = str(tmp_path / "o"), [], []
+        for key in keys:
+            dropped = {"--" + key.replace("_", "-"), *(["--steps"] if key == "epochs" else [])}
+            pairs = zip(SMALL_RUN[command][::2], SMALL_RUN[command][1::2])
+            small = [part for flag, value in pairs if flag not in dropped for part in (flag, value)]
+            for value in CONFIG_FUZZ_VALUES:
+                cfg = _write_config(tmp_path, {key: value})
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(_argv(command, workdir, out) + small + cfg)
+                codes.append(code)
+                lines = capsys.readouterr().err.splitlines()
+                prefix = {EXIT_USAGE: "error: ", EXIT_NUMERIC: "numerical failure: "}.get(code)
+                if code == EXIT_OK:
+                    ok = not lines
+                else:
+                    ok = prefix is not None and len(lines) == 1 and lines[0].startswith(prefix)
+                if not ok or caught:
+                    bad.append((key, value, code, lines, [str(w.message) for w in caught]))
+        assert not bad, bad[:3]
+        assert EXIT_OK in codes and EXIT_USAGE in codes
 
 
 @pytest.mark.parametrize(

@@ -24,8 +24,9 @@ from form_lab.errors import DegenerateVelocityError
 class TestSpec:
     def test_default_sizes(self):
         assert DEFAULT_N_POINTS == {"onedot": 200, "halfmoons": 1000, "spiral": 1000}
-        assert DatasetSpec(kind="halfmoons").resolved_n_points == 1000
-        assert DatasetSpec(kind="onedot", n_points=7).resolved_n_points == 7
+        assert DatasetSpec(kind="halfmoons").n_points == 1000
+        assert DatasetSpec(kind="onedot", n_points=7).n_points == 7
+        assert DatasetSpec(kind="halfmoons") == DatasetSpec(kind="halfmoons", n_points=1000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -171,13 +172,10 @@ class TestGenerate:
         assert_allclose(np.stack([r.x0 for r in records]), x0, rtol=0)
         assert_allclose(np.stack([r.v0 for r in records]), v0, rtol=0)
 
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("FORM_LAB_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("FORM_LAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
+    def test_worker_count_explicit(self):
         assert worker_count(2) == 2
+        with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
+            worker_count(0)
 
     def test_chunked_path_does_not_change_bits(self, monkeypatch):
         """Past ``2 * POINTS_PER_WORKER`` points, 2 and 3 workers run two chunks on the pool, with 1 worker's bits."""
@@ -211,18 +209,11 @@ class TestGenerate:
         assert len(batch) == 1000
 
     def test_worker_count_default_is_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("FORM_LAB_THREADS", raising=False)
         monkeypatch.setattr(datasets.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(datasets.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
         assert worker_count() == 3
         monkeypatch.delattr(datasets.os, "sched_getaffinity")
         assert worker_count() == 64
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "1e3", "0", "-2"])
-    def test_worker_count_env_not_a_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv("FORM_LAB_THREADS", value)
-        with pytest.raises(ValueError, match=f"FORM_LAB_THREADS must be an integer >= 1, got '{value}'"):
-            worker_count()
 
 
 class TestHoldout:

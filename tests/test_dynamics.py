@@ -270,7 +270,7 @@ def assert_same_bits(records, reference):
 
 
 def _dataset_case(spec: DatasetSpec, physics: PhysicsConfig = DEFAULT_PHYSICS):
-    x0 = source_points(spec, range(spec.resolved_n_points), physics)
+    x0 = source_points(spec, range(spec.n_points), physics)
     return x0, initial_velocity(spec, x0), force_schedule_for(spec)
 
 

@@ -174,9 +174,7 @@ class TestForcePath:
         "bad", [(np.nan, 0.2), (0.5, np.nan), (np.inf, 0.2), (0.5, np.inf), (0.5, -np.inf), (-np.inf, 0.2)], ids=str
     )
     def test_non_finite_force_is_refused_at_its_step(self, update, start, per_point, bad):
-        """A NaN or infinite force is refused in the step that meets it.  The one
-        exception is an infinite braking force under the momentum-exact update:
-        the braking guard refuses it first, since it takes |w| through zero."""
+        """A NaN or infinite force is refused in the step that meets it, an infinite braking force included."""
         seen = []
 
         def components(x, t):
@@ -184,8 +182,7 @@ class TestForcePath:
             f = bad if len(seen) > start else (0.5, 0.2)
             return tuple(np.full(x.shape[:-1], c) for c in f) if per_point else f
 
-        want = DegenerateVelocityError if bad[0] == -np.inf and update == "momentum-exact" else NonFiniteError
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(want):
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteError):
             force_path(components, np.zeros((3, 2)), [1.0, 0.5], 1.0, 10, physics=PHYS, velocity_update=update)
         assert len(seen) == start + 1
 

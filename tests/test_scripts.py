@@ -67,6 +67,14 @@ class TestRunTable:
         assert line.startswith("error: ") and str(afile) in line
         assert afile.read_text() == "kept\n"
 
+    def test_size_beyond_memory_is_usage_error(self, tmp_path):
+        """10^18 training steps cannot be allocated (no address space holds 8e18 bytes), so nothing is."""
+        done = run_script("run_table.py", "--quick", "--steps", 10**18, "--outdir", tmp_path / "out")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ")
+
 
 def test_stress_speed_limit_holds():
     done = run_script("stress_speed_limit.py", "--points", 8, "--seeds", 2)
