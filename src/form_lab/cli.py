@@ -3,9 +3,10 @@
 Option precedence per subcommand: explicit flags beat the optional JSON
 config file (``--config``), which beats built-in defaults.  The config file
 maps option names (with underscores) to values, e.g. ``{"steps": 500}``.
-Each value is converted and checked by its flag's type and choices, and
-``null`` leaves the option unset.  An option that maps onto a dataclass
-field is passed on only when set, so the dataclass default is the default.
+Each value is converted and checked by its flag's type and choices (an
+option without a type takes only a JSON string), and ``null`` leaves the
+option unset.  An option that maps onto a dataclass field is passed on
+only when set, so the dataclass default is the default.
 
 Each subcommand calls the ``form_lab.pipeline`` stage that ``run_table`` calls for its step; the rule
 pairing a model with its held-out rows is ``pipeline.heldout_for``, the split ``datasets.holdout_split``.
@@ -104,6 +105,8 @@ def _config_value(action: argparse.Action, key: str, value):
             raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
         return value
     text = value if isinstance(value, str) else json.dumps(value)
+    if action.type is None and not isinstance(value, str):
+        raise ValueError(f"config key {key!r} must be a string, got {text}")
     try:
         value = action.type(text) if action.type is not None else text
     except (TypeError, ValueError, argparse.ArgumentTypeError) as e:

@@ -11,15 +11,19 @@ where ``w = gamma v`` is the celerity.  Working in ``(x, w)`` instead of
 Runge-Kutta stage for any force magnitude, so stress-scaled schedules cannot
 push a state across the limit mid-step.
 
-The state is component-major, ``(4, N)`` with rows ``x, y, w_x, w_y``, so
-each stage derivative is computed on contiguous rows by
-:func:`~form_lab.relativity.velocity_rows` and
+The state is component-major, ``(2, 2, N)``: the position rows ``x, y``,
+then the celerity rows ``w_x, w_y``.  Each stage derivative is computed on
+contiguous rows by :func:`~form_lab.relativity.velocity_rows` and
 :func:`~form_lab.relativity.lab_force_rows`, with the schedule's two
-components as scalars, and written into one ``(4, N)`` array.
+components as scalars, and written into one ``(2, 2, N)`` array.
 
 A simulation comes back as one :class:`TrajectoryBatch`, the in-memory form
 of a dataset everywhere: ``(N, K+1, 2)`` blocks, with the time grid and the
 schedule stored once.  :func:`stack_records` builds one from hand-made records.
+:func:`simulate_batch` holds a dataset once: the integrator writes each
+step's state straight into one ``(2, N, K+1, 2)`` array, whose first half is
+the batch's ``x`` and whose second half, the celerity, becomes its ``v`` in
+place, ``REBUILD_BLOCK`` trajectories at a time.
 
 A record's lab force ``f`` and acceleration ``a`` follow from ``v`` and the
 schedule; the simulator, the dataset reader and the dataset writer's check
@@ -202,6 +206,10 @@ def stack_records(records) -> TrajectoryBatch:
     return TrajectoryBatch(index, _read_only(first.times), *blocks, _read_only(first.f_par), _read_only(first.f_perp))
 
 
+# trajectories per block of the velocity and f/a derivations: their temporaries stay a few MB and in cache
+REBUILD_BLOCK = 128
+
+
 def schedule_on_grid(schedule: ForceSchedule, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (f_par, f_perp) at each grid time; shapes (K+1,)."""
     f_par = np.array([float(schedule.f_par(float(t))) for t in times], dtype=np.float64)
@@ -238,26 +246,23 @@ def simulate_batch(
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
         dy = np.empty(y.shape)
-        velocity_rows(y[2:], physics, dy[:2])
-        lab_force_rows(float(schedule.f_par(t)), float(schedule.f_perp(t)), dy[:2], handedness, dy[2:])
+        velocity_rows(y[1], physics, dy[0])
+        lab_force_rows(float(schedule.f_par(t)), float(schedule.f_perp(t)), dy[0], handedness, dy[1])
         return dy
 
-    y0 = np.concatenate([x0.T, w0.T])
-    times, states = integrate_fixed_grid(deriv, y0, 0.0, duration, n_steps, method="rk4")
-    if not np.all(np.isfinite(states)):
+    # the integrator writes each step's (2, 2, N) state straight into the x and w blocks, seen as (K+1, 2, 2, N)
+    xw = np.empty((2, n, n_steps + 1, 2))
+    y0 = np.stack([x0.T, w0.T])
+    times, _ = integrate_fixed_grid(deriv, y0, 0.0, duration, n_steps, method="rk4", out=xw.transpose(2, 0, 3, 1))
+    if not np.isfinite(xw).all():
         raise NonFiniteError("trajectory integration produced non-finite states")
-
-    # the (N, K+1, 2) blocks, filled from the (K+1, 2, N) rows of the state
-    x, v = np.empty((n, n_steps + 1, 2)), np.empty((n, n_steps + 1, 2))
-    x.transpose(1, 2, 0)[...] = states[:, :2]
-    velocity_rows(states[:, 2:].swapaxes(0, 1), physics, v.transpose(2, 1, 0))
+    x, v = xw
+    for start in range(0, n, REBUILD_BLOCK):  # the celerity block becomes the velocity block
+        w_rows = np.moveaxis(v[start : start + REBUILD_BLOCK], 2, 0)
+        velocity_rows(w_rows, physics, w_rows)
     fp_grid, fq_grid = schedule_on_grid(schedule, times)
     # true force = m * per-unit-mass schedule
     return trajectory_records(indices, times, x, v, physics.m * fp_grid, physics.m * fq_grid, physics, handedness)
-
-
-# trajectories per block of the derivation: its temporaries stay a few MB and in cache
-REBUILD_BLOCK = 128
 
 
 def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedness: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Deterministic on-disk formats: NDJSON datasets/samples, JSON checkpoints/reports.
+r"""Deterministic on-disk formats: NDJSON datasets/samples, JSON checkpoints/reports.
 
 Every float64 array with at least one axis (dataset positions, velocities
 and force schedules, checkpoint weights, biases and loss curves, sample
@@ -25,6 +25,16 @@ record's ``x`` and ``v`` bytes straight into the rows of its ``(N, K+1, 2)``
 blocks, and the writer checks that the batch's ``f`` and ``a`` are the ones
 that reading rebuilds.
 
+The NDJSON readers (datasets, samples) stream the open file in two passes.
+The first counts the lines and checks that the file is UTF-8, not empty,
+and holds as many lines as its header promises, all before anything is
+sized from the header; the second decodes each line as it is reached, so
+a read never holds the whole text (except of a pipe, which can be read
+only once).  A line ends only at ``\n``, ``\r\n`` or ``\r``: the other
+breaks of ``str.splitlines`` (``\x0b``, ``\x0c``, ``\x1c``-``\x1e``,
+``\x85``, U+2028, U+2029) stay inside their line.  The writers never emit
+them raw, since what they write is ASCII.
+
 Readers validate structure eagerly and raise :class:`SchemaError` with the
 offending line number: an array must be valid base64 of exactly the bytes
 its shape needs, and every value must be finite (``NaN``/``Infinity``
@@ -37,8 +47,10 @@ are rejected.
 from __future__ import annotations
 
 import base64
+import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -192,11 +204,15 @@ def _array_bytes(raw, shape: tuple | None, line_no: int, path, name: str) -> tup
     return data, shape
 
 
+def _not_utf8(path, e: UnicodeDecodeError) -> SchemaError:
+    return SchemaError(f"{path}: not UTF-8 text ({e.reason})")
+
+
 def _read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise SchemaError(f"{path}: not UTF-8 text ({e.reason})") from e
+        raise _not_utf8(path, e) from e
 
 
 def _write_json_lines(path, objects) -> None:
@@ -211,17 +227,31 @@ def _write_json_lines(path, objects) -> None:
         fh.writelines(lines)
 
 
+@contextmanager
 def _read_ndjson(path, kind: str, count_key: str):
-    """The checked header, and an iterator over the (line number, object) of each line it promises."""
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise SchemaError(f"{path}:1: empty file")
-    header = _loads_line(lines[0], 1, path)
-    _check_kind(header, kind, path)
-    n = _need_int(header, count_key, 1, path)
-    if n < 1 or len(lines) - 1 != n:
-        raise SchemaError(f"{path}: header promises {n} {count_key[2:]}, found {len(lines) - 1}")
-    return header, ((line_no, _loads_line(line, line_no, path)) for line_no, line in enumerate(lines[1:], start=2))
+    """The checked header, and an iterator over the (line number, object) of each line it promises.
+
+    The file stays open for the ``with`` block.  It is read twice, a line at
+    a time: the first pass only counts the lines, and the iterator is the
+    second.  Only a file that cannot seek, such as a pipe, is held as text.
+    """
+    with open(path, encoding="utf-8") as file:
+        try:
+            fh = file if file.seekable() else io.StringIO(file.read())  # a pipe is read once: hold its text
+            first = fh.readline()
+            n_lines = bool(first) + sum(1 for _ in fh)
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from e
+        if not n_lines:
+            raise SchemaError(f"{path}:1: empty file")
+        header = _loads_line(first.removesuffix("\n"), 1, path)
+        _check_kind(header, kind, path)
+        n = _need_int(header, count_key, 1, path)
+        if n < 1 or n_lines - 1 != n:
+            raise SchemaError(f"{path}: header promises {n} {count_key[2:]}, found {n_lines - 1}")
+        fh.seek(0)
+        fh.readline()
+        yield header, ((no, _loads_line(line.removesuffix("\n"), no, path)) for no, line in enumerate(fh, start=2))
 
 
 def _read_object(path, kind: str) -> dict:
@@ -292,33 +322,33 @@ def _check_rebuilt(batch: TrajectoryBatch, physics: PhysicsConfig, handedness: i
 
 def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
     """Parse and validate a dataset file; the batch is in index order, with ``times``, ``f``, ``a`` rebuilt."""
-    header, lines = _read_ndjson(path, DATASET_KIND, "n_trajectories")
-    try:
-        spec = DatasetSpec.from_dict(_need(header, "spec", 1, path))
-        physics = physics_from_header(header)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"{path}:1: malformed header ({e!r})") from e
+    with _read_ndjson(path, DATASET_KIND, "n_trajectories") as (header, lines):
+        try:
+            spec = DatasetSpec.from_dict(_need(header, "spec", 1, path))
+            physics = physics_from_header(header)
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"{path}:1: malformed header ({e!r})") from e
 
-    n = header["n_trajectories"]
-    scalar, vec = (spec.n_steps + 1,), (spec.n_steps + 1, 2)
-    f_par, f_perp = (_parse_array(_need(header, k, 1, path), scalar, 1, path, k) for k in ("f_par", "f_perp"))
-    try:  # each line's bytes land in its rows of the blocks as they are decoded
-        blocks = {"x": np.empty((n, *vec), dtype="<f8"), "v": np.empty((n, *vec), dtype="<f8")}
-    except MemoryError as e:  # sized from the header before any line is checked
-        raise SchemaError(f"{path}:1: {n} trajectories of {spec.n_steps} steps do not fit in memory") from e
-    block_bytes = {name: memoryview(block.view(np.uint8).reshape(-1)) for name, block in blocks.items()}
-    row_bytes = 8 * math.prod(vec)
-    line_of = [0] * n  # the line each index was read from; 0 until then
-    for line_no, obj in lines:
-        index = _need_int(obj, "index", line_no, path)
-        if not 0 <= index < n:
-            raise SchemaError(f"{path}:{line_no}: trajectory index {index} outside 0..{n - 1}")
-        if line_of[index]:
-            raise SchemaError(f"{path}:{line_no}: duplicate trajectory index {index}")
-        line_of[index] = line_no
-        for name, into in block_bytes.items():
-            data, _ = _array_bytes(_need(obj, name, line_no, path), vec, line_no, path, name)
-            into[index * row_bytes : (index + 1) * row_bytes] = data
+        n = header["n_trajectories"]
+        scalar, vec = (spec.n_steps + 1,), (spec.n_steps + 1, 2)
+        f_par, f_perp = (_parse_array(_need(header, k, 1, path), scalar, 1, path, k) for k in ("f_par", "f_perp"))
+        try:  # each line's bytes land in its rows of the blocks as they are decoded
+            blocks = {"x": np.empty((n, *vec), dtype="<f8"), "v": np.empty((n, *vec), dtype="<f8")}
+        except MemoryError as e:  # sized from the header before any line is checked
+            raise SchemaError(f"{path}:1: {n} trajectories of {spec.n_steps} steps do not fit in memory") from e
+        block_bytes = {name: memoryview(block.view(np.uint8).reshape(-1)) for name, block in blocks.items()}
+        row_bytes = 8 * math.prod(vec)
+        line_of = [0] * n  # the line each index was read from; 0 until then
+        for line_no, obj in lines:
+            index = _need_int(obj, "index", line_no, path)
+            if not 0 <= index < n:
+                raise SchemaError(f"{path}:{line_no}: trajectory index {index} outside 0..{n - 1}")
+            if line_of[index]:
+                raise SchemaError(f"{path}:{line_no}: duplicate trajectory index {index}")
+            line_of[index] = line_no
+            for name, into in block_bytes.items():
+                data, _ = _array_bytes(_need(obj, name, line_no, path), vec, line_no, path, name)
+                into[index * row_bytes : (index + 1) * row_bytes] = data
     if not all(np.isfinite(block).all() for block in blocks.values()):
         line_no, _, name = min(
             (line_of[i], k, name)
@@ -412,21 +442,21 @@ def write_samples(path, header_extra: dict, entries: list[dict]) -> None:
 
 def read_samples(path) -> tuple[dict, list[dict]]:
     """Parse and validate a samples file; ``x0``, ``endpoint`` and, when present, ``v0`` and ``path`` come back as arrays."""
-    header, lines = _read_ndjson(path, SAMPLES_KIND, "n_samples")
     entries = []
-    for line_no, obj in lines:
-        _need_int(obj, "index", line_no, path)
-        shapes = {"x0": (2,), "endpoint": (2,)}
-        if "v0" in obj:
-            shapes["v0"] = (2,)
-        if "path" in obj:
-            steps = _need_int(header, "sampler_steps", 1, path)
-            if steps < 1:
-                raise SchemaError(f"{path}:1: sampler_steps must be at least 1, got {steps}")
-            shapes["path"] = (steps + 1, 2)
-        for key, shape in shapes.items():
-            obj[key] = _parse_array(_need(obj, key, line_no, path), shape, line_no, path, key)
-        entries.append(obj)
+    with _read_ndjson(path, SAMPLES_KIND, "n_samples") as (header, lines):
+        for line_no, obj in lines:
+            _need_int(obj, "index", line_no, path)
+            shapes = {"x0": (2,), "endpoint": (2,)}
+            if "v0" in obj:
+                shapes["v0"] = (2,)
+            if "path" in obj:
+                steps = _need_int(header, "sampler_steps", 1, path)
+                if steps < 1:
+                    raise SchemaError(f"{path}:1: sampler_steps must be at least 1, got {steps}")
+                shapes["path"] = (steps + 1, 2)
+            for key, shape in shapes.items():
+                obj[key] = _parse_array(_need(obj, key, line_no, path), shape, line_no, path, key)
+            entries.append(obj)
     return header, entries
 
 

@@ -41,11 +41,14 @@ def integrate_fixed_grid(
     duration: float,
     n_steps: int,
     method: str = "rk4",
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y' = f(t, y) over [t0, t0 + duration] on a uniform grid.
 
     Returns (times, states) with times of shape (n_steps + 1,) and states of
-    shape (n_steps + 1, *y0.shape) including both endpoints.
+    shape (n_steps + 1, *y0.shape) including both endpoints.  ``out``, if
+    given, is where the states go: a float64 array or view of that shape,
+    with any strides, returned as ``states``.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -58,7 +61,9 @@ def integrate_fixed_grid(
 
     y = np.array(y0, dtype=np.float64, copy=True)
     times, h = uniform_grid(duration, n_steps, t0)
-    states = np.empty((n_steps + 1, *y.shape), dtype=np.float64)
+    states = np.empty((n_steps + 1, *y.shape), dtype=np.float64) if out is None else out
+    if states.shape != (n_steps + 1, *y.shape) or states.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {(n_steps + 1, *y.shape)}, got {states.dtype} {states.shape}")
     states[0] = y
     for k in range(n_steps):
         # t recomputed as t0 + k*h (not accumulated) so grids match `times` exactly

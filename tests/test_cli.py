@@ -638,6 +638,13 @@ class TestConfig:
         assert all(key in err for key in cfg)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, shown", [([], "[]"), ({}, "{}"), (1.5, "1.5"), (True, "true")])
+    def test_text_option_refuses_other_json_types(self, workdir, tmp_path, capsys, value, shown):
+        out = tmp_path / "o.svg"
+        assert main(_argv("plot", workdir, str(out)) + _write_config(tmp_path, {"title": value})) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: config key 'title' must be a string, got {shown}\n"
+        assert not out.exists()
+
     def test_steps_and_epochs_exclusive_across_sources(self, workdir, tmp_path):
         argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.json"), "--method", "o1"]
         assert main(argv + ["--epochs", "1"] + _write_config(tmp_path, {"steps": 5})) == EXIT_USAGE

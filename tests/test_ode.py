@@ -65,7 +65,16 @@ class TestGrid:
         _, states = integrate_fixed_grid(_exp_decay, y0, 0.0, 1.0, 7)
         assert states.shape == (8, 3, 4)
 
+    def test_states_go_into_a_strided_out(self):
+        y0 = np.arange(1.0, 7.0).reshape(2, 3)
+        _, want = integrate_fixed_grid(_exp_decay, y0, 0.0, 1.0, 5)
+        buf = np.empty((3, 6, 2))
+        _, states = integrate_fixed_grid(_exp_decay, y0, 0.0, 1.0, 5, out=buf.transpose(1, 2, 0))
+        assert np.shares_memory(states, buf) and states.tobytes() == want.tobytes()
+
     def test_validation(self):
+        with pytest.raises(ValueError, match="out must be float64 of shape"):
+            integrate_fixed_grid(_exp_decay, np.array([1.0]), 0.0, 1.0, 4, out=np.empty((4, 1)))
         with pytest.raises(ValueError):
             integrate_fixed_grid(_exp_decay, np.array([1.0]), 0.0, 1.0, 0)
         with pytest.raises(ValueError):
