@@ -18,25 +18,26 @@ contiguous rows by :func:`~form_lab.relativity.velocity_rows` and
 components as scalars, and written into one ``(2, 2, N)`` array.
 
 A simulation comes back as one :class:`TrajectoryBatch`, the in-memory form
-of a dataset everywhere: ``(N, K+1, 2)`` blocks, with the time grid and the
-schedule stored once.  :func:`stack_records` builds one from hand-made records.
-:func:`simulate_batch` holds a dataset once: the integrator writes each
-step's state straight into one ``(2, N, K+1, 2)`` array, whose first half is
-the batch's ``x`` and whose second half, the celerity, becomes its ``v`` in
-place, ``REBUILD_BLOCK`` trajectories at a time.
+of a dataset everywhere.  It holds what the simulator integrates, the
+``(N, K+1, 2)`` ``x`` and ``v`` blocks, with the time grid, the schedule,
+the physics and the handedness stored once; :func:`stack_records` builds one
+from hand-made records.  :func:`simulate_batch` integrates each step's state
+straight into one ``(2, N, K+1, 2)`` array, whose halves become the batch's
+``x`` and, converted from celerity in place, its ``v``.
 
-A record's lab force ``f`` and acceleration ``a`` follow from ``v`` and the
-schedule; the simulator, the dataset reader and the dataset writer's check
-all derive them with :func:`lab_force_and_acceleration`.  It runs
+The lab force ``f`` and acceleration ``a`` follow from ``v``, the schedule
+and the physics, so a batch derives both blocks on the first read of either
+and keeps them.  :func:`lab_force_and_acceleration` does it, running
 :func:`~form_lab.relativity.lab_force_rows` and
 :func:`~form_lab.relativity.acceleration_rows` on the component rows of
-``REBUILD_BLOCK`` trajectories at a time, and writes ``f`` and ``a`` straight
-into their ``(N, K+1, 2)`` blocks.
+``REBUILD_BLOCK`` trajectories at a time; the dataset reader runs it too,
+to refuse trajectories that cannot give them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -144,19 +145,22 @@ class TrajectoryRecord(_Paths):
     f: np.ndarray  # (K+1, 2)
     f_par: np.ndarray  # (K+1,)
     f_perp: np.ndarray  # (K+1,)
+    physics: PhysicsConfig
+    handedness: int
 
 
-BLOCKS = ("x", "v", "a", "f")
+BLOCKS = ("x", "v")
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch(_Paths):
     """N paths on one time grid under one co-moving force schedule: the in-memory dataset.
 
-    The fields are :class:`TrajectoryRecord`'s, with ``x``, ``v``, ``a``, ``f``
-    as ``(N, K+1, 2)`` blocks; ``times``, ``f_par`` and ``f_perp`` are read-only.
-    As a read-only sequence, ``batch[i]`` is row ``i`` as a record of views and
-    ``batch[a:b:k]`` a batch of row views.  ``generate``, ``read_dataset`` and
+    The fields are :class:`TrajectoryRecord`'s but ``a`` and ``f``, with ``x`` and
+    ``v`` as ``(N, K+1, 2)`` blocks; ``times``, ``f_par`` and ``f_perp`` are read-only.
+    ``f`` and ``a`` are derived (see the module docstring).  As a read-only
+    sequence, ``batch[i]`` is row ``i`` as a record of views and ``batch[a:b:k]``
+    a batch of row views.  ``generate``, ``read_dataset`` and
     :func:`stack_records` give batches in index order.
     """
 
@@ -164,10 +168,21 @@ class TrajectoryBatch(_Paths):
     times: np.ndarray
     x: np.ndarray
     v: np.ndarray
-    a: np.ndarray
-    f: np.ndarray
     f_par: np.ndarray
     f_perp: np.ndarray
+    physics: PhysicsConfig
+    handedness: int
+
+    def __post_init__(self) -> None:
+        for k in ("times", "f_par", "f_perp"):
+            object.__setattr__(self, k, _read_only(getattr(self, k)))
+
+    @cached_property
+    def _f_and_a(self) -> tuple[np.ndarray, np.ndarray]:
+        return lab_force_and_acceleration(self.v, self.f_par, self.f_perp, self.physics, self.handedness)
+
+    f = property(lambda self: self._f_and_a[0])
+    a = property(lambda self: self._f_and_a[1])
 
     def __len__(self) -> int:
         return len(self.index)
@@ -176,11 +191,15 @@ class TrajectoryBatch(_Paths):
         if isinstance(key, slice):
             return replace(self, index=self.index[key], **{k: getattr(self, k)[key] for k in BLOCKS})
         return TrajectoryRecord(
-            int(self.index[key]), self.times, self.x[key], self.v[key], self.a[key], self.f[key], self.f_par, self.f_perp
+            int(self.index[key]), self.times, self.x[key], self.v[key], self.a[key], self.f[key],
+            self.f_par, self.f_perp, self.physics, self.handedness,
         )
 
 
 def _read_only(a) -> np.ndarray:
+    """``a`` if it is a read-only float64 array already, such as a slice's grid, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=np.float64)
     a.flags.writeable = False
     return a
@@ -189,7 +208,8 @@ def _read_only(a) -> np.ndarray:
 def stack_records(records) -> TrajectoryBatch:
     """The batch of a list of records, sorted by index; a batch comes back as it is, not copied.
 
-    Refuses an empty list, and records on another grid or schedule than the first one's.
+    Only ``x`` and ``v`` are stacked; the batch derives its own ``a`` and ``f``.
+    Refuses an empty list, and records on another grid, schedule, physics or handedness than the first one's.
     """
     if isinstance(records, TrajectoryBatch):
         return records
@@ -197,13 +217,14 @@ def stack_records(records) -> TrajectoryBatch:
         raise ValueError("cannot stack an empty record list")
     records = sorted(records, key=lambda r: r.index)
     first = records[0]
-    for names, what in ((("times",), "are on another time grid"), (("f_par", "f_perp"), "have a force schedule other")):
+    for names, what in ((("times",), "are on another time grid"), (("f_par", "f_perp"), "have a force schedule other"),
+                        (("physics", "handedness"), "were simulated at a physics or handedness other")):
         bad = [r.index for r in records if not all(np.array_equal(getattr(r, k), getattr(first, k)) for k in names)]
         if bad:
             raise ValueError(f"records {bad[:5]} {what} than record {first.index}'s")
-    blocks = (np.stack([getattr(r, k) for r in records]) for k in BLOCKS)
+    x, v = (np.stack([getattr(r, k) for r in records]) for k in BLOCKS)
     index = np.array([r.index for r in records])
-    return TrajectoryBatch(index, _read_only(first.times), *blocks, _read_only(first.f_par), _read_only(first.f_perp))
+    return TrajectoryBatch(index, first.times, x, v, first.f_par, first.f_perp, first.physics, first.handedness)
 
 
 # trajectories per block of the velocity and f/a derivations: their temporaries stay a few MB and in cache
@@ -260,21 +281,20 @@ def simulate_batch(
     for start in range(0, n, REBUILD_BLOCK):  # the celerity block becomes the velocity block
         w_rows = np.moveaxis(v[start : start + REBUILD_BLOCK], 2, 0)
         velocity_rows(w_rows, physics, w_rows)
-    fp_grid, fq_grid = schedule_on_grid(schedule, times)
-    # true force = m * per-unit-mass schedule
-    return trajectory_records(indices, times, x, v, physics.m * fp_grid, physics.m * fq_grid, physics, handedness)
+    f_par, f_perp = (physics.m * f for f in schedule_on_grid(schedule, times))  # true force = m * unit-mass force
+    return TrajectoryBatch(np.array(indices), times, x, v, f_par, f_perp, physics, handedness)
 
 
 def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedness: int) -> tuple[np.ndarray, np.ndarray]:
     """The lab force ``f`` (the co-moving pair composed along ``v``) and the
-    acceleration ``a`` (the force law) that a batch carries, as new ``(N, K+1, 2)`` blocks.
+    acceleration ``a`` (the force law) that a batch derives, as new ``(N, K+1, 2)`` blocks.
 
     ``v`` is ``(N, K+1, 2)`` with any strides, and the schedule ``f_par``,
-    ``f_perp`` is ``(K+1,)``.  The simulator, the dataset reader and the
-    dataset writer's check all derive them here, so records read back are
-    bit-identical.  Raises ``DegenerateVelocityError`` for a nonzero force
-    on a resting point, ``SpeedLimitError`` for a speed at or above ``c`` and
-    ``NonFiniteError`` if ``f`` or ``a`` overflows.
+    ``f_perp`` is ``(K+1,)``.  Each row's bits depend on that row alone, so
+    a slice derives what the whole batch holds there.  Raises
+    ``DegenerateVelocityError`` for a nonzero force on a resting point,
+    ``SpeedLimitError`` for a speed at or above ``c`` and ``NonFiniteError``
+    if ``f`` or ``a`` overflows.
     """
     v = np.asarray(v, dtype=np.float64)
     f_par, f_perp = np.asarray(f_par, dtype=np.float64), np.asarray(f_perp, dtype=np.float64)
@@ -289,20 +309,6 @@ def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedn
         if not (np.isfinite(f[rows]).all() and np.isfinite(a[rows]).all()):
             raise NonFiniteError("lab force or acceleration is non-finite")
     return f, a
-
-
-def trajectory_records(
-    indices, times: np.ndarray, x: np.ndarray, v: np.ndarray, f_par, f_perp, physics: PhysicsConfig, handedness: int
-) -> TrajectoryBatch:
-    """The batch of N particles from their ``(N, K+1, 2)`` position and velocity blocks on a shared time grid.
-
-    The schedule ``f_par``, ``f_perp`` is (K+1,); ``f`` and ``a`` come from
-    :func:`lab_force_and_acceleration`.  Contiguous ``x`` and ``v`` are
-    taken as they are; ``times`` and the schedule are read-only copies.
-    """
-    f_lab, accel = lab_force_and_acceleration(v, f_par, f_perp, physics, handedness)
-    x, v = np.ascontiguousarray(x, dtype=np.float64), np.ascontiguousarray(v, dtype=np.float64)
-    return TrajectoryBatch(np.array(indices), _read_only(times), x, v, accel, f_lab, _read_only(f_par), _read_only(f_perp))
 
 
 def simulate_trajectory(

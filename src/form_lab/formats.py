@@ -17,13 +17,13 @@ identical files.
 
 A dataset stores only what the simulator integrates: one force schedule
 (``f_par``, ``f_perp``) in the header, and ``index``, ``x``, ``v`` per record.
-The writer takes a :class:`~form_lab.dynamics.TrajectoryBatch`, and the
-reader returns one, with ``times``, ``f`` and ``a`` rebuilt as the simulator
-builds them: by :func:`~form_lab.dynamics.lab_force_and_acceleration`, on
-the component rows of 128 trajectories at a time.  The reader decodes each
-record's ``x`` and ``v`` bytes straight into the rows of its ``(N, K+1, 2)``
-blocks, and the writer checks that the batch's ``f`` and ``a`` are the ones
-that reading rebuilds.
+The writer takes a :class:`~form_lab.dynamics.TrajectoryBatch` simulated
+at the physics and handedness it writes, and the reader returns one, which
+holds the same and derives ``f`` and ``a`` when they are read.  The reader
+decodes each record's ``x`` and ``v`` bytes straight into the rows of its
+``(N, K+1, 2)`` blocks, and refuses trajectories that cannot give ``f`` and
+``a`` by running :func:`~form_lab.dynamics.lab_force_and_acceleration` on
+128 of them at a time, keeping nothing.
 
 The NDJSON readers (datasets, samples) stream the open file in two passes.
 The first counts the lines and checks that the file is UTF-8, not empty,
@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DatasetSpec
-from .dynamics import DEFAULT_UNITS, TrajectoryBatch, UnitSystem, lab_force_and_acceleration, trajectory_records
+from .dynamics import BLOCKS, DEFAULT_UNITS, REBUILD_BLOCK, TrajectoryBatch, UnitSystem, lab_force_and_acceleration
 from .errors import DegenerateVelocityError, NonFiniteError, SchemaError, SpeedLimitError
 from .neural import MlpParams
 from .ode import uniform_grid
@@ -279,10 +279,9 @@ def write_dataset(
     """NDJSON: a header with the batch's ``f_par``/``f_perp``, then one ``{index, x, v}`` line per trajectory.
 
     The batch must hold exactly trajectories 0..N-1, in order, on the spec's
-    time grid, because that is all the reader accepts.  Its ``f`` and ``a``
-    must be the ones ``physics`` and the spec's handedness rebuild from
-    ``v``, ``f_par`` and ``f_perp``, bit for bit, because the reader
-    rebuilds them that way.
+    time grid, because that is all the reader accepts.  It must have been
+    simulated at ``physics`` and the spec's handedness, because the reader
+    derives ``f`` and ``a`` at those.
     """
     if not len(batch):
         raise ValueError("refusing to write an empty dataset")
@@ -290,7 +289,9 @@ def write_dataset(
         raise ValueError(f"record indices must be exactly 0..{len(batch) - 1}, in order")
     if not np.array_equal(batch.times, uniform_grid(spec.duration, spec.n_steps)[0]):
         raise ValueError(f"records are off the spec's grid ({spec.n_steps} steps, {spec.duration} s)")
-    _check_rebuilt(batch, physics, spec.handedness)
+    if (batch.physics, batch.handedness) != (physics, spec.handedness):
+        raise ValueError(f"records simulated at {batch.physics}, handedness {batch.handedness} cannot be written at "
+                         f"{physics}, handedness {spec.handedness}; write them with the physics they were generated at")
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": DATASET_KIND,
@@ -304,24 +305,8 @@ def write_dataset(
     _write_json_lines(path, [header, *rows])
 
 
-def _check_rebuilt(batch: TrajectoryBatch, physics: PhysicsConfig, handedness: int) -> None:
-    """Raise ValueError unless every row has the ``f``, ``a`` that reading rebuilds."""
-    at = f"physics c={physics.c!r}, m={physics.m!r} and handedness {handedness}"
-    try:
-        f_lab, accel = lab_force_and_acceleration(batch.v, batch.f_par, batch.f_perp, physics, handedness)
-    except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
-        raise ValueError(f"records cannot be rebuilt at {at}: {e}") from e
-    for name, stored, rebuilt in (("f", batch.f, f_lab), ("a", batch.a, accel)):
-        bad = np.flatnonzero(np.any(stored != rebuilt, axis=(1, 2)))
-        if bad.size:
-            raise ValueError(
-                f"records {batch.index[bad[:5]].tolist()} carry an {name} that {at} do not give; "
-                "write them with the physics they were generated at"
-            )
-
-
 def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
-    """Parse and validate a dataset file; the batch is in index order, with ``times``, ``f``, ``a`` rebuilt."""
+    """Parse and validate a dataset file; the batch is in index order, with ``times`` rebuilt."""
     with _read_ndjson(path, DATASET_KIND, "n_trajectories") as (header, lines):
         try:
             spec = DatasetSpec.from_dict(_need(header, "spec", 1, path))
@@ -333,7 +318,7 @@ def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
         scalar, vec = (spec.n_steps + 1,), (spec.n_steps + 1, 2)
         f_par, f_perp = (_parse_array(_need(header, k, 1, path), scalar, 1, path, k) for k in ("f_par", "f_perp"))
         try:  # each line's bytes land in its rows of the blocks as they are decoded
-            blocks = {"x": np.empty((n, *vec), dtype="<f8"), "v": np.empty((n, *vec), dtype="<f8")}
+            blocks = {name: np.empty((n, *vec)) for name in BLOCKS}
         except MemoryError as e:  # sized from the header before any line is checked
             raise SchemaError(f"{path}:1: {n} trajectories of {spec.n_steps} steps do not fit in memory") from e
         block_bytes = {name: memoryview(block.view(np.uint8).reshape(-1)) for name, block in blocks.items()}
@@ -359,10 +344,12 @@ def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
 
     try:
         times, _ = uniform_grid(spec.duration, spec.n_steps)
-        batch = trajectory_records(range(n), times, blocks["x"], blocks["v"], f_par, f_perp, physics, spec.handedness)
+        for start in range(0, n, REBUILD_BLOCK):  # refuse now the rows whose f and a the batch could not derive
+            v_rows = blocks["v"][start : start + REBUILD_BLOCK]
+            lab_force_and_acceleration(v_rows, f_par, f_perp, physics, spec.handedness)
     except (OverflowError, SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         raise SchemaError(f"{path}: cannot rebuild the trajectories ({e})") from e
-    return header, batch
+    return header, TrajectoryBatch(np.arange(n), times, *blocks.values(), f_par, f_perp, physics, spec.handedness)
 
 
 # --- checkpoints -------------------------------------------------------------

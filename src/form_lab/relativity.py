@@ -39,8 +39,8 @@ class PhysicsConfig:
     m: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.c > 0.0 and np.isfinite(self.c)):
-            raise ValueError(f"speed of light must be positive and finite, got {self.c}")
+        if not (self.c > 0.0 and 0.0 < float(self.c) * float(self.c) < np.inf):  # every formula divides by c**2
+            raise ValueError(f"speed of light c must be positive with a finite, nonzero square, got {self.c}")
         if not (self.m > 0.0 and np.isfinite(self.m)):
             raise ValueError(f"mass must be positive and finite, got {self.m}")
 

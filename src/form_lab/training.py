@@ -137,6 +137,7 @@ def train(
     if config.method == "form":
         heads["F"] = workspace(1 if config.form_input_mode == "time" else 3, STREAM_F)
     sq, row_sq = np.empty((rows, 2)), np.empty(rows)
+    accel = data.a if config.method == "o1o2" else None  # o1o2's target; o1 and form never derive it
 
     losses = np.empty(config.steps, dtype=np.float64)
     for step in range(config.steps):
@@ -160,7 +161,7 @@ def train(
                 u2 = heads["u2"]
                 u2.inp[:, :2] = pred1
                 u2.inp[:, 2:] = u1.inp
-                loss += _squared_error(u2.forward(), data.a[traj_idx, knot_idx], u2.grad_out, sq, row_sq)
+                loss += _squared_error(u2.forward(), accel[traj_idx, knot_idx], u2.grad_out, sq, row_sq)
                 u2.backward_and_update()
                 if config.o1o2_coupling == "joint":
                     # acceleration loss also shapes u1 through u2's first input slot

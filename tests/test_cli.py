@@ -802,6 +802,27 @@ class TestFileValidation:
         assert not out.exists()
 
 
+class TestOverflowingSpeedOfLight:
+    """A finite ``c`` whose square overflows gave an OverflowError traceback (exit 1) at ``physics.c**2``."""
+
+    def test_gen_data_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.ndjson"
+        argv = ["gen-data", "--dataset", "halfmoons", "--out", str(out), "--n", "5", "--steps", "4", "--c", "1e200"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: speed of light c ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sample_from_such_a_checkpoint_is_usage_error(self, workdir, tmp_path, capsys):
+        model = _with_header(workdir["models"]["form"], tmp_path / "m.json", lambda h: h["physics"].update(c=1e200))
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(model), "--out", str(out), "--source", "noise", "--n", "3", "--M", "4"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "speed of light c " in err
+        assert not out.exists()
+
+
 def _as_text_arrays(path):
     """Rewrite a dataset or checkpoint in place with each array as a flat JSON list (versions 1-3 wrote numbers)."""
     def to_lists(value, key=None):

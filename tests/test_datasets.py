@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from form_lab import datasets
 from form_lab.datasets import (
     DEFAULT_N_POINTS,
+    KINDS,
     POINTS_PER_WORKER,
     DatasetSpec,
     force_schedule_for,
@@ -17,8 +18,9 @@ from form_lab.datasets import (
     stress_spec,
     worker_count,
 )
-from form_lab.dynamics import stack_records
+from form_lab.dynamics import TrajectoryBatch, stack_records
 from form_lab.errors import DegenerateVelocityError
+from form_lab.relativity import DEFAULT_PHYSICS
 
 
 class TestSpec:
@@ -240,3 +242,36 @@ class TestHoldout:
             holdout_split(records)  # 20% of 3 rounds to zero
         with pytest.raises(ValueError):
             holdout_split(records, fraction=1.5)
+
+
+class TestDerivedBlocksUnderSlicing:
+    """A slice derives its own ``a`` and ``f``: the bits must be those the whole batch derives for its rows."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_split_before_the_first_read_keeps_the_bits(self, kind, seed):
+        batch = generate(DatasetSpec(kind=kind, n_points=300, n_steps=20, seed=seed))  # 240 | 60 splits a 128-row block
+        parts = (*holdout_split(batch), batch[::-1])
+        whole = {k: getattr(batch, k) for k in ("a", "f")}  # the first read derives them for all 300 rows
+        n_train = len(parts[0])
+        for part, rows in zip(parts, (slice(None, n_train), slice(n_train, None), slice(None, None, -1))):
+            for k, block in whole.items():
+                assert getattr(part, k).tobytes() == block[rows].tobytes(), (k, rows)
+
+    @pytest.mark.parametrize("handedness", [1, -1])
+    def test_a_resting_point_under_zero_force_keeps_the_bits(self, handedness):
+        """Row 0 rests at knot 2, where the force is zero: the whole batch derives through
+        ``compose_lab_force``'s fallback, a slice without row 0 through the row kernel."""
+        rng = np.random.default_rng(4)
+        n, k1 = 5, 6
+        v = rng.uniform(-3.0, 3.0, size=(n, k1, 2))
+        v[0, 2] = 0.0
+        f_par, f_perp = rng.normal(size=k1), rng.normal(size=k1)
+        f_par[2] = f_perp[2] = 0.0
+        batch = TrajectoryBatch(np.arange(n), np.linspace(0.0, 1.0, k1), np.zeros_like(v), v, f_par, f_perp,
+                                DEFAULT_PHYSICS, handedness)
+        parts = [(batch[1:], slice(1, None)), (batch[:0:-1], slice(None, 0, -1))]  # sliced before the first read
+        for k in ("a", "f"):
+            block = getattr(batch, k)
+            for part, rows in parts:
+                assert getattr(part, k).tobytes() == block[rows].tobytes(), (k, rows)

@@ -1,5 +1,7 @@
 """Trajectory simulation against closed-form relativistic solutions."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,6 @@ from form_lab.dynamics import (
     schedule_on_grid,
     simulate_batch,
     simulate_trajectory,
-    trajectory_records,
 )
 from form_lab.errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
 from form_lab.ode import integrate_fixed_grid
@@ -134,12 +135,12 @@ class TestBatching:
             assert np.array_equal(batch[i].a, single.a)
 
     def test_records_are_row_views_of_shared_blocks(self):
-        """One contiguous block per array, one read-only grid; x and v are the blocks given, f and a composed."""
+        """One contiguous block per array, one read-only grid; x and v are the blocks given, f and a derived."""
         rng = np.random.default_rng(5)
         k1, n = 6, 4
         times, x, v = np.linspace(0.0, 1.0, k1), rng.normal(size=(n, k1, 2)), rng.uniform(0.5, 2.0, size=(n, k1, 2))
         f_par, f_perp = rng.normal(size=k1), rng.normal(size=k1)
-        records = trajectory_records(range(n), times, x, v, f_par, f_perp, DEFAULT_PHYSICS, 1)
+        records = TrajectoryBatch(np.arange(n), times, x, v, f_par, f_perp, DEFAULT_PHYSICS, 1)
         assert records.x is x and records.v is v
         f_lab = compose_lab_force(f_par, f_perp, v, 1)
         accel = acceleration_from_force(v, f_lab, DEFAULT_PHYSICS)
@@ -178,9 +179,10 @@ class TestBatching:
         part = batch[1::2]
         assert isinstance(part, TrajectoryBatch) and part.index.tolist() == [1, 3]
         assert part.times is batch.times and part.f_par is batch.f_par
-        for name in ("x", "v", "a", "f"):
+        for name in ("x", "v"):
             assert np.shares_memory(getattr(part, name), getattr(batch, name))
-            assert np.array_equal(getattr(part, name), getattr(batch, name)[1::2])
+        for name in ("x", "v", "a", "f"):  # a slice derives its own f and a, with the bits of the batch's rows
+            assert getattr(part, name).tobytes() == getattr(batch, name)[1::2].tobytes(), name
         assert part[1].index == 3 and len(batch[:0]) == 0
 
     def test_record_metadata(self):
@@ -235,8 +237,9 @@ def reference_simulate_batch(x0, v0, schedule, duration, n_steps, physics, hande
     column-wise stage: ``velocity_from_celerity``, ``compose_lab_force`` and
     ``np.concatenate``, verbatim, and ``f``/``a`` composed by
     ``compose_lab_force`` and ``acceleration_from_force`` over the whole
-    ``(K+1, N, 2)`` state.  Those helpers are themselves pinned to their
-    ``np.sum``/``np.stack`` forms in ``test_relativity.py``."""
+    ``(K+1, N, 2)`` state, as one record-like object per particle.  Those
+    helpers are themselves pinned to their ``np.sum``/``np.stack`` forms in
+    ``test_relativity.py``."""
     w0 = celerity_from_velocity(v0, physics)  # also enforces |v0| < c
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
@@ -254,8 +257,11 @@ def reference_simulate_batch(x0, v0, schedule, duration, n_steps, physics, hande
     f_lab = compose_lab_force(f_par[:, None], f_perp[:, None], vs, handedness)
     accel = acceleration_from_force(vs, f_lab, physics)
     assert np.all(np.isfinite(f_lab)) and np.all(np.isfinite(accel))
-    blocks = (np.ascontiguousarray(col.swapaxes(0, 1)) for col in (states[:, :, :2], vs, accel, f_lab))
-    return TrajectoryBatch(np.arange(len(x0)), times, *blocks, f_par, f_perp)
+    x, v, a, f = (col.swapaxes(0, 1) for col in (states[:, :, :2], vs, accel, f_lab))
+    return [
+        SimpleNamespace(index=i, times=times, x=x[i], v=v[i], a=a[i], f=f[i], f_par=f_par, f_perp=f_perp)
+        for i in range(len(x0))
+    ]
 
 
 RECORD_ARRAYS = ("times", "x", "v", "a", "f", "f_par", "f_perp")

@@ -1,12 +1,15 @@
 """Memory guard: making or reading a dataset holds it about once.
 
 The tracemalloc peak of ``datasets.generate`` and of ``formats.read_dataset``
-on the default halfmoons spec must stay within ``PEAK_RATIO`` of the bytes of
-the batch they return (its ``x``, ``v``, ``a`` and ``f`` blocks).  The
-simulator integrates into the batch's own ``x``/``v`` blocks and the reader
-streams its file a line at a time, so both read about 1.15 here; a state
-array kept beside the blocks, or the whole file text held as a string, would
-read 1.3 or more.
+on the default halfmoons spec must stay within ``PEAK_RATIO`` of the bytes
+the batch they return holds: its ``x`` and ``v`` blocks, since it derives
+``a`` and ``f`` only when they are read.  The simulator integrates into the
+batch's own ``x``/``v`` blocks, and the reader streams its file a line at a
+time and checks the derivation 128 trajectories at a time, keeping nothing;
+so ``generate`` reads about 1.2 here and ``read_dataset`` about 1.4.  Derived
+``a``/``f`` blocks built or kept beside the batch, a state array kept beside
+the blocks, or the whole file text held as a string, would each read 1.9 or
+more.
 """
 
 import gc
@@ -16,16 +19,17 @@ from dataclasses import replace
 import pytest
 
 from form_lab.datasets import DatasetSpec, generate
+from form_lab.dynamics import BLOCKS
 from form_lab.formats import read_dataset, write_dataset
 from form_lab.relativity import DEFAULT_PHYSICS
 
-PEAK_RATIO = 1.25
+PEAK_RATIO = 1.5
 
 SPEC = DatasetSpec(kind="halfmoons")
 
 
 def _block_bytes(batch) -> int:
-    return sum(getattr(batch, k).nbytes for k in ("x", "v", "a", "f"))
+    return sum(getattr(batch, k).nbytes for k in BLOCKS)
 
 
 def _traced_peak(fn):

@@ -232,6 +232,13 @@ class TestPhysicsConfig:
             PhysicsConfig(m=-1.0)
         assert DEFAULT_PHYSICS.c == 10.0 and DEFAULT_PHYSICS.m == 1.0
 
+    @pytest.mark.parametrize("c", [1e200, 1e-170, float("inf"), float("nan")])
+    def test_c_needs_a_finite_nonzero_square(self, c):
+        """Every formula divides by ``c**2``: at 1e200 it overflowed (an ``OverflowError``), at 1e-170 it is 0."""
+        with pytest.raises(ValueError, match="speed of light c must be positive with a finite, nonzero square"):
+            PhysicsConfig(c=c)
+        assert PhysicsConfig(c=1e154).c == 1e154
+
     def test_speed_helper(self):
         assert speed([3.0, 4.0]) == 5.0
 

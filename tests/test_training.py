@@ -8,6 +8,7 @@ from form_lab import training
 from form_lab.datasets import DatasetSpec, generate
 from form_lab.errors import NonFiniteError
 from form_lab.neural import MlpParams, mlp_backward, mlp_forward, mlp_init
+from form_lab.relativity import DEFAULT_PHYSICS, PhysicsConfig
 from form_lab.training import (
     STREAM_BATCH,
     STREAM_F,
@@ -93,6 +94,14 @@ class TestStackRecords:
     def test_rejects_mixed_schedules(self, records):
         other = generate(DatasetSpec(kind="onedot", n_points=6, n_steps=20, seed=7, force_scale=2.0))
         with pytest.raises(ValueError, match=r"records \[3, 4, 5\] have a force schedule other than record 0's"):
+            stack_records([*records[:3], *other[3:]])
+
+    @pytest.mark.parametrize("physics, handedness", [(PhysicsConfig(c=20.0), 1), (DEFAULT_PHYSICS, -1)])
+    def test_rejects_mixed_physics_or_handedness(self, records, physics, handedness):
+        """Same grid and schedule, but a batch derives a and f at one physics and handedness only."""
+        other = generate(DatasetSpec(kind="onedot", n_points=6, n_steps=20, seed=7, handedness=handedness), physics)
+        match = r"records \[3, 4, 5\] were simulated at a physics or handedness other than record 0's"
+        with pytest.raises(ValueError, match=match):
             stack_records([*records[:3], *other[3:]])
 
     def test_rejects_mixed_grids(self, records):
