@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import DEFAULT_UNITS, BLOCKS, ForceSchedule, TrajectoryBatch, simulate_batch
+from .dynamics import DEFAULT_UNITS, ForceSchedule, TrajectoryBatch, simulate_batch
 from .errors import DegenerateVelocityError
 from .relativity import DEFAULT_PHYSICS, EPS_V, PhysicsConfig
 
@@ -197,13 +197,16 @@ def generate(
     ``max_workers`` (see :func:`worker_count`) is an upper bound: the work is
     split into one contiguous index chunk per ``POINTS_PER_WORKER`` points, at
     most that many, and at least one.  A single chunk runs in the calling
-    thread; several run on a thread pool and their blocks are concatenated
-    once.  Chunking never changes the numbers because every per-trajectory
+    thread; several run on a thread pool.  Either way each chunk integrates
+    into its rows of one ``(2, N, K+1, 2)`` block, the batch's ``x`` and
+    ``v``.  Chunking never changes the numbers because every per-trajectory
     quantity depends only on its own index.
     """
     n = spec.n_points
     schedule = force_schedule_for(spec)
     workers = max(1, min(worker_count(max_workers), n // POINTS_PER_WORKER))
+
+    xv = np.empty((2, n, spec.n_steps + 1, 2))  # each chunk integrates into its own rows of one x/v block
 
     def run_chunk(indices: np.ndarray) -> TrajectoryBatch:
         x0 = source_points(spec, indices, physics)
@@ -217,13 +220,14 @@ def generate(
             physics=physics,
             handedness=spec.handedness,
             indices=indices,
+            out=xv[:, indices[0] : indices[-1] + 1],
         )
 
     if workers == 1:
         return run_chunk(np.arange(n))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_chunk, np.array_split(np.arange(n), workers)))
-    return replace(parts[0], **{k: np.concatenate([getattr(p, k) for p in parts]) for k in ("index", *BLOCKS)})
+        first = list(pool.map(run_chunk, np.array_split(np.arange(n), workers)))[0]
+    return replace(first, index=np.arange(n), x=xv[0], v=xv[1])
 
 
 def holdout_split(batch: TrajectoryBatch, fraction: float = HOLDOUT_FRACTION):

@@ -22,27 +22,31 @@ of a dataset everywhere.  It holds what the simulator integrates, the
 ``(N, K+1, 2)`` ``x`` and ``v`` blocks, with the time grid, the schedule,
 the physics and the handedness stored once; :func:`stack_records` builds one
 from hand-made records.  :func:`simulate_batch` integrates each step's state
-straight into one ``(2, N, K+1, 2)`` array, whose halves become the batch's
-``x`` and, converted from celerity in place, its ``v``.
+straight into one ``(2, N, K+1, 2)`` array, its own or the caller's
+(``out``), whose halves become the batch's ``x`` and, converted from
+celerity in place, its ``v``.
 
 The lab force ``f`` and acceleration ``a`` follow from ``v``, the schedule
 and the physics, so a batch derives both blocks on the first read of either
-and keeps them.  :func:`lab_force_and_acceleration` does it, running
-:func:`~form_lab.relativity.lab_force_rows` and
+and keeps them.  A record, ``batch[i]``, derives nothing when it is built,
+iterated or stacked: its ``a`` and ``f`` are row ``i`` of the batch's
+blocks, read when they are read.  :func:`lab_force_and_acceleration` does
+the derivation, running :func:`~form_lab.relativity.lab_force_rows` and
 :func:`~form_lab.relativity.acceleration_rows` on the component rows of
-``REBUILD_BLOCK`` trajectories at a time; the dataset reader runs it too,
-to refuse trajectories that cannot give them.
+``REBUILD_BLOCK`` trajectories at a time.  :func:`first_underivable` runs it
+the same way, keeping nothing, so that the dataset reader and
+:func:`stack_records` refuse trajectories that cannot give ``f`` and ``a``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import DegenerateVelocityError, NonFiniteError, ShapeError, SpeedLimitError
 from .ode import integrate_fixed_grid
 from .relativity import (
     DEFAULT_PHYSICS,
@@ -130,23 +134,28 @@ class _Paths:
 
 @dataclass
 class TrajectoryRecord(_Paths):
-    """One simulated particle path on a uniform time grid; ``batch[i]`` is row ``i`` of a batch.
+    """One simulated particle path on a uniform time grid: row ``row`` of ``batch``, as ``batch[row]`` gives it.
 
     ``f`` is the lab-frame force (true force, i.e. mass times the
     per-unit-mass schedule), ``f_par``/``f_perp`` its co-moving components,
     ``a`` the lab-frame acceleration consistent with ``f`` at each step.
+    ``a`` and ``f`` are read from the batch's derived blocks when they are
+    read, so a record that is only built, iterated or stacked derives nothing.
     """
 
     index: int
     times: np.ndarray  # (K+1,)
     x: np.ndarray  # (K+1, 2)
     v: np.ndarray  # (K+1, 2)
-    a: np.ndarray  # (K+1, 2)
-    f: np.ndarray  # (K+1, 2)
     f_par: np.ndarray  # (K+1,)
     f_perp: np.ndarray  # (K+1,)
     physics: PhysicsConfig
     handedness: int
+    batch: TrajectoryBatch = field(repr=False)
+    row: int = field(repr=False)
+
+    a = property(lambda self: self.batch.a[self.row])  # (K+1, 2)
+    f = property(lambda self: self.batch.f[self.row])  # (K+1, 2)
 
 
 BLOCKS = ("x", "v")
@@ -156,7 +165,7 @@ BLOCKS = ("x", "v")
 class TrajectoryBatch(_Paths):
     """N paths on one time grid under one co-moving force schedule: the in-memory dataset.
 
-    The fields are :class:`TrajectoryRecord`'s but ``a`` and ``f``, with ``x`` and
+    The fields are :class:`TrajectoryRecord`'s but ``batch`` and ``row``, with ``x`` and
     ``v`` as ``(N, K+1, 2)`` blocks; ``times``, ``f_par`` and ``f_perp`` are read-only.
     ``f`` and ``a`` are derived (see the module docstring).  As a read-only
     sequence, ``batch[i]`` is row ``i`` as a record of views and ``batch[a:b:k]``
@@ -191,8 +200,8 @@ class TrajectoryBatch(_Paths):
         if isinstance(key, slice):
             return replace(self, index=self.index[key], **{k: getattr(self, k)[key] for k in BLOCKS})
         return TrajectoryRecord(
-            int(self.index[key]), self.times, self.x[key], self.v[key], self.a[key], self.f[key],
-            self.f_par, self.f_perp, self.physics, self.handedness,
+            int(self.index[key]), self.times, self.x[key], self.v[key], self.f_par, self.f_perp, self.physics,
+            self.handedness, self, key,
         )
 
 
@@ -209,7 +218,8 @@ def stack_records(records) -> TrajectoryBatch:
     """The batch of a list of records, sorted by index; a batch comes back as it is, not copied.
 
     Only ``x`` and ``v`` are stacked; the batch derives its own ``a`` and ``f``.
-    Refuses an empty list, and records on another grid, schedule, physics or handedness than the first one's.
+    Refuses an empty list, records on another grid, schedule, physics or handedness than the first one's,
+    and records whose ``v`` cannot give ``f`` and ``a`` (see :func:`first_underivable`).
     """
     if isinstance(records, TrajectoryBatch):
         return records
@@ -224,7 +234,12 @@ def stack_records(records) -> TrajectoryBatch:
             raise ValueError(f"records {bad[:5]} {what} than record {first.index}'s")
     x, v = (np.stack([getattr(r, k) for r in records]) for k in BLOCKS)
     index = np.array([r.index for r in records])
-    return TrajectoryBatch(index, first.times, x, v, first.f_par, first.f_perp, first.physics, first.handedness)
+    batch = TrajectoryBatch(index, first.times, x, v, first.f_par, first.f_perp, first.physics, first.handedness)
+    bad = first_underivable(batch)
+    if bad:
+        row, e = bad
+        raise ValueError(f"cannot rebuild record {batch.index[row]}'s f and a ({e})") from e
+    return batch
 
 
 # trajectories per block of the velocity and f/a derivations: their temporaries stay a few MB and in cache
@@ -247,11 +262,14 @@ def simulate_batch(
     physics: PhysicsConfig = DEFAULT_PHYSICS,
     handedness: int = 1,
     indices: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Simulate many particles under one schedule with classical RK4.
 
     All per-particle arithmetic is elementwise, so the result for particle i
-    is bit-identical no matter how the batch is chunked.
+    is bit-identical no matter how the batch is chunked.  ``out``, if given,
+    is the ``(2, N, K+1, 2)`` float64 array or view, with any strides, whose
+    halves become the batch's ``x`` and ``v``.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     v0 = np.atleast_2d(np.asarray(v0, dtype=np.float64))
@@ -263,18 +281,18 @@ def simulate_batch(
     if len(indices) != n:
         raise ValueError(f"got {len(indices)} indices for {n} particles")
 
-    w0 = celerity_from_velocity(v0, physics)  # also enforces |v0| < c
-
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
         dy = np.empty(y.shape)
         velocity_rows(y[1], physics, dy[0])
         lab_force_rows(float(schedule.f_par(t)), float(schedule.f_perp(t)), dy[0], handedness, dy[1])
         return dy
 
-    # the integrator writes each step's (2, 2, N) state straight into the x and w blocks, seen as (K+1, 2, 2, N)
-    xw = np.empty((2, n, n_steps + 1, 2))
-    y0 = np.stack([x0.T, w0.T])
-    times, _ = integrate_fixed_grid(deriv, y0, 0.0, duration, n_steps, method="rk4", out=xw.transpose(2, 0, 3, 1))
+    # the integrator writes each step's (2, 2, N) state straight into the x and w blocks, seen as (K+1, 2, 2, N);
+    # the first is written here, so no initial state is held beside them
+    xw = np.empty((2, n, n_steps + 1, 2)) if out is None else out
+    states = xw.transpose(2, 0, 3, 1)
+    states[0] = x0.T, celerity_from_velocity(v0, physics).T  # the celerity also enforces |v0| < c
+    times, _ = integrate_fixed_grid(deriv, states[0], 0.0, duration, n_steps, method="rk4", out=states)
     if not np.isfinite(xw).all():
         raise NonFiniteError("trajectory integration produced non-finite states")
     x, v = xw
@@ -309,6 +327,30 @@ def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedn
         if not (np.isfinite(f[rows]).all() and np.isfinite(a[rows]).all()):
             raise NonFiniteError("lab force or acceleration is non-finite")
     return f, a
+
+
+# what lab_force_and_acceleration raises for a v that cannot give f and a
+UNDERIVABLE = (OverflowError, SpeedLimitError, DegenerateVelocityError, NonFiniteError)
+
+
+def first_underivable(batch: TrajectoryBatch) -> tuple[int, Exception] | None:
+    """The first row whose ``v`` cannot give ``f`` and ``a``, with the derivation's error; None if every row can.
+
+    Derives ``REBUILD_BLOCK`` rows at a time and keeps nothing; only a block that fails is derived again, row by row.
+    """
+    def derive(rows: slice) -> None:
+        lab_force_and_acceleration(batch.v[rows], batch.f_par, batch.f_perp, batch.physics, batch.handedness)
+
+    for start in range(0, len(batch), REBUILD_BLOCK):
+        try:
+            derive(slice(start, start + REBUILD_BLOCK))
+        except UNDERIVABLE:
+            for row in range(start, min(start + REBUILD_BLOCK, len(batch))):
+                try:
+                    derive(slice(row, row + 1))
+                except UNDERIVABLE as e:
+                    return row, e
+    return None
 
 
 def simulate_trajectory(

@@ -22,8 +22,14 @@ at the physics and handedness it writes, and the reader returns one, which
 holds the same and derives ``f`` and ``a`` when they are read.  The reader
 decodes each record's ``x`` and ``v`` bytes straight into the rows of its
 ``(N, K+1, 2)`` blocks, and refuses trajectories that cannot give ``f`` and
-``a`` by running :func:`~form_lab.dynamics.lab_force_and_acceleration` on
-128 of them at a time, keeping nothing.
+``a`` with :func:`~form_lab.dynamics.first_underivable`, which derives them
+128 at a time, keeping nothing, and names the first one's line.
+
+Every writer streams: each line is written as soon as it is serialized,
+into a temp file beside the target that ``os.replace`` moves onto it after
+the last line.  A write that fails at any line (a non-finite value, a full
+disk, an interrupt) removes the temp file and the directories it created,
+and leaves the file at the target as it was.
 
 The NDJSON readers (datasets, samples) stream the open file in two passes.
 The first counts the lines and checks that the file is UTF-8, not empty,
@@ -48,17 +54,21 @@ from __future__ import annotations
 
 import base64
 import io
+import itertools
 import json
 import math
-from contextlib import contextmanager
+import os
+import secrets
+import shutil
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import DatasetSpec
-from .dynamics import BLOCKS, DEFAULT_UNITS, REBUILD_BLOCK, TrajectoryBatch, UnitSystem, lab_force_and_acceleration
-from .errors import DegenerateVelocityError, NonFiniteError, SchemaError, SpeedLimitError
+from .dynamics import BLOCKS, DEFAULT_UNITS, TrajectoryBatch, UnitSystem, first_underivable
+from .errors import NonFiniteError, SchemaError
 from .neural import MlpParams
 from .ode import uniform_grid
 from .relativity import PhysicsConfig
@@ -215,16 +225,34 @@ def _read_text(path) -> str:
         raise _not_utf8(path, e) from e
 
 
-def _write_json_lines(path, objects) -> None:
-    """Write each object as one line of deterministic JSON, creating parent directories.
+def _write_json_lines(path, first: dict, rest=()) -> None:
+    """Write ``first``, then each object of ``rest``, as one line of deterministic JSON each.
 
-    Every line is serialized before the file is opened, so a value that
-    cannot be written leaves whatever was at ``path`` untouched.
+    Each line is written as soon as it is serialized, into a temp file beside
+    ``path`` that replaces ``path`` only after the last line.  On any failure
+    the temp file and every directory this call created are removed, so a
+    value that cannot be written leaves whatever was at ``path`` untouched.
+    The file's mode is the one ``open(path, "w")`` gives.
     """
-    lines = [dumps(obj) + "\n" for obj in objects]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    path = Path(path)
+    created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))  # deepest first
+    tmp, opened = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp"), False
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:  # "x": a name another file holds is not ours
+            opened = True
+            if path.exists():
+                shutil.copymode(path, tmp)
+            for obj in itertools.chain([first], rest):
+                fh.write(dumps(obj) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if opened:
+            tmp.unlink(missing_ok=True)
+        for directory in created:
+            with suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 @contextmanager
@@ -301,8 +329,8 @@ def write_dataset(
         "spec": spec.to_dict(),
         "f_par": batch.f_par, "f_perp": batch.f_perp,
     }
-    rows = [{"index": j, "x": x, "v": v} for j, (x, v) in enumerate(zip(batch.x, batch.v))]
-    _write_json_lines(path, [header, *rows])
+    rows = ({"index": j, "x": x, "v": v} for j, (x, v) in enumerate(zip(batch.x, batch.v)))
+    _write_json_lines(path, header, rows)
 
 
 def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
@@ -342,14 +370,13 @@ def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
         )
         raise SchemaError(f"{path}:{line_no}: field {name!r} contains non-finite values")
 
-    try:
-        times, _ = uniform_grid(spec.duration, spec.n_steps)
-        for start in range(0, n, REBUILD_BLOCK):  # refuse now the rows whose f and a the batch could not derive
-            v_rows = blocks["v"][start : start + REBUILD_BLOCK]
-            lab_force_and_acceleration(v_rows, f_par, f_perp, physics, spec.handedness)
-    except (OverflowError, SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
-        raise SchemaError(f"{path}: cannot rebuild the trajectories ({e})") from e
-    return header, TrajectoryBatch(np.arange(n), times, *blocks.values(), f_par, f_perp, physics, spec.handedness)
+    times, _ = uniform_grid(spec.duration, spec.n_steps)
+    batch = TrajectoryBatch(np.arange(n), times, *blocks.values(), f_par, f_perp, physics, spec.handedness)
+    bad = first_underivable(batch)  # refuse now the rows whose f and a the batch could not derive
+    if bad:
+        row, e = bad
+        raise SchemaError(f"{path}:{line_of[row]}: cannot rebuild the trajectories ({e})") from e
+    return header, batch
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -371,7 +398,7 @@ def write_checkpoint(path, model: TrainedModel) -> None:
         },
         "loss_curve": model.loss_curve,
     }
-    _write_json_lines(path, [payload])
+    _write_json_lines(path, payload)
 
 
 def _parse_head(path, name: str, head: dict) -> MlpParams:
@@ -423,8 +450,8 @@ def write_samples(path, header_extra: dict, entries: list[dict]) -> None:
     if not entries:
         raise ValueError("refusing to write an empty samples file")
     header = {"schema_version": SCHEMA_VERSION, "kind": SAMPLES_KIND, "n_samples": len(entries), **header_extra}
-    rows = [{k: v if k == "index" else np.asarray(v, dtype=np.float64) for k, v in e.items()} for e in entries]
-    _write_json_lines(path, [header, *rows])
+    rows = ({k: v if k == "index" else np.asarray(v, dtype=np.float64) for k, v in e.items()} for e in entries)
+    _write_json_lines(path, header, rows)
 
 
 def read_samples(path) -> tuple[dict, list[dict]]:
@@ -453,7 +480,7 @@ def read_samples(path) -> tuple[dict, list[dict]]:
 def write_report(path, report: dict) -> None:
     if report.get("kind") != REPORT_KIND:
         raise ValueError(f"not a report dict (kind = {report.get('kind')!r})")
-    _write_json_lines(path, [report])
+    _write_json_lines(path, report)
 
 
 def read_report(path) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # stack_records is importable here too: perfbench/workloads.py calls it as training.stack_records
-from .dynamics import TrajectoryBatch, stack_records  # noqa: F401
+from .dynamics import REBUILD_BLOCK, TrajectoryBatch, lab_force_and_acceleration, stack_records  # noqa: F401
 from .errors import NonFiniteError
 from .neural import MlpParams, TrainingWorkspace, adam_init, mlp_init
 
@@ -91,6 +91,17 @@ def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
 
+def _acceleration(data: TrajectoryBatch) -> np.ndarray:
+    """``data.a`` as a new block, derived ``REBUILD_BLOCK`` rows at a time: no whole ``f`` beside it, nothing cached."""
+    accel = np.empty(data.v.shape)
+    for start in range(0, len(data), REBUILD_BLOCK):
+        v_rows = data.v[start : start + REBUILD_BLOCK]
+        _, accel[start : start + REBUILD_BLOCK] = lab_force_and_acceleration(
+            v_rows, data.f_par, data.f_perp, data.physics, data.handedness
+        )
+    return accel
+
+
 def _squared_error(pred: np.ndarray, target, grad: np.ndarray, sq: np.ndarray, row_sq: np.ndarray) -> float:
     """Mean over rows of the squared norm of ``pred - target``; writes dLoss/dPred into ``grad``."""
     rows = grad.shape[0]
@@ -137,7 +148,7 @@ def train(
     if config.method == "form":
         heads["F"] = workspace(1 if config.form_input_mode == "time" else 3, STREAM_F)
     sq, row_sq = np.empty((rows, 2)), np.empty(rows)
-    accel = data.a if config.method == "o1o2" else None  # o1o2's target; o1 and form never derive it
+    accel = _acceleration(data) if config.method == "o1o2" else None  # o1o2's target; o1 and form never derive it
 
     losses = np.empty(config.steps, dtype=np.float64)
     for step in range(config.steps):

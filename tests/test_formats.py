@@ -234,6 +234,19 @@ class TestDatasetFiles:
         with pytest.raises(SchemaError, match=f"{named} contains non-finite values"):
             read_dataset(path)
 
+    def test_a_v_that_cannot_give_f_and_a_is_named_by_line(self, tmp_path, spec, records):
+        """Records 1 and 3 at 100 times their speed, beyond c: line 3 is named, with the derivation's reason."""
+        def mutate(lines):
+            for at in (2, 4):
+                obj = json.loads(lines[at])
+                obj["v"] = _recode(obj["v"], lambda b: (100.0 * np.frombuffer(b, "<f8")).tobytes())
+                lines[at] = json.dumps(obj)
+            return lines
+
+        path = self._write_then_mutate(tmp_path, spec, records, mutate)
+        with pytest.raises(SchemaError, match=r":3: cannot rebuild the trajectories \(speed .* >= c = 10.0\)"):
+            read_dataset(path)
+
     def test_overflowing_force_scale_rejected(self, tmp_path, spec, records):
         """A spec field that parses as inf is a malformed header, not a dataset."""
         path = self._write_then_mutate(
@@ -401,6 +414,29 @@ class TestDatasetFiles:
         records = generate(spec)
         with pytest.raises(ValueError, match=_refused_at("c=10.0, m=1.0", 1, "c=1.0, m=1.0", 1)):
             write_dataset(tmp_path / "d.ndjson", records, spec, PhysicsConfig(c=1.0))
+
+    def test_failed_write_leaves_no_trace(self, tmp_path, spec, records):
+        """The last record is non-finite: the lines before it went to a temp file, which goes with the error."""
+        bad = replace(records, x=records.x.copy())
+        bad.x[-1, 3, 0] = np.nan
+        good, fresh = tmp_path / "d.ndjson", tmp_path / "new" / "deeper" / "d.ndjson"
+        write_dataset(good, records, spec, DEFAULT_PHYSICS)
+        before = good.read_bytes()
+        for path in (good, fresh):
+            with pytest.raises(NonFiniteError):
+                write_dataset(path, bad, spec, DEFAULT_PHYSICS)
+        assert good.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.ndjson"]  # no temp file, no new directory
+
+    def test_rewrite_keeps_the_file_mode(self, tmp_path, spec, records):
+        """What ``open(path, "w")`` gives: a new file's mode comes from the umask, an old file keeps its own."""
+        fresh, kept = tmp_path / "fresh.ndjson", tmp_path / "kept.ndjson"
+        fresh.touch()
+        write_dataset(kept, records, spec, DEFAULT_PHYSICS)
+        assert kept.stat().st_mode == fresh.stat().st_mode
+        kept.chmod(0o640)
+        write_dataset(kept, records, spec, DEFAULT_PHYSICS)
+        assert kept.stat().st_mode & 0o777 == 0o640
 
     def test_write_rejects_records_off_the_spec_grid(self, tmp_path, spec, records):
         for other in (replace(spec, n_steps=spec.n_steps + 1), replace(spec, duration=2.0)):

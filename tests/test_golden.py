@@ -1,11 +1,12 @@
-"""Golden bits: the datasets this build generates and writes, pinned by sha256.
+"""Golden bits: the datasets, checkpoints, samples and reports this build writes, pinned by sha256.
 
-Generation, the derived ``a``/``f`` blocks and the dataset writer promise
-byte-identical output for the same spec, so a refactor of any of them must
-leave these digests as they are.  They are this build's bits (numpy 2.4.6
-with scipy-openblas 0.3.31, on x86-64): another numpy or BLAS build may round
-a transcendental function differently, and would then need its own digests,
-as ``tests/test_blas_threads.py`` says of thread counts.  Each block is
+Generation, the derived ``a``/``f`` blocks, training, sampling, evaluation
+and the writers promise byte-identical output for the same inputs, so a
+refactor of any of them must leave these digests as they are.  They are
+this build's bits (numpy 2.4.6 with scipy-openblas 0.3.31, on x86-64):
+another numpy or BLAS build may round a transcendental function
+differently, and would then need its own digests, as
+``tests/test_blas_threads.py`` says of thread counts.  Each block is
 hashed as its little-endian ``<f8`` bytes in C order.
 """
 
@@ -85,6 +86,24 @@ FILE_DIGESTS = {
 }
 
 
+# file name -> sha256 of what gen-data, train (o1o2), sample --paths and eval write in PIPELINE_RUN
+PIPELINE_DIGESTS = {
+    "model.ndjson": "cb61093f50a41a386956a69e2b9a25c98f2f4eb47b230f1112d79f52226b8621",
+    "samples.ndjson": "82230bbd2d7c2d08ccd0859b4832031ad263472d4df7a8450dc56cfd31559223",
+    "report.json": "f58c21c7674af09e4ec30cd5bf6e4e173a0719780792d0d485b0f1e18257e11a",
+}
+
+PIPELINE_RUN = (
+    ("gen-data", "--dataset", "halfmoons", "--n", "60", "--steps", "50", "--out", "{dir}/data.ndjson"),
+    ("train", "--data", "{dir}/data.ndjson", "--method", "o1o2", "--steps", "100", "--batch-size", "32",
+     "--out", "{dir}/model.ndjson"),
+    ("sample", "--model", "{dir}/model.ndjson", "--data", "{dir}/data.ndjson", "--M", "10", "--paths",
+     "--out", "{dir}/samples.ndjson"),
+    ("eval", "--model", "{dir}/model.ndjson", "--data", "{dir}/data.ndjson", "--M", "10",
+     "--report", "{dir}/report.json"),
+)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -102,3 +121,9 @@ def test_gen_data_file_keeps_its_bytes(kind, tmp_path):
     out = tmp_path / f"{kind}.ndjson"
     assert main(["gen-data", "--dataset", kind, "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == FILE_DIGESTS[kind]
+
+
+def test_pipeline_files_keep_their_bytes(tmp_path):
+    for argv in PIPELINE_RUN:
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 0
+    assert {name: _sha256((tmp_path / name).read_bytes()) for name in PIPELINE_DIGESTS} == PIPELINE_DIGESTS

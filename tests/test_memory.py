@@ -1,20 +1,24 @@
-"""Memory guard: making or reading a dataset holds it about once.
+"""Memory guard: making, reading, writing or training on a dataset holds it about once.
 
 The tracemalloc peak of ``datasets.generate`` and of ``formats.read_dataset``
 on the default halfmoons spec must stay within ``PEAK_RATIO`` of the bytes
 the batch they return holds: its ``x`` and ``v`` blocks, since it derives
 ``a`` and ``f`` only when they are read.  The simulator integrates into the
-batch's own ``x``/``v`` blocks, and the reader streams its file a line at a
-time and checks the derivation 128 trajectories at a time, keeping nothing;
-so ``generate`` reads about 1.2 here and ``read_dataset`` about 1.4.  Derived
-``a``/``f`` blocks built or kept beside the batch, a state array kept beside
-the blocks, or the whole file text held as a string, would each read 1.9 or
-more.
+batch's own ``x``/``v`` blocks, on the pool path too, and the reader streams
+its file a line at a time and checks the derivation 128 trajectories at a
+time, keeping nothing; so ``generate`` reads about 1.2 here (1.45 on the
+pool at 20 steps, where the RK4 stages weigh more against the blocks) and
+``read_dataset`` about 1.4.  Derived ``a``/``f`` blocks built or kept beside
+the batch, a state array kept beside the blocks, chunks concatenated into a
+second block, or the whole file text held as a string, would each read 1.9
+or more.  ``write_dataset`` streams its lines, so it holds about 0.01 of the
+batch beside it, where the whole text would be 1.4.  Records, and
+``train``, leave nothing derived on the batch they read.
 """
 
 import gc
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -22,14 +26,22 @@ from form_lab.datasets import DatasetSpec, generate
 from form_lab.dynamics import BLOCKS
 from form_lab.formats import read_dataset, write_dataset
 from form_lab.relativity import DEFAULT_PHYSICS
+from form_lab.training import TrainConfig, train
 
 PEAK_RATIO = 1.5
+
+WRITE_RATIO = 0.25
 
 SPEC = DatasetSpec(kind="halfmoons")
 
 
 def _block_bytes(batch) -> int:
     return sum(getattr(batch, k).nbytes for k in BLOCKS)
+
+
+def _holds_only_its_fields(batch) -> bool:
+    """Nothing derived, such as ``a`` and ``f``, is cached on the batch."""
+    return vars(batch).keys() == {f.name for f in fields(batch)}
 
 
 def _traced_peak(fn):
@@ -60,3 +72,32 @@ def test_generate_holds_the_batch_about_once():
 def test_read_dataset_holds_the_batch_about_once(dataset_file):
     (_, batch), peak = _traced_peak(lambda: read_dataset(dataset_file))
     assert peak <= PEAK_RATIO * _block_bytes(batch), peak / _block_bytes(batch)
+
+
+def test_pool_path_integrates_into_one_block():
+    """8 192 points run on two workers, whose chunks write into the rows of one x/v block."""
+    spec = replace(SPEC, n_points=8192, n_steps=20)
+    generate(replace(SPEC, n_points=2, n_steps=2))
+    batch, peak = _traced_peak(lambda: generate(spec, max_workers=2))
+    assert peak <= PEAK_RATIO * _block_bytes(batch), peak / _block_bytes(batch)
+
+
+def test_write_dataset_streams_its_lines(tmp_path):
+    batch = generate(SPEC)
+    write_dataset(tmp_path / "warm.ndjson", batch[:2], replace(SPEC, n_points=2), DEFAULT_PHYSICS)
+    _, peak = _traced_peak(lambda: write_dataset(tmp_path / "d.ndjson", batch, SPEC, DEFAULT_PHYSICS))
+    assert peak <= WRITE_RATIO * _block_bytes(batch), peak / _block_bytes(batch)
+
+
+def test_records_derive_nothing_until_read():
+    batch = generate(SPEC)
+    records = list(batch)
+    assert [r.x0.tolist() for r in records] == batch.x0.tolist()
+    assert _holds_only_its_fields(batch)
+    assert records[7].a.tobytes() == batch.a[7].tobytes() and records[7].f.tobytes() == batch.f[7].tobytes()
+
+
+def test_o1o2_training_caches_nothing_on_its_batch():
+    rows = generate(SPEC)[:100]
+    train(rows, TrainConfig(method="o1o2", steps=2, batch_size=8))
+    assert _holds_only_its_fields(rows)

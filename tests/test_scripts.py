@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from form_lab.datasets import KINDS
+from form_lab.training import METHODS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -30,8 +31,12 @@ class TestRunTable:
             assert done.returncode == 0, done.stderr
         files = tree(a)
         assert files == tree(b)
-        assert {"report.json", "table.txt", "datasets/onedot.ndjson", "checkpoints/spiral-form.ndjson"} <= set(files)
-        assert len([f for f in files if f.startswith("figures/")]) == 4 * len(KINDS)
+        assert set(files) == {  # its 26 files, and no temp file of a write
+            "report.json", "table.txt",
+            *(f"datasets/{kind}.ndjson" for kind in KINDS),
+            *(f"checkpoints/{kind}-{method}.ndjson" for kind in KINDS for method in METHODS),
+            *(f"figures/{kind}-{name}.svg" for kind in KINDS for name in ("data", *METHODS)),
+        }
         ranking = json.loads(files["report.json"])["ranking"]
         assert {kind: ranking[kind][0] for kind in KINDS} == {kind: "form" for kind in KINDS}
 

@@ -1,5 +1,7 @@
 """Training loop: determinism, shared streams, oracle losses, couplings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -112,6 +114,16 @@ class TestStackRecords:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             stack_records([])
+
+    @pytest.mark.parametrize("fast", [[1], [129, 3], [129]], ids=["first-block", "first-of-two", "second-block"])
+    def test_rejects_a_v_that_cannot_give_f_and_a(self, fast):
+        """A v at or above c: the batch could not derive its f and a, so the reader would refuse its file."""
+        rows = list(generate(DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7)))
+        for i in fast:
+            rows[i] = replace(rows[i], v=rows[i].v * 100)
+        match = rf"^cannot rebuild record {min(fast)}'s f and a \(speed .* >= c = 10.0\)$"
+        with pytest.raises(ValueError, match=match):
+            stack_records(rows)
 
 
 class TestDeterminism:
