@@ -24,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from form_lab.datasets import KINDS, DatasetSpec
 from form_lab.errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
 from form_lab.evaluate import render_table
+from form_lab.formats import write_text
 from form_lab.pipeline import QUICK_TRAIN, run_table
 from form_lab.sampling import SamplerConfig
 from form_lab.training import METHODS, TrainConfig
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
     try:  # run_table builds every config before it writes, so its ValueError comes with nothing written
         run = run_table(args.outdir, seed=args.seed, train_steps=args.steps, sampler_steps=args.M, quick=args.quick)
         table = render_table(run["report"], include_reference=not args.no_reference)
-        (args.outdir / "table.txt").write_text(table + "\n", encoding="utf-8")
+        write_text(args.outdir / "table.txt", [table + "\n"])
     except ValueError as e:
         parser.error(str(e))
     except (OSError, MemoryError) as e:

@@ -163,11 +163,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("--steps and --epochs are mutually exclusive")
     if not 0.0 <= args.holdout_fraction < 1.0:
         raise ValueError(f"--holdout-fraction must be in [0, 1) (0 trains on all), got {args.holdout_fraction}")
+    config = _from_options(TrainConfig, args)  # checked before the dataset is read
     header, batch = read_dataset(args.data)
     batch, _ = holdout_split(batch, args.holdout_fraction)
-    config = _from_options(TrainConfig, args)
     if args.epochs is not None:
-        config = replace(config, steps=steps_for_epochs(args.epochs, len(batch), config.batch_size))
+        try:
+            config = replace(config, steps=steps_for_epochs(args.epochs, len(batch), config.batch_size))
+        except ValueError as e:
+            raise ValueError(f"--epochs {args.epochs!r}: {e}") from e
     model = pipeline.fit(args.out, batch, config, header["spec"], physics_from_header(header))
     print(
         f"trained {config.method} on {len(batch)} trajectories "

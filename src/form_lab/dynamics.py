@@ -31,9 +31,11 @@ and the physics, so a batch derives both blocks on the first read of either
 and keeps them.  A record, ``batch[i]``, derives nothing when it is built,
 iterated or stacked: its ``a`` and ``f`` are row ``i`` of the batch's
 blocks, read when they are read.  :func:`lab_force_and_acceleration` does
-the derivation, running :func:`~form_lab.relativity.lab_force_rows` and
-:func:`~form_lab.relativity.acceleration_rows` on the component rows of
-``REBUILD_BLOCK`` trajectories at a time.  :func:`first_underivable` runs it
+the derivation, running :func:`force_and_acceleration_rows` (that is,
+:func:`~form_lab.relativity.lab_force_rows` and
+:func:`~form_lab.relativity.acceleration_rows`) on the component rows of
+``REBUILD_BLOCK`` trajectories at a time; o1o2 training runs it on the rows
+it gathers.  :func:`first_underivable` runs it
 the same way, keeping nothing, so that the dataset reader and
 :func:`stack_records` refuse trajectories that cannot give ``f`` and ``a``.
 """
@@ -321,12 +323,18 @@ def lab_force_and_acceleration(v, f_par, f_perp, physics: PhysicsConfig, handedn
     f, a = np.empty(v.shape), np.empty(v.shape)
     for start in range(0, len(v), REBUILD_BLOCK):
         rows = slice(start, start + REBUILD_BLOCK)
-        v_rows, f_rows, a_rows = (np.moveaxis(block[rows], 2, 0) for block in (v, f, a))
-        s2 = lab_force_rows(f_par, f_perp, v_rows, handedness, f_rows)
-        acceleration_rows(v_rows, f_rows, s2, physics, a_rows)
-        if not (np.isfinite(f[rows]).all() and np.isfinite(a[rows]).all()):
-            raise NonFiniteError("lab force or acceleration is non-finite")
+        force_and_acceleration_rows(*(np.moveaxis(block[rows], 2, 0) for block in (v, f, a)), f_par, f_perp, physics,
+                                    handedness)
     return f, a
+
+
+def force_and_acceleration_rows(v, f, a, f_par, f_perp, physics: PhysicsConfig, handedness: int) -> None:
+    """The lab force and acceleration of the component rows ``v`` (``(2, ...)``, any strides), written into
+    ``f`` and ``a``; ``f_par`` and ``f_perp`` broadcast to ``v[0]``.  Raises as :func:`lab_force_and_acceleration`."""
+    s2 = lab_force_rows(f_par, f_perp, v, handedness, f)
+    acceleration_rows(v, f, s2, physics, a)
+    if not (np.isfinite(f).all() and np.isfinite(a).all()):
+        raise NonFiniteError("lab force or acceleration is non-finite")
 
 
 # what lab_force_and_acceleration raises for a v that cannot give f and a

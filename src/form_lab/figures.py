@@ -9,9 +9,9 @@ Output depends only on the inputs: same data, same bytes.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
+
+from . import formats
 
 SOURCE_COLOR = "#1f77b4"  # blue
 TARGET_COLOR = "#e377c2"  # pink
@@ -146,8 +146,5 @@ def _escape(text: str) -> str:
 
 
 def write_svg(path, svg_text: str) -> None:
-    p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write(svg_text)
+    """Write ``svg_text`` to ``path`` with :func:`~form_lab.formats.write_text`: a failed write keeps the old file."""
+    formats.write_text(path, [svg_text])

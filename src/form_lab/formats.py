@@ -225,14 +225,19 @@ def _read_text(path) -> str:
         raise _not_utf8(path, e) from e
 
 
-def _write_json_lines(path, first: dict, rest=()) -> None:
-    """Write ``first``, then each object of ``rest``, as one line of deterministic JSON each.
+def _json_lines(first: dict, rest=()):
+    """``first``, then each object of ``rest``, as one line of deterministic JSON each, made as they are read."""
+    return (dumps(obj) + "\n" for obj in itertools.chain([first], rest))
 
-    Each line is written as soon as it is serialized, into a temp file beside
-    ``path`` that replaces ``path`` only after the last line.  On any failure
-    the temp file and every directory this call created are removed, so a
-    value that cannot be written leaves whatever was at ``path`` untouched.
-    The file's mode is the one ``open(path, "w")`` gives.
+
+def write_text(path, parts) -> None:
+    """Write each string of ``parts`` to ``path`` as soon as it is made, the one way every file here is written.
+
+    The strings go into a temp file beside ``path`` that replaces ``path``
+    only after the last one.  On any failure (a value that is not a string,
+    say) the temp file and every directory this call created are removed,
+    so a write that fails leaves whatever was at ``path`` untouched.  The
+    file's mode is the one ``open(path, "w")`` gives.
     """
     path = Path(path)
     created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))  # deepest first
@@ -243,8 +248,8 @@ def _write_json_lines(path, first: dict, rest=()) -> None:
             opened = True
             if path.exists():
                 shutil.copymode(path, tmp)
-            for obj in itertools.chain([first], rest):
-                fh.write(dumps(obj) + "\n")
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if opened:
@@ -330,7 +335,7 @@ def write_dataset(
         "f_par": batch.f_par, "f_perp": batch.f_perp,
     }
     rows = ({"index": j, "x": x, "v": v} for j, (x, v) in enumerate(zip(batch.x, batch.v)))
-    _write_json_lines(path, header, rows)
+    write_text(path, _json_lines(header, rows))
 
 
 def read_dataset(path) -> tuple[dict, TrajectoryBatch]:
@@ -398,7 +403,7 @@ def write_checkpoint(path, model: TrainedModel) -> None:
         },
         "loss_curve": model.loss_curve,
     }
-    _write_json_lines(path, payload)
+    write_text(path, _json_lines(payload))
 
 
 def _parse_head(path, name: str, head: dict) -> MlpParams:
@@ -451,7 +456,7 @@ def write_samples(path, header_extra: dict, entries: list[dict]) -> None:
         raise ValueError("refusing to write an empty samples file")
     header = {"schema_version": SCHEMA_VERSION, "kind": SAMPLES_KIND, "n_samples": len(entries), **header_extra}
     rows = ({k: v if k == "index" else np.asarray(v, dtype=np.float64) for k, v in e.items()} for e in entries)
-    _write_json_lines(path, header, rows)
+    write_text(path, _json_lines(header, rows))
 
 
 def read_samples(path) -> tuple[dict, list[dict]]:
@@ -480,7 +485,7 @@ def read_samples(path) -> tuple[dict, list[dict]]:
 def write_report(path, report: dict) -> None:
     if report.get("kind") != REPORT_KIND:
         raise ValueError(f"not a report dict (kind = {report.get('kind')!r})")
-    _write_json_lines(path, report)
+    write_text(path, _json_lines(report))
 
 
 def read_report(path) -> dict:

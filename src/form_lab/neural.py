@@ -3,9 +3,10 @@
 Everything is plain numpy.  The public functions are pure: parameters and
 optimizer states are immutable values, and updates return fresh copies.
 That keeps training runs trivially reproducible and lets tests compare whole
-parameter sets bit-for-bit.  :class:`TrainingWorkspace` steps one head of a
-training run in buffers allocated once, through the same forward, backward
-and Adam kernels that the public functions call with fresh buffers.
+parameter sets bit-for-bit.  :class:`TrainingWorkspace` steps the heads of
+a training run in buffers allocated once, through the same forward, backward
+and Adam kernels that the public functions call with fresh buffers, and
+updates all of them with one Adam pass.
 
 A training step is one forward pass and one backward pass through the
 activations that forward pass stored.  Parameters, gradients and Adam moments
@@ -189,7 +190,7 @@ def adam_init(params: MlpParams, lr: float = 1e-3) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
-def _adam(state: AdamState, t: int, g: np.ndarray, src, dst, scratch: np.ndarray, step: np.ndarray) -> None:
+def _adam(lr: float, t: int, g: np.ndarray, src, dst, scratch: np.ndarray, step: np.ndarray) -> None:
     """Adam update ``t`` from ``src = (p, m, v)`` into ``dst`` (which may be ``src``; its p' may be ``step``):
     ``m' = b1 m + (1 - b1) g``, ``v' = b2 v + (1 - b2) g g`` and
     ``p' = p - lr (m' / bc1) / (sqrt(v' / bc2) + eps)``, elementwise in that order."""
@@ -208,7 +209,7 @@ def _adam(state: AdamState, t: int, g: np.ndarray, src, dst, scratch: np.ndarray
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS
     np.divide(new_m, bc1, out=step)
-    step *= state.lr
+    step *= lr
     step /= scratch
     np.subtract(p, step, out=new_p)
 
@@ -221,50 +222,75 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState) -> tuple[Ml
         )
     t = state.step + 1
     p, m, v, scratch = (np.empty_like(params.flat) for _ in range(4))
-    _adam(state, t, grads.flat, (params.flat, state.m, state.v), (p, m, v), scratch, p)
+    _adam(state.lr, t, grads.flat, (params.flat, state.m, state.v), (p, m, v), scratch, p)
     new_state = AdamState(m=m, v=v, lr=state.lr, step=t)
     return _params_from_flat(params.layer_dims, p), new_state
 
 
-class TrainingWorkspace:
-    """One head's training state and every buffer its steps write, allocated once.
+class _Head:
+    """One head of a :class:`TrainingWorkspace`: views of its runs of the shared buffers,
+    and the activations, deltas and gradients of its steps."""
 
-    Holds working copies of the parameters (with their per-layer views) and
-    of the Adam moments, plus the activations, deltas and gradient of ``rows``
-    rows.  A step fills the input block ``inp``, calls :meth:`forward`, writes
-    dLoss/dOut into ``grad_out`` and calls :meth:`backward_and_update`, which
-    runs the kernels of :func:`mlp_backward` and :func:`adam_step` in
-    place.  With ``grad_input`` set, a step also leaves dLoss/dInput there.
-    """
-
-    def __init__(self, params: MlpParams, state: AdamState, rows: int, grad_input: bool = False) -> None:
-        dims = params.layer_dims
+    def __init__(self, dims: tuple[int, ...], flat: np.ndarray, grad: np.ndarray, rows: int, grad_input: bool) -> None:
         n = len(dims) - 1
         shapes = _shapes(dims)
-        self.layer_dims, self.state, self.t = dims, state, state.step
-        self.flat, self.grad = params.flat.copy(), np.empty_like(params.flat)
-        self.m, self.v = state.m.copy(), state.v.copy()
-        self.scratch, self.step_buf = np.empty_like(self.flat), np.empty_like(self.flat)
-        views, grads = _split(self.flat, shapes), _split(self.grad, shapes)
+        self.layer_dims, self.flat = dims, flat
+        views, grads = _split(flat, shapes), _split(grad, shapes)
         self.weights, self.biases = views[:n], views[n:]
         self.grad_w, self.grad_b = grads[:n], grads[n:]
-        self.acts = [np.empty((rows, d)) for d in dims[:-1]]
+        self.acts = [None] + [np.empty((rows, d)) for d in dims[1:-1]]  # acts[0] is the input block forward was given
         self.deltas = [np.empty((rows, d)) for d in dims[1:-1]]
-        self.inp = self.acts[0]
         self.out, self.grad_out = np.empty((rows, dims[-1])), np.empty((rows, dims[-1]))
-        self.grad_input = np.empty_like(self.inp) if grad_input else None
+        self.grad_input = np.empty((rows, dims[0])) if grad_input else None
 
-    def forward(self) -> np.ndarray:
-        """The net's output on ``inp``, in the ``out`` buffer."""
+    def forward(self, inp: np.ndarray) -> np.ndarray:
+        """The net's output on the ``(rows, d0)`` block ``inp``, in the ``out`` buffer; ``inp`` must
+        stay as it is until :meth:`backward`."""
+        self.acts[0] = inp
         return _forward(self.weights, self.biases, self.acts, self.out)
 
-    def backward_and_update(self) -> None:
-        """Backpropagate ``grad_out`` through the last forward pass, then take one Adam step."""
+    def backward(self) -> None:
+        """Backpropagate ``grad_out`` through the last forward pass into the head's gradients."""
         _backward(self.weights, self.acts, self.grad_out, self.grad_w, self.grad_b, self.deltas, self.grad_input)
-        self.t += 1
-        state = (self.flat, self.m, self.v)
-        _adam(self.state, self.t, self.grad, state, state, self.scratch, self.step_buf)
 
     def params(self) -> MlpParams:
         """A fresh copy of the current parameters."""
         return _params_from_flat(self.layer_dims, self.flat.copy())
+
+
+class TrainingWorkspace:
+    """The training state of one method's heads and every buffer their steps write, allocated once.
+
+    The parameters of all heads, their gradients and their Adam moments each
+    live in one flat buffer, head after head in the order of ``params``; each
+    head's per-layer arrays are views of its run.  ``heads[name]`` holds that
+    head's activations, deltas and gradient buffers for ``rows`` rows.  A step
+    calls each head's ``forward`` on an input block, writes dLoss/dOut into
+    its ``grad_out``, runs each head's ``backward``, then :meth:`update`: one
+    Adam step over every head's parameters at once, with the kernels of
+    :func:`mlp_backward` and :func:`adam_step`.  Adam is elementwise, so one
+    pass over the joined buffers gives each head the bits of its own pass.  A
+    head named in ``grad_input`` also leaves dLoss/dInput in its ``grad_input``.
+    """
+
+    def __init__(self, params: dict[str, MlpParams], lr: float, rows: int, grad_input=()) -> None:
+        self.lr, self.t = lr, 0
+        self.flat = np.concatenate([p.flat for p in params.values()])
+        self.grad = np.empty_like(self.flat)
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self.scratch, self.step_buf = np.empty_like(self.flat), np.empty_like(self.flat)
+        self.heads, start = {}, 0
+        for name, p in params.items():
+            run = slice(start, start + p.flat.size)
+            self.heads[name] = _Head(p.layer_dims, self.flat[run], self.grad[run], rows, name in grad_input)
+            start = run.stop
+
+    def update(self) -> None:
+        """One Adam step for every head, from the gradients of their last ``backward``."""
+        self.t += 1
+        state = (self.flat, self.m, self.v)
+        _adam(self.lr, self.t, self.grad, state, state, self.scratch, self.step_buf)
+
+    def params(self) -> dict[str, MlpParams]:
+        """A fresh copy of each head's current parameters."""
+        return {name: head.params() for name, head in self.heads.items()}

@@ -10,6 +10,19 @@ from the batch's one schedule, which every trajectory shares.
   o1o2  adds u2(u1, x_t, t)   -> acceleration a_t
   form  F(t) or F(x_t, t)     -> co-moving force (f_par, f_perp)_t
 
+The pipeline runs ``CHUNK_STEPS`` steps at a time.  One draw, with one
+bound per index, gives a chunk's (trajectory, grid index) pairs in the
+order of two draws per step; one gather by flat row index fills the
+chunk's inputs and targets; o1o2 derives its acceleration target from the
+chunk's gathered ``v`` rows with the row kernels of
+:func:`~form_lab.dynamics.force_and_acceleration_rows`, so no ``a`` block
+is ever built.  Each step keeps its prediction errors, and the chunk's
+losses are reduced and checked for a non-finite value once, after its last
+step; the error names the first such step.  Every value is the one a step at a
+time would give, bit for bit.  All heads of a method step in one
+:class:`~form_lab.neural.TrainingWorkspace`: each head's backward pass, then
+one Adam pass over all of them.
+
 Seeding uses a fixed stream layout spawned from the run seed: stream 0
 drives minibatch sampling, streams 1/2/3 initialize u1/u2/F.  Because the
 assignment is positional, an ``o1`` run and an ``o1o2`` run with the same
@@ -19,15 +32,15 @@ their comparison a controlled experiment rather than a reseeding accident.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # stack_records is importable here too: perfbench/workloads.py calls it as training.stack_records
-from .dynamics import REBUILD_BLOCK, TrajectoryBatch, lab_force_and_acceleration, stack_records  # noqa: F401
+from .dynamics import TrajectoryBatch, force_and_acceleration_rows, stack_records  # noqa: F401
 from .errors import NonFiniteError
-from .neural import MlpParams, TrainingWorkspace, adam_init, mlp_init
+from .neural import MlpParams, TrainingWorkspace, mlp_init
 
 # Uncalled here, but importable at this site: the benchmark's traced run
 # (perfbench/workloads.py TRACE_SITES) wraps these attributes.
@@ -40,6 +53,13 @@ O1O2_COUPLINGS = ("detached", "joint")
 
 # positional seed-stream layout (see module docstring)
 STREAM_BATCH, STREAM_U1, STREAM_U2, STREAM_F = 0, 1, 2, 3
+
+# steps whose minibatches are drawn, gathered and loss-checked at a time: at batch 128 a chunk's arrays
+# stay a few hundred KB, in cache
+CHUNK_STEPS = 16
+
+# the most steps whose float64 loss curve numpy can size
+MAX_STEPS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True)
@@ -58,10 +78,16 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, the longest loss curve, got {self.steps:.6g}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:  # SeedSequence takes non-negative seeds only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.hidden_dims) < 1 or any(d < 1 for d in self.hidden_dims):
             raise ValueError(f"hidden_dims needs positive entries, got {self.hidden_dims!r}")
         if self.form_input_mode not in FORM_INPUT_MODES:
@@ -91,30 +117,15 @@ def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
 
-def _acceleration(data: TrajectoryBatch) -> np.ndarray:
-    """``data.a`` as a new block, derived ``REBUILD_BLOCK`` rows at a time: no whole ``f`` beside it, nothing cached."""
-    accel = np.empty(data.v.shape)
-    for start in range(0, len(data), REBUILD_BLOCK):
-        v_rows = data.v[start : start + REBUILD_BLOCK]
-        _, accel[start : start + REBUILD_BLOCK] = lab_force_and_acceleration(
-            v_rows, data.f_par, data.f_perp, data.physics, data.handedness
-        )
-    return accel
+def _losses(diff: np.ndarray) -> np.ndarray:
+    """Each step's loss from its ``(rows, 2)`` block of ``diff = pred - target``: the rows' mean squared norm."""
+    return np.add.reduce(np.add.reduce(diff * diff, axis=2), axis=1) / diff.shape[1]
 
 
-def _squared_error(pred: np.ndarray, target, grad: np.ndarray, sq: np.ndarray, row_sq: np.ndarray) -> float:
-    """Mean over rows of the squared norm of ``pred - target``; writes dLoss/dPred into ``grad``."""
-    rows = grad.shape[0]
-    np.subtract(pred, target, out=grad)
-    np.multiply(grad, grad, out=sq)
-    loss = float(np.add.reduce(np.add.reduce(sq, axis=1, out=row_sq)) / rows)
-    grad *= 2.0 / rows
-    return loss
-
-
-def _check_finite(loss: float, step: int, method: str) -> None:
-    if not math.isfinite(loss):
-        raise NonFiniteError(f"{method} training diverged: loss = {loss!r} at step {step}")
+def _check_finite(losses: np.ndarray, first_step: int, method: str) -> None:
+    if not np.isfinite(losses).all():
+        step = int(np.argmin(np.isfinite(losses)))
+        raise NonFiniteError(f"{method} training diverged: loss = {float(losses[step])!r} at step {first_step + step}")
 
 
 def train(
@@ -123,68 +134,84 @@ def train(
     physics: PhysicsConfig = DEFAULT_PHYSICS,
     dataset_info: dict | None = None,
 ) -> TrainedModel:
-    """Train ``config.method`` on the rows of ``data``, gathered straight from its blocks,
-    stepping each head in its own :class:`~form_lab.neural.TrainingWorkspace`."""
+    """Train ``config.method`` on the rows of ``data``, gathered straight from its blocks
+    ``CHUNK_STEPS`` steps at a time, stepping its heads in one :class:`~form_lab.neural.TrainingWorkspace`."""
     duration = data.duration
     if duration <= 0.0:
         raise ValueError(f"records must span a positive duration, got {duration}")
     n_traj, n_knots = data.x.shape[0], data.x.shape[1]
     t_norm_grid = (data.times - data.times[0]) / duration
     schedule = np.stack([data.f_par, data.f_perp], axis=-1)  # one (K+1, 2) force target for all rows
+    x_rows, v_rows = data.x.reshape(-1, 2), data.v.reshape(-1, 2)  # row traj * n_knots + knot of each block
 
     streams = _streams(config.seed)
     batch_rng = np.random.default_rng(streams[STREAM_BATCH])
-    rows = config.batch_size
+    method, rows = config.method, config.batch_size
 
-    def workspace(in_dim: int, stream: int, grad_input: bool = False) -> TrainingWorkspace:
-        params = mlp_init((in_dim, *config.hidden_dims, 2), np.random.default_rng(streams[stream]))
-        return TrainingWorkspace(params, adam_init(params, lr=config.learning_rate), rows, grad_input)
+    def init(in_dim: int, stream: int) -> MlpParams:
+        return mlp_init((in_dim, *config.hidden_dims, 2), np.random.default_rng(streams[stream]))
 
-    heads: dict[str, TrainingWorkspace] = {}
-    if config.method in ("o1", "o1o2"):
-        heads["u1"] = workspace(3, STREAM_U1)
-    if config.method == "o1o2":
-        heads["u2"] = workspace(5, STREAM_U2, grad_input=config.o1o2_coupling == "joint")
-    if config.method == "form":
-        heads["F"] = workspace(1 if config.form_input_mode == "time" else 3, STREAM_F)
-    sq, row_sq = np.empty((rows, 2)), np.empty(rows)
-    accel = _acceleration(data) if config.method == "o1o2" else None  # o1o2's target; o1 and form never derive it
+    time_only = method == "form" and config.form_input_mode == "time"
+    if method == "form":
+        params = {"F": init(1 if time_only else 3, STREAM_F)}
+    else:
+        params = {"u1": init(3, STREAM_U1)}
+        if method == "o1o2":
+            params["u2"] = init(5, STREAM_U2)
+    joint = method == "o1o2" and config.o1o2_coupling == "joint"
+    first_head = "F" if method == "form" else "u1"
 
+    # one chunk's inputs, targets and prediction errors; o1o2 adds u2's inputs, its a target and the f beside it
+    inp = np.empty((CHUNK_STEPS, rows, params[first_head].layer_dims[0]))
+    target, diff = np.empty((CHUNK_STEPS, rows, 2)), np.empty((CHUNK_STEPS, rows, 2))
+    if "u2" in params:
+        inp2, accel, force, diff2 = (np.empty((CHUNK_STEPS, rows, d)) for d in (5, 2, 2, 2))
+    # the per-step draws' bounds in their order, (trajectory, knot) x rows, for every step of a chunk
+    highs = np.tile(np.repeat([n_traj, n_knots], rows), CHUNK_STEPS)
+
+    workspace = TrainingWorkspace(params, config.learning_rate, rows, grad_input=("u2",) if joint else ())
+    head, u2 = workspace.heads[first_head], workspace.heads.get("u2")
+    scale = 2.0 / rows  # dLoss/dPred = scale * diff
     losses = np.empty(config.steps, dtype=np.float64)
-    for step in range(config.steps):
-        traj_idx = batch_rng.integers(0, n_traj, size=rows)
-        knot_idx = batch_rng.integers(0, n_knots, size=rows)
-
-        if config.method == "form":
-            head = heads["F"]
-            head.inp[:, -1] = t_norm_grid[knot_idx]
-            if config.form_input_mode == "time-position":
-                head.inp[:, :2] = data.x[traj_idx, knot_idx]
-            loss = _squared_error(head.forward(), schedule[knot_idx], head.grad_out, sq, row_sq)
-            head.backward_and_update()
+    for first in range(0, config.steps, CHUNK_STEPS):
+        n = min(CHUNK_STEPS, config.steps - first)
+        traj, knot = batch_rng.integers(0, highs[: 2 * rows * n]).reshape(n, 2, rows).transpose(1, 0, 2)
+        flat = traj * n_knots + knot
+        np.take(t_norm_grid, knot, out=inp[:n, :, -1])
+        if not time_only:
+            inp[:n, :, :2] = np.take(x_rows, flat, axis=0)
+        if method == "form":
+            np.take(schedule, knot, axis=0, out=target[:n])
         else:
-            u1 = heads["u1"]
-            u1.inp[:, :2] = data.x[traj_idx, knot_idx]
-            u1.inp[:, 2] = t_norm_grid[knot_idx]
-            pred1 = u1.forward()
-            loss = _squared_error(pred1, data.v[traj_idx, knot_idx], u1.grad_out, sq, row_sq)
-            if config.method == "o1o2":
-                u2 = heads["u2"]
-                u2.inp[:, :2] = pred1
-                u2.inp[:, 2:] = u1.inp
-                loss += _squared_error(u2.forward(), accel[traj_idx, knot_idx], u2.grad_out, sq, row_sq)
-                u2.backward_and_update()
-                if config.o1o2_coupling == "joint":
-                    # acceleration loss also shapes u1 through u2's first input slot
-                    u1.grad_out += u2.grad_input[:, :2]
-            u1.backward_and_update()
+            np.take(v_rows, flat, axis=0, out=target[:n])
+        if u2 is not None:
+            inp2[:n, :, 2:] = inp[:n]
+            force_and_acceleration_rows(
+                *(np.moveaxis(block[:n], 2, 0) for block in (target, force, accel)),
+                data.f_par[knot], data.f_perp[knot], data.physics, data.handedness,
+            )
 
-        _check_finite(loss, step, config.method)
-        losses[step] = loss
+        for step in range(n):
+            np.multiply(np.subtract(head.forward(inp[step]), target[step], out=diff[step]), scale, out=head.grad_out)
+            if u2 is not None:
+                inp2[step, :, :2] = head.out
+                np.multiply(np.subtract(u2.forward(inp2[step]), accel[step], out=diff2[step]), scale, out=u2.grad_out)
+                u2.backward()
+                if joint:
+                    # acceleration loss also shapes u1 through u2's first input slot
+                    head.grad_out += u2.grad_input[:, :2]
+            head.backward()
+            workspace.update()
+
+        chunk = losses[first : first + n]
+        chunk[:] = _losses(diff[:n])
+        if u2 is not None:
+            chunk += _losses(diff2[:n])
+        _check_finite(chunk, first, method)
 
     return TrainedModel(
-        method=config.method,
-        heads={name: head.params() for name, head in heads.items()},
+        method=method,
+        heads=workspace.params(),
         duration=duration,
         physics=physics,
         train_config=config,

@@ -193,6 +193,23 @@ class TestTrain:
         assert err.startswith("error:") and "epochs" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_epochs_beyond_a_loss_curve_is_usage_error(self, workdir, tmp_path, capsys):
+        """numpy's "Maximum allowed dimension exceeded" was the whole message, naming no flag."""
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(workdir["data"]), "--out", str(out), "--method", "o1", "--epochs", "1e300"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --epochs 1e+300: steps must be at most") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error_before_the_dataset_is_read(self, tmp_path, capsys):
+        """The dataset was read first, then numpy's "expected non-negative integer" ended the run."""
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(tmp_path / "missing.ndjson"), "--out", str(out), "--method", "o1"]
+        assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", ["-0.5", "-0.001", "1", "nan"])
     def test_holdout_fraction_out_of_range_is_usage_error(self, workdir, tmp_path, capsys, fraction):
         out = tmp_path / "m.json"

@@ -46,12 +46,12 @@ class TestSpec:
         "name",
         ["duration", "source_variance", "initial_speed", "core_speed", "ring_speed", "disc_radius", "force_scale"],
     )
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 10**400])  # 10**400: an int no float can hold
     def test_positive_fields_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             DatasetSpec(kind="onedot", **{name: value})
 
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -(10**400)])
     def test_velocity_scale_must_be_finite_of_either_sign(self, value):
         with pytest.raises(ValueError, match="velocity_scale must be finite"):
             DatasetSpec(kind="halfmoons", velocity_scale=value)

@@ -67,3 +67,13 @@ class TestWriteSvg:
         path = tmp_path / "fig.svg"
         write_svg(path, svg)
         assert path.read_text(encoding="utf-8") == svg
+
+    def test_failed_write_keeps_the_old_bytes(self, tmp_path):
+        """The file was opened with "w" first, so a write of None left it empty."""
+        path = tmp_path / "fig.svg"
+        write_svg(path, scatter_svg(*clouds()))
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_svg(path, None)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["fig.svg"]

@@ -13,7 +13,11 @@ the batch, a state array kept beside the blocks, chunks concatenated into a
 second block, or the whole file text held as a string, would each read 1.9
 or more.  ``write_dataset`` streams its lines, so it holds about 0.01 of the
 batch beside it, where the whole text would be 1.4.  Records, and
-``train``, leave nothing derived on the batch they read.
+``train``, leave nothing derived on the batch they read.  o1o2 training
+derives its acceleration target from each chunk's gathered ``v`` rows, so
+``train`` holds about 0.3 of its split's blocks beside them, within
+``TRAIN_RATIO``; the split's whole ``a`` block alone is 0.5, and the peak
+with it was 1.3.
 """
 
 import gc
@@ -22,15 +26,17 @@ from dataclasses import fields, replace
 
 import pytest
 
-from form_lab.datasets import DatasetSpec, generate
+from form_lab.datasets import DatasetSpec, generate, holdout_split
 from form_lab.dynamics import BLOCKS
 from form_lab.formats import read_dataset, write_dataset
 from form_lab.relativity import DEFAULT_PHYSICS
-from form_lab.training import TrainConfig, train
+from form_lab.training import CHUNK_STEPS, TrainConfig, train
 
 PEAK_RATIO = 1.5
 
 WRITE_RATIO = 0.25
+
+TRAIN_RATIO = 0.5
 
 SPEC = DatasetSpec(kind="halfmoons")
 
@@ -101,3 +107,11 @@ def test_o1o2_training_caches_nothing_on_its_batch():
     rows = generate(SPEC)[:100]
     train(rows, TrainConfig(method="o1o2", steps=2, batch_size=8))
     assert _holds_only_its_fields(rows)
+
+
+def test_o1o2_training_derives_its_target_a_chunk_at_a_time():
+    split = holdout_split(generate(SPEC))[0]
+    config = TrainConfig(method="o1o2", steps=CHUNK_STEPS + 1)
+    train(split[:2], replace(config, steps=1))
+    _, peak = _traced_peak(lambda: train(split, config))
+    assert peak <= TRAIN_RATIO * _block_bytes(split), peak / _block_bytes(split)

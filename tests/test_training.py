@@ -1,5 +1,6 @@
 """Training loop: determinism, shared streams, oracle losses, couplings."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from form_lab.errors import NonFiniteError
 from form_lab.neural import MlpParams, mlp_backward, mlp_forward, mlp_init
 from form_lab.relativity import DEFAULT_PHYSICS, PhysicsConfig
 from form_lab.training import (
+    CHUNK_STEPS,
     STREAM_BATCH,
     STREAM_F,
     STREAM_U1,
@@ -56,11 +58,23 @@ class TestConfig:
             dict(method="o1", hidden_dims=()),
             dict(method="o1", learning_rate=float("inf")),
             dict(method="o1", learning_rate=float("nan")),
+            dict(method="o1", seed=-1),
+            dict(method="o1", seed=1.5),
+            dict(method="o1", seed=True),
+            dict(method="o1", steps=training.MAX_STEPS + 1),
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_is_refused_in_the_dataset_spec_words(self, seed):
+        """TrainConfig took these, and numpy's SeedSequence refused a negative one only once training started."""
+        with pytest.raises(ValueError) as spec_error:
+            DatasetSpec(kind="onedot", seed=seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(spec_error.value))}$"):
+            TrainConfig(method="o1", seed=seed)
 
     def test_steps_for_epochs(self):
         assert steps_for_epochs(epochs=1, n_train=100, batch_size=32) == 4
@@ -216,7 +230,12 @@ def reference_train(records, config):
     return {name: head.params for name, head in heads.items()}, np.array(losses)
 
 
+# 1 step, one less than a chunk, one chunk, one more, and two chunks and one more
+CHUNK_EDGES = [1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1]
+
+
 class TestAgainstReference:
+    @pytest.mark.parametrize("steps", CHUNK_EDGES)
     @pytest.mark.parametrize(
         "kw",
         [
@@ -228,10 +247,11 @@ class TestAgainstReference:
         ],
         ids=["o1", "o1o2-detached", "o1o2-joint", "form-time", "form-time-position"],
     )
-    def test_bit_identical_to_forward_backward_per_array_adam(self, records, kw):
-        """One fused forward/backward pass and one flat Adam update per head
-        give exactly the heads and losses of the long way round."""
-        config = quick(steps=30, **kw)
+    def test_bit_identical_to_forward_backward_per_array_adam(self, records, kw, steps):
+        """One fused forward/backward pass per head and one flat Adam update for all heads,
+        on minibatches drawn and gathered a chunk of steps at a time, give exactly the heads
+        and losses of the long way round, which draws two index arrays per step."""
+        config = quick(steps=steps, **kw)
         model = train(records, config)
         heads, losses = reference_train(records, config)
         assert np.array_equal(model.loss_curve, losses)
@@ -251,22 +271,25 @@ METHOD_CONFIGS = {
 
 
 class TestWorkspaceShapes:
+    @pytest.mark.parametrize("steps", [1, CHUNK_STEPS + 4])
     @pytest.mark.parametrize("method", list(METHOD_CONFIGS))
     @pytest.mark.parametrize(
-        "shape",
+        "shape, n_traj",
         [
-            dict(hidden_dims=(7,)),
-            dict(hidden_dims=(16, 8, 4)),
-            dict(batch_size=1),
-            dict(batch_size=256),  # more rows per step than the 6 x 21 (trajectory, knot) pairs
+            (dict(hidden_dims=(7,)), None),
+            (dict(hidden_dims=(16, 8, 4)), None),
+            (dict(batch_size=1), None),
+            (dict(batch_size=256), None),  # more rows per step than the 6 x 21 (trajectory, knot) pairs
+            ({}, 1),  # every trajectory index drawn is 0
         ],
-        ids=["one-hidden-layer", "three-hidden-layers", "batch-1", "batch-beyond-rows"],
+        ids=["one-hidden-layer", "three-hidden-layers", "batch-1", "batch-beyond-rows", "one-trajectory"],
     )
-    def test_bit_identical_to_reference(self, records, method, shape):
-        """The preallocated buffers of a step fit any depth, width and batch size."""
-        config = quick(steps=20, **{**METHOD_CONFIGS[method], **shape})
-        model = train(records, config)
-        heads, losses = reference_train(records, config)
+    def test_bit_identical_to_reference(self, records, method, shape, n_traj, steps):
+        """The preallocated buffers of a step and of a chunk fit any depth, width, batch size and split."""
+        config = quick(steps=steps, **{**METHOD_CONFIGS[method], **shape})
+        split = records[:n_traj]
+        model = train(split, config)
+        heads, losses = reference_train(split, config)
         assert np.array_equal(model.loss_curve, losses)
         assert set(model.heads) == set(heads)
         for name, ref in heads.items():
@@ -302,9 +325,11 @@ class TestNoAliasing:
         first, second = train(records, config), train(records, config)
 
         heads = [*first.heads.values(), *second.heads.values()]
-        buffers = [a for ws in workspaces for value in vars(ws).values() for a in _arrays(value)]
+        # one workspace per run holds all of its heads
+        steppers = [obj for ws in workspaces for obj in (ws, *ws.heads.values())]
+        buffers = [a for obj in steppers for value in vars(obj).values() for a in _arrays(value)]
         buffers += [getattr(records, name) for name in blocks]
-        assert len(workspaces) == len(heads) and buffers
+        assert len(workspaces) == 2 and len(steppers) == 2 + len(heads) and buffers
         for i, head in enumerate(heads):
             for other in heads[i + 1 :] + buffers:
                 assert not np.shares_memory(head.flat, other)
@@ -391,6 +416,24 @@ class TestLossBehavior:
         learning rate, so forcing weight overflow needs an absurd one."""
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
             train(records, quick("o1", learning_rate=1e200, steps=50))
+
+    @pytest.mark.parametrize(
+        "method, learning_rate",
+        [*((method, 1e200) for method in METHOD_CONFIGS), ("o1o2-detached", 9e152)],
+        ids=[*METHOD_CONFIGS, "o1o2-detached-second-chunk"],
+    )
+    def test_nonfinite_guard_names_the_first_nonfinite_step(self, records, method, learning_rate):
+        """The losses are checked once per chunk, but the error names the step and the loss of
+        the reference's first non-finite loss, as a check after every step would: step 1 at a
+        learning rate of 1e200, and step 26, in the second chunk, for the last case."""
+        config = quick(learning_rate=learning_rate, steps=2 * CHUNK_STEPS, **METHOD_CONFIGS[method])
+        with np.errstate(all="ignore"):
+            _, losses = reference_train(records, config)
+            step = int(np.argmin(np.isfinite(losses)))
+            assert not np.isfinite(losses[step])
+            message = f"{config.method} training diverged: loss = {float(losses[step])!r} at step {step}"
+            with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
+                train(records, config)
 
 
 class TestMetadata:
