@@ -46,7 +46,6 @@ from .evaluate import (
 )
 from .figures import scatter_svg, write_svg
 from .formats import (
-    physics_from_header,
     read_checkpoint,
     read_dataset,
     read_samples,
@@ -171,7 +170,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             config = replace(config, steps=steps_for_epochs(args.epochs, len(batch), config.batch_size))
         except ValueError as e:
             raise ValueError(f"--epochs {args.epochs!r}: {e}") from e
-    model = pipeline.fit(args.out, batch, config, header["spec"], physics_from_header(header))
+    model = pipeline.fit(args.out, batch, config, header["spec"])
     print(
         f"trained {config.method} on {len(batch)} trajectories "
         f"({config.steps} steps, batch {config.batch_size}): final loss {model.final_loss:.6g}"
@@ -217,7 +216,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             raise ValueError("--source noise needs a model trained with dataset info")
         n = args.n if args.n is not None else 100
         spec = replace(DatasetSpec.from_dict(model.dataset_info), seed=args.seed, n_points=n)
-        indices = list(range(n))
+        indices = np.arange(n)
         x0 = source_points(spec, indices, model.physics)
 
     # None is the dataset-matched rule; _check_velocity_flags refused any other on a flow model

@@ -57,6 +57,12 @@ def _is_finite(value) -> bool:
         return False
 
 
+def require_int(name: str, value) -> None:
+    """Refuse a ``value`` that is not an integer, a bool included: 10.0 is not a step count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Everything needed to regenerate a dataset deterministically."""
@@ -81,9 +87,7 @@ class DatasetSpec:
         if self.n_points is None:
             object.__setattr__(self, "n_points", DEFAULT_N_POINTS[self.kind])
         for name in ("n_points", "n_steps", "seed", "handedness"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # 10.0 is not a step count
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if self.n_steps < 2:

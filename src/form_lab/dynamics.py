@@ -20,24 +20,25 @@ components as scalars, and written into one ``(2, 2, N)`` array.
 A simulation comes back as one :class:`TrajectoryBatch`, the in-memory form
 of a dataset everywhere.  It holds what the simulator integrates, the
 ``(N, K+1, 2)`` ``x`` and ``v`` blocks, with the time grid, the schedule,
-the physics and the handedness stored once; :func:`stack_records` builds one
-from hand-made records.  :func:`simulate_batch` integrates each step's state
+the physics and the handedness stored once.  Batches come only from the
+simulator, the dataset reader and slicing, so each one carries the physics
+and handedness it was made at.  :func:`simulate_batch` integrates each step's state
 straight into one ``(2, N, K+1, 2)`` array, its own or the caller's
 (``out``), whose halves become the batch's ``x`` and, converted from
 celerity in place, its ``v``.
 
 The lab force ``f`` and acceleration ``a`` follow from ``v``, the schedule
 and the physics, so a batch derives both blocks on the first read of either
-and keeps them.  A record, ``batch[i]``, derives nothing when it is built,
-iterated or stacked: its ``a`` and ``f`` are row ``i`` of the batch's
+and keeps them.  A record, ``batch[i]``, derives nothing when it is built
+or iterated: its ``a`` and ``f`` are row ``i`` of the batch's
 blocks, read when they are read.  :func:`lab_force_and_acceleration` does
 the derivation, running :func:`force_and_acceleration_rows` (that is,
 :func:`~form_lab.relativity.lab_force_rows` and
 :func:`~form_lab.relativity.acceleration_rows`) on the component rows of
 ``REBUILD_BLOCK`` trajectories at a time; o1o2 training runs it on the rows
 it gathers.  :func:`first_underivable` runs it
-the same way, keeping nothing, so that the dataset reader and
-:func:`stack_records` refuse trajectories that cannot give ``f`` and ``a``.
+the same way, keeping nothing, so that the dataset reader refuses
+trajectories that cannot give ``f`` and ``a``.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class TrajectoryRecord(_Paths):
     per-unit-mass schedule), ``f_par``/``f_perp`` its co-moving components,
     ``a`` the lab-frame acceleration consistent with ``f`` at each step.
     ``a`` and ``f`` are read from the batch's derived blocks when they are
-    read, so a record that is only built, iterated or stacked derives nothing.
+    read, so a record that is only built or iterated derives nothing.
     """
 
     index: int
@@ -151,8 +152,6 @@ class TrajectoryRecord(_Paths):
     v: np.ndarray  # (K+1, 2)
     f_par: np.ndarray  # (K+1,)
     f_perp: np.ndarray  # (K+1,)
-    physics: PhysicsConfig
-    handedness: int
     batch: TrajectoryBatch = field(repr=False)
     row: int = field(repr=False)
 
@@ -168,11 +167,11 @@ class TrajectoryBatch(_Paths):
     """N paths on one time grid under one co-moving force schedule: the in-memory dataset.
 
     The fields are :class:`TrajectoryRecord`'s but ``batch`` and ``row``, with ``x`` and
-    ``v`` as ``(N, K+1, 2)`` blocks; ``times``, ``f_par`` and ``f_perp`` are read-only.
+    ``v`` as ``(N, K+1, 2)`` blocks, plus the ``physics`` and ``handedness`` the
+    paths were simulated at; ``times``, ``f_par`` and ``f_perp`` are read-only.
     ``f`` and ``a`` are derived (see the module docstring).  As a read-only
     sequence, ``batch[i]`` is row ``i`` as a record of views and ``batch[a:b:k]``
-    a batch of row views.  ``generate``, ``read_dataset`` and
-    :func:`stack_records` give batches in index order.
+    a batch of row views.  ``generate`` and ``read_dataset`` give batches in index order.
     """
 
     index: np.ndarray  # (N,)
@@ -202,8 +201,7 @@ class TrajectoryBatch(_Paths):
         if isinstance(key, slice):
             return replace(self, index=self.index[key], **{k: getattr(self, k)[key] for k in BLOCKS})
         return TrajectoryRecord(
-            int(self.index[key]), self.times, self.x[key], self.v[key], self.f_par, self.f_perp, self.physics,
-            self.handedness, self, key,
+            int(self.index[key]), self.times, self.x[key], self.v[key], self.f_par, self.f_perp, self, key
         )
 
 
@@ -214,34 +212,6 @@ def _read_only(a) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.flags.writeable = False
     return a
-
-
-def stack_records(records) -> TrajectoryBatch:
-    """The batch of a list of records, sorted by index; a batch comes back as it is, not copied.
-
-    Only ``x`` and ``v`` are stacked; the batch derives its own ``a`` and ``f``.
-    Refuses an empty list, records on another grid, schedule, physics or handedness than the first one's,
-    and records whose ``v`` cannot give ``f`` and ``a`` (see :func:`first_underivable`).
-    """
-    if isinstance(records, TrajectoryBatch):
-        return records
-    if not records:
-        raise ValueError("cannot stack an empty record list")
-    records = sorted(records, key=lambda r: r.index)
-    first = records[0]
-    for names, what in ((("times",), "are on another time grid"), (("f_par", "f_perp"), "have a force schedule other"),
-                        (("physics", "handedness"), "were simulated at a physics or handedness other")):
-        bad = [r.index for r in records if not all(np.array_equal(getattr(r, k), getattr(first, k)) for k in names)]
-        if bad:
-            raise ValueError(f"records {bad[:5]} {what} than record {first.index}'s")
-    x, v = (np.stack([getattr(r, k) for r in records]) for k in BLOCKS)
-    index = np.array([r.index for r in records])
-    batch = TrajectoryBatch(index, first.times, x, v, first.f_par, first.f_perp, first.physics, first.handedness)
-    bad = first_underivable(batch)
-    if bad:
-        row, e = bad
-        raise ValueError(f"cannot rebuild record {batch.index[row]}'s f and a ({e})") from e
-    return batch
 
 
 # trajectories per block of the velocity and f/a derivations: their temporaries stay a few MB and in cache

@@ -39,9 +39,9 @@ def make_dataset(path, spec, physics: PhysicsConfig = DEFAULT_PHYSICS, max_worke
     return batch
 
 
-def fit(path, rows, config, spec_dict: dict, physics: PhysicsConfig = DEFAULT_PHYSICS) -> training.TrainedModel:
+def fit(path, rows, config, spec_dict: dict) -> training.TrainedModel:
     """Train ``config`` on ``rows``, recording ``spec_dict`` as the model's dataset, and write it to ``path``."""
-    model = training.train(rows, config, physics=physics, dataset_info=spec_dict)
+    model = training.train(rows, config, dataset_info=spec_dict)
     formats.write_checkpoint(path, model)
     return model
 

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datasets import DatasetSpec, initial_velocity
+from .datasets import DatasetSpec, initial_velocity, require_int
 from .errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
 from .ode import integrate_fixed_grid, uniform_grid
 from .relativity import (
@@ -49,7 +49,7 @@ from .relativity import (
     velocity_rows,
 )
 from .neural import mlp_forward
-from .training import TrainedModel
+from .training import TrainedModel, sampled_handedness
 
 VELOCITY_UPDATES = ("momentum-exact", "euler")
 
@@ -62,6 +62,7 @@ class SamplerConfig:
     velocity_update: str = "momentum-exact"
 
     def __post_init__(self) -> None:
+        require_int("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.velocity_update not in VELOCITY_UPDATES:
@@ -345,6 +346,6 @@ def sample_form(model: TrainedModel, x0, config: SamplerConfig = SamplerConfig()
         model.duration,
         config.n_steps,
         physics=model.physics,
-        handedness=int((model.dataset_info or {}).get("handedness", 1)),
+        handedness=sampled_handedness(model.dataset_info),
         velocity_update=config.velocity_update,
     )

@@ -32,20 +32,27 @@ their comparison a controlled experiment rather than a reseeding accident.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# stack_records is importable here too: perfbench/workloads.py calls it as training.stack_records
-from .dynamics import TrajectoryBatch, force_and_acceleration_rows, stack_records  # noqa: F401
+from .datasets import require_int
+from .dynamics import TrajectoryBatch, force_and_acceleration_rows
 from .errors import NonFiniteError
 from .neural import MlpParams, TrainingWorkspace, mlp_init
+from .relativity import PhysicsConfig
 
 # Uncalled here, but importable at this site: the benchmark's traced run
-# (perfbench/workloads.py TRACE_SITES) wraps these attributes.
+# (perfbench/workloads.py TRACE_SITES) wraps these attributes, and calls
+# stack_records, which only passes a batch through, as its read-back stage.
 from .neural import adam_step, mlp_backward, mlp_forward  # noqa: F401
-from .relativity import DEFAULT_PHYSICS, PhysicsConfig
+
+
+def stack_records(batch: TrajectoryBatch) -> TrajectoryBatch:
+    """``batch`` itself; anything else, such as a list of records, is refused."""
+    if not isinstance(batch, TrajectoryBatch):
+        raise TypeError(f"expected a TrajectoryBatch, got {type(batch).__name__}")
+    return batch
 
 METHODS = ("o1", "o1o2", "form")
 FORM_INPUT_MODES = ("time", "time-position")
@@ -76,6 +83,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for name in ("steps", "batch_size", "seed"):
+            require_int(name, getattr(self, name))
+        for i, width in enumerate(self.hidden_dims):
+            require_int(f"hidden_dims[{i}]", width)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.steps > MAX_STEPS:
@@ -84,8 +95,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # SeedSequence takes non-negative seeds only
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.hidden_dims) < 1 or any(d < 1 for d in self.hidden_dims):
@@ -113,6 +122,12 @@ class TrainedModel:
         return float(self.loss_curve[-1]) if len(self.loss_curve) else float("nan")
 
 
+def sampled_handedness(dataset_info: dict | None) -> int:
+    """The handedness a model with ``dataset_info`` samples at: its dataset spec's, +1 without one.
+    A checkpoint records no other."""
+    return int((dataset_info or {}).get("handedness", 1))
+
+
 def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
@@ -128,17 +143,20 @@ def _check_finite(losses: np.ndarray, first_step: int, method: str) -> None:
         raise NonFiniteError(f"{method} training diverged: loss = {float(losses[step])!r} at step {first_step + step}")
 
 
-def train(
-    data: TrajectoryBatch,
-    config: TrainConfig,
-    physics: PhysicsConfig = DEFAULT_PHYSICS,
-    dataset_info: dict | None = None,
-) -> TrainedModel:
+def train(data: TrajectoryBatch, config: TrainConfig, dataset_info: dict | None = None) -> TrainedModel:
     """Train ``config.method`` on the rows of ``data``, gathered straight from its blocks
-    ``CHUNK_STEPS`` steps at a time, stepping its heads in one :class:`~form_lab.neural.TrainingWorkspace`."""
+    ``CHUNK_STEPS`` steps at a time, stepping its heads in one :class:`~form_lab.neural.TrainingWorkspace`.
+
+    The model records the physics the rows were simulated at.  ``dataset_info`` must give the rows' handedness,
+    the one the model samples at (see :func:`sampled_handedness`), so rows at handedness -1 need one.
+    """
     duration = data.duration
     if duration <= 0.0:
         raise ValueError(f"records must span a positive duration, got {duration}")
+    if sampled_handedness(dataset_info) != data.handedness:
+        recorded = "none" if dataset_info is None else f"handedness {dataset_info.get('handedness', 1)!r}"
+        raise ValueError(f"rows simulated at handedness {data.handedness} need a dataset_info that records it, "
+                         f"got {recorded}")
     n_traj, n_knots = data.x.shape[0], data.x.shape[1]
     t_norm_grid = (data.times - data.times[0]) / duration
     schedule = np.stack([data.f_par, data.f_perp], axis=-1)  # one (K+1, 2) force target for all rows
@@ -213,7 +231,7 @@ def train(
         method=method,
         heads=workspace.params(),
         duration=duration,
-        physics=physics,
+        physics=data.physics,
         train_config=config,
         dataset_info=dict(dataset_info) if dataset_info is not None else None,
         loss_curve=losses,

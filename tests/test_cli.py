@@ -302,6 +302,15 @@ class TestSample:
         assert [e["index"] for e in entries] == list(range(6))
         assert all("v0" not in e for e in entries)  # flow sampler has no velocity
 
+    def test_noise_count_beyond_memory_is_usage_error(self, workdir, tmp_path, capsys):
+        """The index list of 10**14 draws raised a MemoryError without a message: an empty ``error:`` line."""
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(workdir["models"]["o1"]), "--out", str(out), "--source", "noise"]
+        assert main([*argv, "--n", "100000000000000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_paths_flag(self, workdir, tmp_path):
         out = tmp_path / "s.ndjson"
         code = main(
@@ -776,6 +785,22 @@ class TestFileValidation:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("steps", 20.0), ("steps", True), ("batch_size", 8.5), ("hidden_dims", [8.0, 8])],
+        ids=["steps-float", "steps-bool", "batch-size-float", "hidden-dims-float"],
+    )
+    def test_non_integer_train_config_is_usage_error(self, workdir, tmp_path, capsys, key, value):
+        """A checkpoint whose train_config.steps was 20.0 and batch_size 8.5 loaded, and sampled with exit 0."""
+        model = _with_header(workdir["models"]["o1"], tmp_path / "m.json", lambda h: h["train_config"].update({key: value}))
+        out = tmp_path / "s.ndjson"
+        argv = ["sample", "--model", str(model), "--out", str(out), "--source", "noise", "--n", "3", "--M", "4"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: malformed checkpoint") and "must be an integer" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from form_lab.datasets import (
     stress_spec,
     worker_count,
 )
-from form_lab.dynamics import TrajectoryBatch, stack_records
+from form_lab.dynamics import TrajectoryBatch
 from form_lab.errors import DegenerateVelocityError
 from form_lab.relativity import DEFAULT_PHYSICS
 
@@ -224,11 +224,6 @@ class TestHoldout:
         train, heldout = holdout_split(records)
         assert [r.index for r in train] == list(range(8))
         assert [r.index for r in heldout] == [8, 9]
-
-    def test_split_ignores_list_order(self):
-        records = generate(DatasetSpec(kind="onedot", n_points=5, n_steps=10, seed=0))
-        train, heldout = holdout_split(stack_records(list(reversed(records))))
-        assert [r.index for r in heldout] == [4]
 
     def test_zero_fraction_holds_out_nothing(self):
         records = generate(DatasetSpec(kind="onedot", n_points=3, n_steps=10, seed=0))

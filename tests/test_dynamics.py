@@ -1,18 +1,28 @@
 """Trajectory simulation against closed-form relativistic solutions."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from form_lab.datasets import KINDS, DatasetSpec, force_schedule_for, initial_velocity, source_points, stress_spec
+from form_lab.datasets import (
+    KINDS,
+    DatasetSpec,
+    force_schedule_for,
+    generate,
+    initial_velocity,
+    source_points,
+    stress_spec,
+)
 from form_lab.dynamics import (
     DEFAULT_UNITS,
     ForceSchedule,
     UnitSystem,
     TrajectoryBatch,
     TrajectoryRecord,
+    first_underivable,
     lab_force_and_acceleration,
     schedule_on_grid,
     simulate_batch,
@@ -393,3 +403,13 @@ class TestDerivationKernel:
         v[130, 1] = [0.0, C]
         with pytest.raises(SpeedLimitError, match=f"speed {C!r} >= c"):
             lab_force_and_acceleration(v, np.ones(4), np.ones(4), DEFAULT_PHYSICS, 1)
+
+    @pytest.mark.parametrize("fast", [[1], [129, 3], [129]], ids=["first-block", "first-of-two", "second-block"])
+    def test_first_underivable_names_the_first_row_beyond_c(self, fast):
+        """Rows at 100 times their speed, beyond c: the first is named with its error, whichever block it is in."""
+        batch = generate(DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7))
+        assert first_underivable(batch) is None
+        v = batch.v.copy()
+        v[fast] *= 100
+        row, e = first_underivable(replace(batch, v=v))
+        assert row == min(fast) and isinstance(e, SpeedLimitError) and str(e).endswith(">= c = 10.0")

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from form_lab.datasets import KINDS, DatasetSpec, generate, holdout_split
-from form_lab.dynamics import stack_records
 from form_lab.errors import NonFiniteError, SchemaError
 from form_lab.evaluate import EvalCell, make_report
 from form_lab.formats import (
@@ -176,8 +175,12 @@ class TestDatasetFiles:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_records_sorted_by_index(self, tmp_path, spec, records):
+        """A batch is written in index order only, and read back in it."""
         path = tmp_path / "d.ndjson"
-        write_dataset(path, stack_records(list(reversed(records))), spec, DEFAULT_PHYSICS)
+        with pytest.raises(ValueError, match="in order"):
+            write_dataset(path, records[::-1], spec, DEFAULT_PHYSICS)
+        assert not path.exists()
+        write_dataset(path, records, spec, DEFAULT_PHYSICS)
         _, back = read_dataset(path)
         assert [r.index for r in back] == list(range(len(records)))
 
@@ -345,12 +348,12 @@ class TestDatasetFiles:
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_negative_zero_keeps_its_sign_bit(self, tmp_path, spec, records):
-        rec = replace(records[0], x=records[0].x.copy())
-        rec.x[3, 1] = -0.0
+        batch = replace(records, x=records.x.copy())
+        batch.x[0, 3, 1] = -0.0
         path = tmp_path / "d.ndjson"
-        write_dataset(path, stack_records([rec, *records[1:]]), spec, DEFAULT_PHYSICS)
+        write_dataset(path, batch, spec, DEFAULT_PHYSICS)
         _, back = read_dataset(path)
-        assert back[0].x.tobytes() == rec.x.tobytes() and np.signbit(back[0].x[3, 1])
+        assert back[0].x.tobytes() == batch[0].x.tobytes() and np.signbit(back[0].x[3, 1])
 
     def test_stores_only_the_integrated_state(self, tmp_path, spec, records):
         path = tmp_path / "d.ndjson"
@@ -386,17 +389,6 @@ class TestDatasetFiles:
             write_dataset(path, records, replace(spec, handedness=-1), DEFAULT_PHYSICS)
         assert not path.exists()
         write_dataset(path, records, spec, DEFAULT_PHYSICS)
-
-    def test_write_rejects_a_second_force_schedule(self, tmp_path):
-        """Record 129 comes from a run at twice the force: its own f and a agree, its schedule is not record 0's.
-        A batch holds one schedule, so stacking the records refuses them before anything is written."""
-        spec = DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7)
-        records = list(generate(spec))
-        records[-1] = generate(replace(spec, force_scale=2.0))[-1]
-        path = tmp_path / "d.ndjson"
-        with pytest.raises(ValueError, match=r"records \[129\] have a force schedule other than record 0's"):
-            write_dataset(path, stack_records(records), spec, DEFAULT_PHYSICS)
-        assert not path.exists()
 
     def test_v2_dataset_names_schema_version(self, tmp_path, spec, records):
         """A v2 file, with the schedule in every record, is refused; there is no second reader."""

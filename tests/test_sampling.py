@@ -38,6 +38,8 @@ class TestConfig:
         "kw",
         [
             dict(n_steps=0),
+            dict(n_steps=10.0),
+            dict(n_steps=True),
             dict(velocity_update="bogus"),
         ],
     )

@@ -11,7 +11,6 @@ from form_lab import training
 from form_lab.datasets import DatasetSpec, generate
 from form_lab.errors import NonFiniteError
 from form_lab.neural import MlpParams, mlp_backward, mlp_forward, mlp_init
-from form_lab.relativity import DEFAULT_PHYSICS, PhysicsConfig
 from form_lab.training import (
     CHUNK_STEPS,
     STREAM_BATCH,
@@ -19,7 +18,6 @@ from form_lab.training import (
     STREAM_U1,
     STREAM_U2,
     TrainConfig,
-    stack_records,
     steps_for_epochs,
     train,
 )
@@ -62,6 +60,12 @@ class TestConfig:
             dict(method="o1", seed=1.5),
             dict(method="o1", seed=True),
             dict(method="o1", steps=training.MAX_STEPS + 1),
+            dict(method="o1", steps=20.0),
+            dict(method="o1", steps=True),
+            dict(method="o1", batch_size=8.5),
+            dict(method="o1", batch_size=True),
+            dict(method="o1", hidden_dims=(8.0, 8)),
+            dict(method="o1", hidden_dims=(8, True)),
         ],
     )
     def test_validation(self, kw):
@@ -88,56 +92,11 @@ class TestConfig:
             steps_for_epochs(epochs=epochs, n_train=100, batch_size=32)
 
 
-class TestStackRecords:
-    def test_shapes(self, records):
-        batch = stack_records(list(records))
-        n, k = len(records), records[0].n_steps
-        for name in ("x", "v", "a", "f"):
-            assert getattr(batch, name).shape == (n, k + 1, 2), name
-        for name in ("times", "f_par", "f_perp"):
-            assert getattr(batch, name).shape == (k + 1,), name
-            assert not getattr(batch, name).flags.writeable, name
-        assert batch.index.tolist() == list(range(n))
-
-    def test_sorts_by_index_into_the_same_bits(self, records):
-        batch = stack_records(list(reversed(records)))
-        for name in ("index", "times", "x", "v", "a", "f", "f_par", "f_perp"):
-            assert np.array_equal(getattr(batch, name), getattr(records, name)), name
-
-    def test_a_batch_comes_back_uncopied(self, records):
-        assert stack_records(records) is records
-
-    def test_rejects_mixed_schedules(self, records):
-        other = generate(DatasetSpec(kind="onedot", n_points=6, n_steps=20, seed=7, force_scale=2.0))
-        with pytest.raises(ValueError, match=r"records \[3, 4, 5\] have a force schedule other than record 0's"):
-            stack_records([*records[:3], *other[3:]])
-
-    @pytest.mark.parametrize("physics, handedness", [(PhysicsConfig(c=20.0), 1), (DEFAULT_PHYSICS, -1)])
-    def test_rejects_mixed_physics_or_handedness(self, records, physics, handedness):
-        """Same grid and schedule, but a batch derives a and f at one physics and handedness only."""
-        other = generate(DatasetSpec(kind="onedot", n_points=6, n_steps=20, seed=7, handedness=handedness), physics)
-        match = r"records \[3, 4, 5\] were simulated at a physics or handedness other than record 0's"
-        with pytest.raises(ValueError, match=match):
-            stack_records([*records[:3], *other[3:]])
-
-    def test_rejects_mixed_grids(self, records):
-        other = generate(DatasetSpec(kind="onedot", n_points=2, n_steps=10, seed=7))
-        with pytest.raises(ValueError):
-            stack_records(list(records) + list(other))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            stack_records([])
-
-    @pytest.mark.parametrize("fast", [[1], [129, 3], [129]], ids=["first-block", "first-of-two", "second-block"])
-    def test_rejects_a_v_that_cannot_give_f_and_a(self, fast):
-        """A v at or above c: the batch could not derive its f and a, so the reader would refuse its file."""
-        rows = list(generate(DatasetSpec(kind="onedot", n_points=130, n_steps=5, seed=7)))
-        for i in fast:
-            rows[i] = replace(rows[i], v=rows[i].v * 100)
-        match = rf"^cannot rebuild record {min(fast)}'s f and a \(speed .* >= c = 10.0\)$"
-        with pytest.raises(ValueError, match=match):
-            stack_records(rows)
+def test_stack_records_passes_a_batch_and_refuses_a_list(records):
+    """Kept for the benchmark's read-back stage only: a batch comes back as it is, and records are not stacked."""
+    assert training.stack_records(records) is records
+    with pytest.raises(TypeError, match="^expected a TrajectoryBatch, got list$"):
+        training.stack_records(list(records))
 
 
 class TestDeterminism:
@@ -448,3 +407,21 @@ class TestMetadata:
     def test_dataset_info_optional(self, records):
         m = train(records, quick("o1"))
         assert m.dataset_info is None
+
+    def test_handedness_minus_one_rows_need_dataset_info(self):
+        """Without a dataset spec the model would sample at +1, against the rows' -1."""
+        spec = DatasetSpec(kind="spiral", n_points=6, n_steps=20, seed=7, handedness=-1)
+        rows = generate(spec)
+        match = "^rows simulated at handedness -1 need a dataset_info that records it, got none$"
+        with pytest.raises(ValueError, match=match):
+            train(rows, quick("form"))
+        assert train(rows, quick("form", steps=2), dataset_info=spec.to_dict()).dataset_info["handedness"] == -1
+
+    @pytest.mark.parametrize("rows_handedness", [1, -1])
+    def test_dataset_info_of_the_other_handedness_is_refused(self, rows_handedness):
+        spec = DatasetSpec(kind="spiral", n_points=6, n_steps=20, seed=7, handedness=rows_handedness)
+        info = replace(spec, handedness=-rows_handedness).to_dict()
+        match = (f"^rows simulated at handedness {rows_handedness} need a dataset_info that records it, "
+                 f"got handedness {-rows_handedness}$")
+        with pytest.raises(ValueError, match=match):
+            train(generate(spec), quick("o1"), dataset_info=info)
