@@ -50,11 +50,20 @@ POINTS_PER_WORKER = 4096
 
 
 def _is_finite(value) -> bool:
-    """Whether ``value`` is a finite float, or an int that converts to one (10**400 does not)."""
+    """Whether ``value`` is a finite real number: a float, or an int that converts to one (10**400 does not);
+    a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def require_positive(name: str, value) -> None:
+    """Refuse a ``value`` that is not a positive finite real number: True is not a duration or a learning rate."""
+    if not (_is_finite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def require_int(name: str, value) -> None:
@@ -96,8 +105,7 @@ class DatasetSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("duration", "source_variance", "initial_speed", "core_speed", "ring_speed", "disc_radius",
                      "force_scale"):
-            if not (_is_finite(getattr(self, name)) and getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            require_positive(name, getattr(self, name))
         if not _is_finite(self.velocity_scale):
             raise ValueError(f"velocity_scale must be finite, got {self.velocity_scale}")
         if self.handedness not in (1, -1):

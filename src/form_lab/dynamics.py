@@ -28,23 +28,25 @@ straight into one ``(2, N, K+1, 2)`` array, its own or the caller's
 celerity in place, its ``v``.
 
 The lab force ``f`` and acceleration ``a`` follow from ``v``, the schedule
-and the physics, so a batch derives both blocks on the first read of either
-and keeps them.  A record, ``batch[i]``, derives nothing when it is built
-or iterated: its ``a`` and ``f`` are row ``i`` of the batch's
-blocks, read when they are read.  :func:`lab_force_and_acceleration` does
-the derivation, running :func:`force_and_acceleration_rows` (that is,
+and the physics, so a batch derives them when they are read and keeps only
+the last ``REBUILD_BLOCK``-row block it derived.  A record, ``batch[i]``,
+derives nothing when it is built or iterated: its ``a`` and ``f`` are row
+``i`` of the block that holds it, derived on the first read in that block,
+so reading every record in order derives each block once and holds one at a
+time.  The batch's own ``a`` and ``f`` are whole blocks, derived afresh on
+each read.  :func:`lab_force_and_acceleration` does the derivation, running
+:func:`force_and_acceleration_rows` (that is,
 :func:`~form_lab.relativity.lab_force_rows` and
 :func:`~form_lab.relativity.acceleration_rows`) on the component rows of
-``REBUILD_BLOCK`` trajectories at a time; o1o2 training runs it on the rows
-it gathers.  :func:`first_underivable` runs it
-the same way, keeping nothing, so that the dataset reader refuses
-trajectories that cannot give ``f`` and ``a``.
+``REBUILD_BLOCK`` trajectories at a time; o1o2 training runs the row kernel
+on the rows it gathers.  :func:`first_underivable` runs it the same way,
+keeping nothing, so that the dataset reader refuses trajectories that
+cannot give ``f`` and ``a``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -142,8 +144,8 @@ class TrajectoryRecord(_Paths):
     ``f`` is the lab-frame force (true force, i.e. mass times the
     per-unit-mass schedule), ``f_par``/``f_perp`` its co-moving components,
     ``a`` the lab-frame acceleration consistent with ``f`` at each step.
-    ``a`` and ``f`` are read from the batch's derived blocks when they are
-    read, so a record that is only built or iterated derives nothing.
+    ``a`` and ``f`` are read from the batch's derived block that holds ``row``
+    when they are read, so a record that is only built or iterated derives nothing.
     """
 
     index: int
@@ -155,8 +157,8 @@ class TrajectoryRecord(_Paths):
     batch: TrajectoryBatch = field(repr=False)
     row: int = field(repr=False)
 
-    a = property(lambda self: self.batch.a[self.row])  # (K+1, 2)
-    f = property(lambda self: self.batch.f[self.row])  # (K+1, 2)
+    f = property(lambda self: self.batch._derived_row(self.row)[0])  # (K+1, 2)
+    a = property(lambda self: self.batch._derived_row(self.row)[1])  # (K+1, 2)
 
 
 BLOCKS = ("x", "v")
@@ -169,7 +171,8 @@ class TrajectoryBatch(_Paths):
     The fields are :class:`TrajectoryRecord`'s but ``batch`` and ``row``, with ``x`` and
     ``v`` as ``(N, K+1, 2)`` blocks, plus the ``physics`` and ``handedness`` the
     paths were simulated at; ``times``, ``f_par`` and ``f_perp`` are read-only.
-    ``f`` and ``a`` are derived (see the module docstring).  As a read-only
+    ``f`` and ``a`` are derived, whole on each read, and a record's one block at a time
+    (see the module docstring).  As a read-only
     sequence, ``batch[i]`` is row ``i`` as a record of views and ``batch[a:b:k]``
     a batch of row views.  ``generate`` and ``read_dataset`` give batches in index order.
     """
@@ -187,12 +190,22 @@ class TrajectoryBatch(_Paths):
         for k in ("times", "f_par", "f_perp"):
             object.__setattr__(self, k, _read_only(getattr(self, k)))
 
-    @cached_property
-    def _f_and_a(self) -> tuple[np.ndarray, np.ndarray]:
-        return lab_force_and_acceleration(self.v, self.f_par, self.f_perp, self.physics, self.handedness)
+    def _f_and_a(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        return lab_force_and_acceleration(self.v[rows], self.f_par, self.f_perp, self.physics, self.handedness)
 
-    f = property(lambda self: self._f_and_a[0])
-    a = property(lambda self: self._f_and_a[1])
+    f = property(lambda self: self._f_and_a()[0])
+    a = property(lambda self: self._f_and_a()[1])
+
+    def _derived_row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``row`` of ``f`` and ``a``, from the read-only ``REBUILD_BLOCK``-row block that holds it: the block
+        last derived, kept as ``_block`` (start row, ``f``, ``a``), or else derived now in its place."""
+        start = row - row % REBUILD_BLOCK
+        if vars(self).get("_block", (None,))[0] != start:
+            f, a = self._f_and_a(slice(start, start + REBUILD_BLOCK))
+            f.flags.writeable = a.flags.writeable = False
+            object.__setattr__(self, "_block", (start, f, a))
+        _, f, a = self._block
+        return f[row - start], a[row - start]
 
     def __len__(self) -> int:
         return len(self.index)
@@ -200,8 +213,9 @@ class TrajectoryBatch(_Paths):
     def __getitem__(self, key):
         if isinstance(key, slice):
             return replace(self, index=self.index[key], **{k: getattr(self, k)[key] for k in BLOCKS})
+        row = range(len(self))[key]
         return TrajectoryRecord(
-            int(self.index[key]), self.times, self.x[key], self.v[key], self.f_par, self.f_perp, self, key
+            int(self.index[row]), self.times, self.x[row], self.v[row], self.f_par, self.f_perp, self, row
         )
 
 
@@ -214,8 +228,9 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-# trajectories per block of the velocity and f/a derivations: their temporaries stay a few MB and in cache
-REBUILD_BLOCK = 128
+# trajectories per block of the velocity and f/a derivations and of the block a record's f/a come from: deriving
+# 32 rows at 201 steps peaks at about 0.7 MB, its f and a included (2.5 MB at 128 rows)
+REBUILD_BLOCK = 32
 
 
 def schedule_on_grid(schedule: ForceSchedule, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,11 +280,12 @@ def simulate_batch(
     states = xw.transpose(2, 0, 3, 1)
     states[0] = x0.T, celerity_from_velocity(v0, physics).T  # the celerity also enforces |v0| < c
     times, _ = integrate_fixed_grid(deriv, states[0], 0.0, duration, n_steps, method="rk4", out=states)
-    if not np.isfinite(xw).all():
-        raise NonFiniteError("trajectory integration produced non-finite states")
     x, v = xw
-    for start in range(0, n, REBUILD_BLOCK):  # the celerity block becomes the velocity block
-        w_rows = np.moveaxis(v[start : start + REBUILD_BLOCK], 2, 0)
+    for start in range(0, n, REBUILD_BLOCK):  # each checked celerity block becomes its velocity block
+        rows = slice(start, start + REBUILD_BLOCK)
+        if not (np.isfinite(x[rows]).all() and np.isfinite(v[rows]).all()):
+            raise NonFiniteError("trajectory integration produced non-finite states")
+        w_rows = np.moveaxis(v[rows], 2, 0)
         velocity_rows(w_rows, physics, w_rows)
     f_par, f_perp = (physics.m * f for f in schedule_on_grid(schedule, times))  # true force = m * unit-mass force
     return TrajectoryBatch(np.array(indices), times, x, v, f_par, f_perp, physics, handedness)
@@ -316,16 +332,13 @@ def first_underivable(batch: TrajectoryBatch) -> tuple[int, Exception] | None:
 
     Derives ``REBUILD_BLOCK`` rows at a time and keeps nothing; only a block that fails is derived again, row by row.
     """
-    def derive(rows: slice) -> None:
-        lab_force_and_acceleration(batch.v[rows], batch.f_par, batch.f_perp, batch.physics, batch.handedness)
-
     for start in range(0, len(batch), REBUILD_BLOCK):
         try:
-            derive(slice(start, start + REBUILD_BLOCK))
+            batch._f_and_a(slice(start, start + REBUILD_BLOCK))
         except UNDERIVABLE:
             for row in range(start, min(start + REBUILD_BLOCK, len(batch))):
                 try:
-                    derive(slice(row, row + 1))
+                    batch._f_and_a(slice(row, row + 1))
                 except UNDERIVABLE as e:
                     return row, e
     return None

@@ -23,7 +23,7 @@ holds the same and derives ``f`` and ``a`` when they are read.  The reader
 decodes each record's ``x`` and ``v`` bytes straight into the rows of its
 ``(N, K+1, 2)`` blocks, and refuses trajectories that cannot give ``f`` and
 ``a`` with :func:`~form_lab.dynamics.first_underivable`, which derives them
-128 at a time, keeping nothing, and names the first one's line.
+32 at a time, keeping nothing, and names the first one's line.
 
 Every writer streams: each line is written as soon as it is serialized,
 into a temp file beside the target that ``os.replace`` moves onto it after

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import require_int
+from .datasets import require_int, require_positive
 from .dynamics import TrajectoryBatch, force_and_acceleration_rows
 from .errors import NonFiniteError
 from .neural import MlpParams, TrainingWorkspace, mlp_init
@@ -93,8 +93,7 @@ class TrainConfig:
             raise ValueError(f"steps must be at most {MAX_STEPS}, the longest loss curve, got {self.steps:.6g}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        require_positive("learning_rate", self.learning_rate)
         if self.seed < 0:  # SeedSequence takes non-negative seeds only
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.hidden_dims) < 1 or any(d < 1 for d in self.hidden_dims):

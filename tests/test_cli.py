@@ -803,6 +803,19 @@ class TestFileValidation:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_bool_learning_rate_is_usage_error(self, workdir, tmp_path, capsys):
+        """A checkpoint whose train_config.learning_rate was true loaded, and evaluated with exit 0."""
+        model = _with_header(
+            workdir["models"]["o1"], tmp_path / "m.json", lambda h: h["train_config"].update(learning_rate=True)
+        )
+        out = tmp_path / "r.json"
+        argv = ["eval", "--model", str(model), "--data", str(workdir["data"]), "--report", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: malformed checkpoint") and "learning_rate must be positive" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "version, command",
         [pytest.param(v, c, id=c if v == 1 else f"{c}-v{v}") for v in (1, 2, 3) for c in ("train", "sample", "plot")],

@@ -46,12 +46,13 @@ class TestSpec:
         "name",
         ["duration", "source_variance", "initial_speed", "core_speed", "ring_speed", "disc_radius", "force_scale"],
     )
-    @pytest.mark.parametrize("value", [np.inf, np.nan, 10**400])  # 10**400: an int no float can hold
+    # 10**400: an int no float can hold; True: a bool is no real field's value
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 10**400, True, "1.0"])
     def test_positive_fields_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             DatasetSpec(kind="onedot", **{name: value})
 
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -(10**400)])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -(10**400), True])
     def test_velocity_scale_must_be_finite_of_either_sign(self, value):
         with pytest.raises(ValueError, match="velocity_scale must be finite"):
             DatasetSpec(kind="halfmoons", velocity_scale=value)
@@ -245,7 +246,7 @@ class TestDerivedBlocksUnderSlicing:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     @pytest.mark.parametrize("kind", KINDS)
     def test_split_before_the_first_read_keeps_the_bits(self, kind, seed):
-        batch = generate(DatasetSpec(kind=kind, n_points=300, n_steps=20, seed=seed))  # 240 | 60 splits a 128-row block
+        batch = generate(DatasetSpec(kind=kind, n_points=300, n_steps=20, seed=seed))  # 240 | 60 splits a 32-row block
         parts = (*holdout_split(batch), batch[::-1])
         whole = {k: getattr(batch, k) for k in ("a", "f")}  # the first read derives them for all 300 rows
         n_train = len(parts[0])

@@ -179,10 +179,28 @@ class TestBatching:
             assert isinstance(rec, TrajectoryRecord)
             for name in RECORD_ARRAYS:
                 want = getattr(batch, name)
+                if name in ("a", "f"):  # derived afresh by each read of the batch's, so equal bytes, not memory
+                    assert getattr(rec, name).tobytes() == want[j].tobytes(), name
+                    continue
                 assert np.shares_memory(getattr(rec, name), want), name
                 assert np.array_equal(getattr(rec, name), want[j] if want.ndim == 3 else want), name
         assert np.shares_memory(batch.x0, batch.x) and np.array_equal(batch.x0, x0)
         assert np.array_equal(batch.endpoint, np.stack([r.endpoint for r in rows]))
+
+    def test_records_derive_the_bits_of_the_batch_block_by_block(self):
+        """Rows on both sides of the 32- and 128-row block edges, the last one, a slice's, and reads that go back
+        and forth between two blocks, each against the batch's whole derived blocks."""
+        batch = generate(DatasetSpec(kind="halfmoons", n_points=200, n_steps=6, seed=2))
+        f, a = batch.f, batch.a
+        for row in (0, 31, 32, 127, 128, -1):
+            rec = batch[row]
+            assert rec.f.tobytes() == f[row].tobytes() and rec.a.tobytes() == a[row].tobytes(), row
+            assert not rec.f.flags.writeable and not rec.a.flags.writeable, row
+        part = batch[5::3]
+        for j, rec in enumerate(part):
+            assert rec.f.tobytes() == f[5 + 3 * j].tobytes() and rec.a.tobytes() == a[5 + 3 * j].tobytes(), j
+        for row in (3, 40, 4, 41, 3, 199, 40):
+            assert batch[row].a.tobytes() == a[row].tobytes() and batch[row].f.tobytes() == f[row].tobytes(), row
 
     def test_slices_are_batches_of_views(self):
         batch = simulate_batch(np.zeros((5, 2)), np.full((5, 2), 1.0), ForceSchedule.constant(1.0, 2.0), 1.0, 10)
@@ -364,7 +382,7 @@ class TestDerivationKernel:
     @pytest.mark.parametrize("handedness", [1, -1])
     @pytest.mark.parametrize("layout", ["trajectory-major", "time-major"])
     def test_matches_the_composition(self, layout, handedness, physics):
-        """300 rows (three blocks, the last one short), as a contiguous (N, K+1, 2) block or as the
+        """300 rows (ten blocks, the last one short), as a contiguous (N, K+1, 2) block or as the
         transposed view of a (K+1, N, 2) array; the schedule has signed zeros and both signs."""
         n, k1 = 300, 9
         v = self.velocities(n, k1)
@@ -379,7 +397,7 @@ class TestDerivationKernel:
 
     @pytest.mark.parametrize("handedness", [1, -1])
     def test_resting_row_under_zero_force(self, handedness):
-        """A resting row in the second block sends that block through the composition itself."""
+        """A resting row in a later block sends that block through the composition itself."""
         n, k1 = 200, 5
         v = self.velocities(n, k1)
         v[150] = 0.0

@@ -4,18 +4,22 @@ The tracemalloc peak of ``datasets.generate`` and of ``formats.read_dataset``
 on the default halfmoons spec must stay within ``PEAK_RATIO`` of the bytes
 the batch they return holds: its ``x`` and ``v`` blocks, since it derives
 ``a`` and ``f`` only when they are read.  The simulator integrates into the
-batch's own ``x``/``v`` blocks, on the pool path too, and the reader streams
-its file a line at a time and checks the derivation 128 trajectories at a
-time, keeping nothing; so ``generate`` reads about 1.2 here (1.45 on the
-pool at 20 steps, where the RK4 stages weigh more against the blocks) and
-``read_dataset`` about 1.4.  Derived ``a``/``f`` blocks built or kept beside
+batch's own ``x``/``v`` blocks, on the pool path too, and checks and
+converts them 32 trajectories at a time; the reader streams its file a line
+at a time and checks the derivation 32 trajectories at a time, keeping
+nothing; so ``generate`` reads about 1.05 here (1.45 on the pool at 20
+steps, where the RK4 stages weigh more against the blocks) and
+``read_dataset`` about 1.1.  Derived ``a``/``f`` blocks built or kept beside
 the batch, a state array kept beside the blocks, chunks concatenated into a
 second block, or the whole file text held as a string, would each read 1.9
 or more.  ``write_dataset`` streams its lines, so it holds about 0.01 of the
-batch beside it, where the whole text would be 1.4.  Records, and
-``train``, leave nothing derived on the batch they read.  o1o2 training
-derives its acceleration target from each chunk's gathered ``v`` rows, so
-``train`` holds about 0.3 of its split's blocks beside them, within
+batch beside it, where the whole text would be 1.4.  Reading every record's
+``a`` and ``f`` in order holds one 32-row block of them at a time, about
+0.14 of the blocks, within ``READ_RATIO``; whole derived blocks kept on the
+batch read 1.27, and 128-row blocks 0.52.  Records, and ``train``, leave
+nothing derived on the batch until a record's ``a`` or ``f`` is read.  o1o2
+training derives its acceleration target from each chunk's gathered ``v``
+rows, so ``train`` holds about 0.3 of its split's blocks beside them, within
 ``TRAIN_RATIO``; the split's whole ``a`` block alone is 0.5, and the peak
 with it was 1.3.
 """
@@ -35,6 +39,8 @@ from form_lab.training import CHUNK_STEPS, TrainConfig, train
 PEAK_RATIO = 1.5
 
 WRITE_RATIO = 0.25
+
+READ_RATIO = 0.25
 
 TRAIN_RATIO = 0.5
 
@@ -101,6 +107,15 @@ def test_records_derive_nothing_until_read():
     assert [r.x0.tolist() for r in records] == batch.x0.tolist()
     assert _holds_only_its_fields(batch)
     assert records[7].a.tobytes() == batch.a[7].tobytes() and records[7].f.tobytes() == batch.f[7].tobytes()
+
+
+def test_reading_every_records_a_and_f_holds_one_block_at_a_time():
+    """What a read-back check does: every record's ``a`` and ``f``, in order, each read and let go."""
+    generate(replace(SPEC, n_points=2, n_steps=2))[0].a
+    batch = generate(SPEC)
+    nbytes, peak = _traced_peak(lambda: sum(rec.a.nbytes + rec.f.nbytes for rec in batch))
+    assert nbytes == _block_bytes(batch)
+    assert peak <= READ_RATIO * _block_bytes(batch), peak / _block_bytes(batch)
 
 
 def test_o1o2_training_caches_nothing_on_its_batch():

@@ -56,6 +56,9 @@ class TestConfig:
             dict(method="o1", hidden_dims=()),
             dict(method="o1", learning_rate=float("inf")),
             dict(method="o1", learning_rate=float("nan")),
+            dict(method="o1", learning_rate=True),
+            dict(method="o1", learning_rate=10**400),
+            dict(method="o1", learning_rate="0.1"),
             dict(method="o1", seed=-1),
             dict(method="o1", seed=1.5),
             dict(method="o1", seed=True),
