@@ -1,4 +1,4 @@
-"""Command-line interface: gen-data / train / sample / eval / plot.
+"""Command-line interface: gen-data / train / sample / eval / plot / table.
 
 Option precedence per subcommand: explicit flags beat the optional JSON
 config file (``--config``), which beats built-in defaults.  The config file
@@ -12,6 +12,8 @@ Each subcommand calls the ``form_lab.pipeline`` stage that ``run_table`` calls f
 pairing a model with its held-out rows is ``pipeline.heldout_for``, the split ``datasets.holdout_split``.
 One flag per setting: ``sample --init-velocity`` takes ``dataset``, ``zero`` or the vector ``vx,vy``,
 and ``gen-data --threads`` is the only thread cap (default: the affinity mask's usable CPUs).
+``table`` runs ``pipeline.run_table`` itself, the whole 3 x 3 experiment into ``--outdir``, and
+renders ``<outdir>/table.txt``; ``scripts/run_table.py`` is this subcommand run from a checkout.
 
 Exit codes: 0 success; 2 usage, validation, or file-format problems;
 3 numerical failures (speed-limit, degenerate velocity, non-finite values).
@@ -22,7 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +55,7 @@ from .formats import (
     read_samples,
     write_report,
     write_samples,
+    write_text,
 )
 from .relativity import PhysicsConfig, speed
 from .sampling import VELOCITY_UPDATES
@@ -61,7 +66,7 @@ EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 2, 3
 HANDEDNESS = {"ccw": 1, "cw": -1}
 
 # Options that name a run's inputs and outputs; --config may set any other.
-NOT_IN_CONFIG = {"help", "config", "data", "dataset", "method", "model", "out", "report", "samples"}
+NOT_IN_CONFIG = {"help", "config", "data", "dataset", "method", "model", "out", "outdir", "report", "samples"}
 
 # Option name -> dataclass field, where the public flag name differs.
 FIELD_NAMES = {
@@ -113,6 +118,14 @@ def _config_value(action: argparse.Action, key: str, value):
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"config key {key!r} must be one of {list(action.choices)}, got {text!r}")
     return value
+
+
+class _NamedBy(argparse.Action):
+    """Store the value, and in ``<dest>_flag`` the spelling it was given by, so a refusal names the flag as typed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_flag", option_string)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -309,13 +322,35 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_table(args: argparse.Namespace) -> int:
+    t0 = time.monotonic()
+    # Each flag's own dataclass checks it first, so a bad value is named by its flag.
+    flag_checks = {
+        "--seed": lambda: DatasetSpec(kind=KINDS[0], seed=args.seed),
+        "--steps": lambda: args.steps is None or TrainConfig(method=METHODS[0], steps=args.steps),
+        args.sampler_steps_flag: lambda: SamplerConfig(n_steps=args.sampler_steps),
+    }
+    for flag, check in flag_checks.items():
+        try:
+            check()
+        except ValueError as e:
+            raise ValueError(f"{flag}: {e}") from e
+    # run_table builds every config before it writes, so its ValueError comes with nothing written
+    run = pipeline.run_table(args.outdir, args.seed, args.steps, args.sampler_steps, args.quick)
+    table = render_table(run["report"], include_reference=args.reference)
+    write_text(args.outdir / "table.txt", [table + "\n"])
+    print(table)
+    print(f"\nwrote {args.outdir}/report.json and {args.outdir}/table.txt in {time.monotonic() - t0:.0f}s")
+    return EXIT_OK
+
+
 # --- parser ------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="form-lab",
-        description="Relativistic force matching: generate data, train, sample, evaluate, plot.",
+        description="Relativistic force matching: generate data, train, sample, evaluate, plot, run the table.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     btrue = argparse.BooleanOptionalAction
@@ -395,6 +430,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title")
     p.add_argument("--config")
     p.set_defaults(func=cmd_plot, parser=p)
+
+    r = sub.add_parser("table", help="the whole experiment: 3 datasets x 3 methods, one loss table")
+    r.add_argument("--outdir", type=Path, default=Path("results"))
+    r.add_argument("--seed", type=int, default=0, help="dataset and training seed")
+    r.add_argument(
+        "--steps",
+        type=int,
+        help=f"training steps (default: {pipeline.QUICK_TRAIN['steps']} with --quick, else {TrainConfig.steps})",
+    )
+    r.add_argument(
+        "--sampler-steps", "--M", type=int, default=SamplerConfig.n_steps, action=_NamedBy, help="sampler steps"
+    )
+    r.add_argument("--quick", action=btrue, default=False, help="tiny datasets and short training, for smoke testing")
+    r.add_argument("--reference", action=btrue, default=True, help="append previously reported losses")
+    r.add_argument("--config")
+    r.set_defaults(func=cmd_table, parser=r, sampler_steps_flag="--sampler-steps")
 
     return parser
 

@@ -573,6 +573,33 @@ class TestPlot:
         assert ">hello<" in out.read_text()
 
 
+class TestTable:
+    """Each bad step count or seed ends in exit 2 before anything is written: argparse
+    refuses a non-integer, the flag's dataclass refuses the rest with one line naming the flag."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", v) for v in ("-1", "nan", "1.5", "x")]
+        + [(f, v) for f in ("--steps", "--sampler-steps", "--M") for v in ("0", "-1", "nan", "1.5", "x")],
+    )
+    def test_bad_flag_is_usage_error_before_any_write(self, tmp_path, capsys, flag, value):
+        argv = ["table", "--quick", "--outdir", str(tmp_path), flag, value]
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's own refusal of a non-integer
+            code, refused_by_argparse = e.code, True
+        else:
+            refused_by_argparse = False
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert refused_by_argparse == (value in ("nan", "1.5", "x"))
+        assert "Traceback" not in err
+        if not refused_by_argparse:
+            (line,) = err.splitlines()
+            assert line.startswith(f"error: {flag}: ")
+        assert not any(tmp_path.iterdir())
+
+
 # Every key --config accepts, per subcommand, each set to its default.
 DEFAULT_CONFIGS = {
     "gen-data": {
@@ -592,6 +619,7 @@ DEFAULT_CONFIGS = {
     },
     "eval": {"sampler_steps": 100, "mode": "paired", "reference": False},
     "plot": {"trajectories": 0, "title": None},
+    "table": {"seed": 0, "steps": None, "sampler_steps": 100, "quick": False, "reference": True},
 }
 
 
@@ -604,6 +632,7 @@ def _argv(command, workdir, out):
         "sample": ["sample", "--model", str(models["form"]), "--data", data, "--out", out],
         "eval": ["eval", "--model", str(models["form"]), "--data", data, "--report", out],
         "plot": ["plot", "--data", data, "--out", out],
+        "table": ["table", "--outdir", out],
     }[command]
 
 
@@ -614,11 +643,30 @@ SMALL_RUN = {
     "sample": ["--sampler-steps", "6"],
     "eval": ["--sampler-steps", "6"],
     "plot": [],
+    "table": ["--quick", "--steps", "5", "--sampler-steps", "6"],
 }
 
 
 # Each --config key is set to each of these in turn: wrong JSON types, edge numbers, non-finite spellings.
 CONFIG_FUZZ_VALUES = ([], {}, True, False, "abc", "nan", "inf", -1, 0, 1.5, float("inf"), None, "1,2")
+
+
+def _contents(path: Path):
+    """A file's bytes, or a directory's as ``{relative path: bytes}`` over its whole tree."""
+    if path.is_dir():
+        return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+    return path.read_bytes()
+
+
+def _without(argv, dropped):
+    """``argv`` without each flag in ``dropped`` and the values that follow it."""
+    kept, keep = [], True
+    for part in argv:
+        if part.startswith("--"):
+            keep = part not in dropped
+        if keep:
+            kept.append(part)
+    return kept
 
 
 def _write_config(tmp_path, cfg):
@@ -634,13 +682,14 @@ class TestConfig:
         assert main(_argv(command, workdir, str(plain)) + SMALL_RUN[command]) == EXIT_OK
         cfg = _write_config(tmp_path, DEFAULT_CONFIGS[command])
         assert main(_argv(command, workdir, str(configured)) + SMALL_RUN[command] + cfg) == EXIT_OK
-        assert configured.read_bytes() == plain.read_bytes()
+        assert _contents(configured) == _contents(plain)
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
     def test_input_and_output_keys_are_rejected(self, workdir, tmp_path, command, capsys):
-        argv = _argv(command, workdir, str(tmp_path / "o")) + _write_config(tmp_path, {"out": "x"})
+        key = "outdir" if command == "table" else "out"
+        argv = _argv(command, workdir, str(tmp_path / "o")) + _write_config(tmp_path, {key: "x"})
         assert main(argv) == EXIT_USAGE
-        assert "unknown keys: ['out']" in capsys.readouterr().err
+        assert f"unknown keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, cfg",
@@ -686,8 +735,7 @@ class TestConfig:
         out, bad, codes = str(tmp_path / "o"), [], []
         for key in keys:
             dropped = {"--" + key.replace("_", "-"), *(["--steps"] if key == "epochs" else [])}
-            pairs = zip(SMALL_RUN[command][::2], SMALL_RUN[command][1::2])
-            small = [part for flag, value in pairs if flag not in dropped for part in (flag, value)]
+            small = _without(SMALL_RUN[command], dropped)
             for value in CONFIG_FUZZ_VALUES:
                 cfg = _write_config(tmp_path, {key: value})
                 with warnings.catch_warnings(record=True) as caught:

@@ -1,6 +1,7 @@
 """The two scripts under ``scripts/``, run as a user runs them: in a subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from form_lab.datasets import KINDS
 from form_lab.training import METHODS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def run_script(name: str, *args) -> subprocess.CompletedProcess:
@@ -40,6 +42,18 @@ class TestRunTable:
         ranking = json.loads(files["report.json"])["ranking"]
         assert {kind: ranking[kind][0] for kind in KINDS} == {kind: "form" for kind in KINDS}
 
+    def test_script_is_the_table_subcommand(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "form_lab.cli", "table", "--quick", "--outdir", str(a)],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert done.returncode == 0, done.stderr
+        done = run_script("run_table.py", "--quick", "--outdir", b)
+        assert done.returncode == 0, done.stderr
+        assert tree(a) == tree(b)
+
     def test_explicit_steps_win_over_quick(self, tmp_path):
         done = run_script("run_table.py", "--quick", "--steps", 5, "--outdir", tmp_path)
         assert done.returncode == 0, done.stderr
@@ -59,7 +73,8 @@ class TestRunTable:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         flag = next(f for f in flags if f != "--quick")
-        assert done.stderr.splitlines()[-1].startswith(f"run_table.py: error: {flag}: ")
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(f"error: {flag}: ")
         assert not outdir.exists()
 
     def test_outdir_that_is_a_file_is_usage_error(self, tmp_path):
