@@ -1,4 +1,4 @@
-"""Command-line interface: gen-data / train / sample / eval / plot / table.
+"""Command-line interface: gen-data / train / sample / eval / plot / table / stress.
 
 Option precedence per subcommand: explicit flags beat the optional JSON
 config file (``--config``), which beats built-in defaults.  The config file
@@ -13,10 +13,12 @@ pairing a model with its held-out rows is ``pipeline.heldout_for``, the split ``
 One flag per setting: ``sample --init-velocity`` takes ``dataset``, ``zero`` or the vector ``vx,vy``,
 and ``gen-data --threads`` is the only thread cap (default: the affinity mask's usable CPUs).
 ``table`` runs ``pipeline.run_table`` itself, the whole 3 x 3 experiment into ``--outdir``, and
-renders ``<outdir>/table.txt``; ``scripts/run_table.py`` is this subcommand run from a checkout.
+renders ``<outdir>/table.txt``; ``stress`` prints the speed-limit stress report.  ``scripts/run_table.py``
+and ``scripts/stress_speed_limit.py`` are these two subcommands run from a checkout.
 
-Exit codes: 0 success; 2 usage, validation, or file-format problems;
-3 numerical failures (speed-limit, degenerate velocity, non-finite values).
+Exit codes: 0 success; 2 usage, validation, or file-format problems, argparse's refusals included;
+3 numerical failures (speed-limit, degenerate velocity, non-finite values).  ``main`` maps each failure
+to its exit code and one ``error:`` or ``numerical failure:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .datasets import HOLDOUT_FRACTION, KINDS, DatasetSpec, holdout_split, source_points
+from .datasets import (
+    HOLDOUT_FRACTION, KINDS, STRESS_FACTOR, DatasetSpec, force_schedule_for, generate, holdout_split, initial_velocity,
+    source_points, stress_spec,
+)
 from .errors import (
     DegenerateVelocityError,
     NonFiniteError,
@@ -57,9 +62,10 @@ from .formats import (
     write_samples,
     write_text,
 )
-from .relativity import PhysicsConfig, speed
-from .sampling import VELOCITY_UPDATES
-from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, steps_for_epochs
+from .neural import MlpParams, mlp_init
+from .relativity import DEFAULT_PHYSICS, PhysicsConfig, speed
+from .sampling import VELOCITY_UPDATES, force_path, sample_form
+from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, TrainedModel, steps_for_epochs
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 2, 3
 
@@ -118,6 +124,22 @@ def _config_value(action: argparse.Action, key: str, value):
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"config key {key!r} must be one of {list(action.choices)}, got {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raise each refusal as a ``ValueError``, which ``main`` reports as one line and exit 2 (subparsers inherit it)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _check_flags(checks: dict) -> None:
+    """Call each flag's check, which raises ``ValueError`` on a bad value, and name a refused value by its flag."""
+    for flag, check in checks.items():
+        try:
+            check()
+        except ValueError as e:
+            raise ValueError(f"{flag}: {e}") from e
 
 
 class _NamedBy(argparse.Action):
@@ -325,16 +347,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     # Each flag's own dataclass checks it first, so a bad value is named by its flag.
-    flag_checks = {
+    _check_flags({
         "--seed": lambda: DatasetSpec(kind=KINDS[0], seed=args.seed),
         "--steps": lambda: args.steps is None or TrainConfig(method=METHODS[0], steps=args.steps),
         args.sampler_steps_flag: lambda: SamplerConfig(n_steps=args.sampler_steps),
-    }
-    for flag, check in flag_checks.items():
-        try:
-            check()
-        except ValueError as e:
-            raise ValueError(f"{flag}: {e}") from e
+    })
     # run_table builds every config before it writes, so its ValueError comes with nothing written
     run = pipeline.run_table(args.outdir, args.seed, args.steps, args.sampler_steps, args.quick)
     table = render_table(run["report"], include_reference=args.reference)
@@ -344,13 +361,84 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_stress(args: argparse.Namespace) -> int:
+    """Speed-limit stress report: the worst |v|/c of three families of extreme runs.
+
+    The simulator runs every dataset kind with its forces scaled by ``--factor``; the force sampler drives
+    the same schedules at 10, 100 and 1000 steps (coarse grids are the hard case); untrained force heads with
+    outputs scaled by ``--factor`` go through ``sample_form``, where braking through zero celerity is a hard
+    error by design, so those runs count as "braked".  The integrators keep every ratio below 1 structurally
+    (celerity coordinates), not by clipping; a run at or above c raises ``SpeedLimitError`` after the report.
+    """
+    if args.seeds < 0:
+        raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
+    _check_flags({
+        "--factor": lambda: stress_spec(DatasetSpec(kind=KINDS[0]), args.factor),
+        "--points": lambda: DatasetSpec(kind=KINDS[0], n_points=args.points),
+    })
+    c = DEFAULT_PHYSICS.c
+    resolutions = (10, 100, 1000)
+    worst = 0.0
+
+    print(f"== simulator, forces x{args.factor:g} ==")
+    stressed = {kind: stress_spec(DatasetSpec(kind=kind, n_points=args.points), args.factor) for kind in KINDS}
+    for kind, sspec in stressed.items():
+        m = float(np.max(speed(generate(sspec).v)))
+        worst = max(worst, m / c)
+        print(f"  {kind:<10} max |v|/c = {m / c:.8f}")
+
+    print(f"\n== force sampler, forces x{args.factor:g} ==")
+    for kind, sspec in stressed.items():
+        schedule = force_schedule_for(sspec)
+        x0 = source_points(sspec, list(range(min(16, args.points))))
+        v0 = initial_velocity(sspec, x0)
+
+        def components(x, t, schedule=schedule):
+            return schedule.f_par(t), schedule.f_perp(t)
+
+        ratios = []
+        for n_steps in resolutions:
+            path = force_path(components, x0, v0, sspec.duration, n_steps, handedness=sspec.handedness)
+            ratios.append(float(np.max(speed(path.v))) / c)
+        worst = max(worst, *ratios)
+        cols = "  ".join(f"M={m}: {r:.8f}" for m, r in zip(resolutions, ratios))
+        print(f"  {kind:<10} max |v|/c  {cols}")
+
+    print(f"\n== random force heads, outputs x{args.factor:g} ==")
+    onedot = DatasetSpec(kind="onedot", n_points=min(16, args.points))
+    x0 = source_points(onedot, list(range(onedot.n_points)))
+    braked, random_max = 0, 0.0
+    for seed in range(args.seeds):
+        head = mlp_init((1, 64, 64, 2), seed=seed)
+        head = MlpParams(head.layer_dims, (*head.weights[:-1], head.weights[-1] * args.factor), head.biases)
+        model = TrainedModel(method="form", heads={"F": head}, duration=1.0, physics=DEFAULT_PHYSICS,
+                             train_config=TrainConfig(method="form"), dataset_info=onedot.to_dict())
+        for n_steps in resolutions:
+            try:
+                path = sample_form(model, x0, SamplerConfig(n_steps=n_steps))
+            except DegenerateVelocityError:
+                braked += 1
+                continue
+            random_max = max(random_max, float(np.max(speed(path.v))) / c)
+    worst = max(worst, random_max)
+    completed = args.seeds * len(resolutions) - braked
+    print(f"  {completed} runs completed (max |v|/c = {random_max:.8f}), {braked} braked to rest")
+
+    print(f"\nworst observed |v|/c = {worst:.8f}")
+    if worst >= 1.0:
+        raise SpeedLimitError(f"speed limit violated: worst observed |v|/c = {worst:.8f}")
+    print("speed limit held in every run")
+    return EXIT_OK
+
+
 # --- parser ------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="form-lab",
-        description="Relativistic force matching: generate data, train, sample, evaluate, plot, run the table.",
+        description="Relativistic force matching: generate data, train, sample, evaluate, plot, run the table, "
+        "stress the speed limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     btrue = argparse.BooleanOptionalAction
@@ -447,13 +535,20 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--config")
     r.set_defaults(func=cmd_table, parser=r, sampler_steps_flag="--sampler-steps")
 
+    st = sub.add_parser("stress", help="speed-limit stress report: the worst |v|/c of extreme runs")
+    st.add_argument("--factor", type=float, default=STRESS_FACTOR, help="force and head-output scale factor")
+    st.add_argument("--points", type=int, default=48, help="trajectories per simulator run (samplers: at most 16)")
+    st.add_argument("--seeds", type=int, default=6, help="random force heads to try")
+    st.add_argument("--config")
+    st.set_defaults(func=cmd_stress, parser=st)
+
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             # config values become the subcommand's defaults, so explicit flags still win
             args.parser.set_defaults(**_config_defaults(args.parser, args.config))

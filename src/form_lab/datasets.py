@@ -43,6 +43,9 @@ HOLDOUT_FRACTION = 0.2
 
 SOURCE_REDRAWS = 10
 
+# Force scale of the speed-limit stress runs (`form-lab stress`, acceptance criterion 2).
+STRESS_FACTOR = 100.0
+
 # Points a chunk needs before a worker thread of its own pays: on a 2-CPU host,
 # spiral at 2 workers took 1.34x as long as at 1 for 1 000 points, 1.17x for
 # 4 000, 0.96x for 8 000 and 0.76x for 20 000.
@@ -63,7 +66,7 @@ def _is_finite(value) -> bool:
 def require_positive(name: str, value) -> None:
     """Refuse a ``value`` that is not a positive finite real number: True is not a duration or a learning rate."""
     if not (_is_finite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def require_int(name: str, value) -> None:
@@ -266,6 +269,6 @@ def holdout_split(batch: TrajectoryBatch, fraction: float = HOLDOUT_FRACTION):
     return batch[: len(batch) - n_eval], batch[len(batch) - n_eval :]
 
 
-def stress_spec(spec: DatasetSpec, factor: float = 100.0) -> DatasetSpec:
+def stress_spec(spec: DatasetSpec, factor: float = STRESS_FACTOR) -> DatasetSpec:
     """Copy of a spec with forces scaled up, for speed-limit stress runs."""
     return replace(spec, force_scale=spec.force_scale * factor)

@@ -66,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import DatasetSpec
+from .datasets import DatasetSpec, require_positive
 from .dynamics import BLOCKS, DEFAULT_UNITS, TrajectoryBatch, UnitSystem, first_underivable
 from .errors import NonFiniteError, SchemaError
 from .neural import MlpParams
@@ -298,9 +298,15 @@ def _read_object(path, kind: str) -> dict:
     return payload
 
 
+def _positive(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float: a positive finite JSON number, not a string such as ``"10"`` and not ``true``."""
+    require_positive(key, obj[key])
+    return float(obj[key])
+
+
 def physics_from_header(header: dict) -> PhysicsConfig:
-    """The ``physics`` of a dataset header or checkpoint; both keys are required."""
-    return PhysicsConfig(c=float(header["physics"]["c"]), m=float(header["physics"]["m"]))
+    """The ``physics`` of a dataset header or checkpoint; both keys are required, and each is a JSON number."""
+    return PhysicsConfig(c=_positive(header["physics"], "c"), m=_positive(header["physics"], "m"))
 
 
 # --- datasets ---------------------------------------------------------------
@@ -434,7 +440,7 @@ def read_checkpoint(path) -> TrainedModel:
         model = TrainedModel(
             method=payload["method"],
             heads={name: _parse_head(path, name, head) for name, head in heads.items()},
-            duration=float(payload["duration"]),
+            duration=_positive(payload, "duration"),
             physics=physics_from_header(payload),
             train_config=train_config,
             dataset_info=dataset_info,

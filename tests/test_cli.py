@@ -383,11 +383,9 @@ class TestSample:
     def test_malformed_v0_is_refused_at_parse_time(self, workdir, tmp_path, capsys, v0):
         out = tmp_path / "s.ndjson"
         argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, f"--init-velocity={v0}"])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "argument --init-velocity" in err and v0 in err
+        assert main([*argv, f"--init-velocity={v0}"]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: argument --init-velocity: ") and v0 in line
         assert not out.exists()
 
     @pytest.mark.parametrize("v0", ["10,0", "6,-8", "20,0", "0,1e300"])
@@ -405,10 +403,9 @@ class TestSample:
         """``--init-velocity`` takes the vector; ``--v0`` and its config key used to be a second channel."""
         out = tmp_path / "s.ndjson"
         argv = ["sample", "--model", str(workdir["models"]["form"]), "--data", str(workdir["data"]), "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--v0", "1,0"])
-        assert exc.value.code == EXIT_USAGE
-        assert "unrecognized arguments: --v0" in capsys.readouterr().err
+        assert main([*argv, "--v0", "1,0"]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "unrecognized arguments: --v0" in line
         assert main(argv + _write_config(tmp_path, {"v0": "1,0"})) == EXIT_USAGE
         assert "unknown keys: ['v0']" in capsys.readouterr().err
         assert not out.exists()
@@ -574,8 +571,8 @@ class TestPlot:
 
 
 class TestTable:
-    """Each bad step count or seed ends in exit 2 before anything is written: argparse
-    refuses a non-integer, the flag's dataclass refuses the rest with one line naming the flag."""
+    """Each bad step count or seed ends in exit 2 before anything is written, with one line naming
+    the flag: argparse's refusal of a non-integer, the flag's dataclass refusal of the rest."""
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -583,21 +580,73 @@ class TestTable:
         + [(f, v) for f in ("--steps", "--sampler-steps", "--M") for v in ("0", "-1", "nan", "1.5", "x")],
     )
     def test_bad_flag_is_usage_error_before_any_write(self, tmp_path, capsys, flag, value):
-        argv = ["table", "--quick", "--outdir", str(tmp_path), flag, value]
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse's own refusal of a non-integer
-            code, refused_by_argparse = e.code, True
-        else:
-            refused_by_argparse = False
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert refused_by_argparse == (value in ("nan", "1.5", "x"))
-        assert "Traceback" not in err
-        if not refused_by_argparse:
-            (line,) = err.splitlines()
-            assert line.startswith(f"error: {flag}: ")
+        assert main(["table", "--quick", "--outdir", str(tmp_path), flag, value]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: argument " if value in ("nan", "1.5", "x") else f"error: {flag}: ")
+        assert flag in line
         assert not any(tmp_path.iterdir())
+
+
+class TestStress:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--points", v) for v in ("0", "-1")]
+        + [("--factor", v) for v in ("0", "-1", "nan", "inf", "x")]
+        + [("--seeds", v) for v in ("-1", "1.5")],
+    )
+    def test_bad_flag_is_usage_error_before_any_output(self, capsys, flag, value):
+        """The script this replaced ended the first three kinds in a traceback and ran ``--seeds -1``."""
+        assert main(["stress", flag, value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and flag in line
+        assert out == ""
+
+    def test_a_speed_at_c_is_a_numerical_failure(self, monkeypatch, capsys):
+        """One run that reports |v| = c ends the report in exit 3 (the script this replaced exited 1)."""
+        real_speed, calls = cli.speed, []
+
+        def speed_at_c_once(v):
+            calls.append(v)
+            s = real_speed(v)
+            return np.full_like(s, cli.DEFAULT_PHYSICS.c) if len(calls) == 1 else s
+
+        monkeypatch.setattr(cli, "speed", speed_at_c_once)
+        assert main(["stress", "--points", "1", "--seeds", "0"]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert err == "numerical failure: speed limit violated: worst observed |v|/c = 1.00000000\n"
+        assert "worst observed |v|/c = 1.00000000" in out and "speed limit held" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["train", "--steps", "1.5"], "argument --steps: invalid int value: '1.5'"),
+        (["sample", "--M", "x"], "argument --sampler-steps/--M: invalid int value: 'x'"),
+        (["stress", "--bogus"], "unrecognized arguments: --bogus"),
+        (["eval"], "required: --model, --data, --report"),
+        (["gen-data", "--dataset", "cube", "--out", "o"], "argument --dataset: invalid choice: 'cube'"),
+        (["plot", "--data", "d", "--samples", "s", "--out", "o"], "--samples: not allowed with argument --data"),
+        (["stress", "--points"], "argument --points: expected one argument"),
+    ],
+    ids=["no-command", "bad-command", "non-integer", "alias", "unknown-flag", "missing-flag", "bad-choice", "exclusive",
+         "no-value"],
+)
+def test_argparse_refusal_is_one_error_line(capsys, argv, named):
+    """argparse used to print its usage block and exit through ``SystemExit(2)``, past ``main``'s mapping."""
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("command", ["stress", "table"])
+def test_help_still_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: form-lab {command} ")
 
 
 # Every key --config accepts, per subcommand, each set to its default.
@@ -620,6 +669,7 @@ DEFAULT_CONFIGS = {
     "eval": {"sampler_steps": 100, "mode": "paired", "reference": False},
     "plot": {"trajectories": 0, "title": None},
     "table": {"seed": 0, "steps": None, "sampler_steps": 100, "quick": False, "reference": True},
+    "stress": {"factor": 100.0, "points": 48, "seeds": 6},
 }
 
 
@@ -633,6 +683,7 @@ def _argv(command, workdir, out):
         "eval": ["eval", "--model", str(models["form"]), "--data", data, "--report", out],
         "plot": ["plot", "--data", data, "--out", out],
         "table": ["table", "--outdir", out],
+        "stress": ["stress"],
     }[command]
 
 
@@ -644,6 +695,7 @@ SMALL_RUN = {
     "eval": ["--sampler-steps", "6"],
     "plot": [],
     "table": ["--quick", "--steps", "5", "--sampler-steps", "6"],
+    "stress": ["--points", "1", "--seeds", "0"],
 }
 
 
@@ -677,12 +729,13 @@ def _write_config(tmp_path, cfg):
 
 class TestConfig:
     @pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
-    def test_every_key_at_its_default_changes_nothing(self, workdir, tmp_path, command):
-        plain, configured = tmp_path / "plain", tmp_path / "configured"
-        assert main(_argv(command, workdir, str(plain)) + SMALL_RUN[command]) == EXIT_OK
-        cfg = _write_config(tmp_path, DEFAULT_CONFIGS[command])
-        assert main(_argv(command, workdir, str(configured)) + SMALL_RUN[command] + cfg) == EXIT_OK
-        assert _contents(configured) == _contents(plain)
+    def test_every_key_at_its_default_changes_nothing(self, workdir, tmp_path, capsys, command):
+        results, cfg = [], _write_config(tmp_path, DEFAULT_CONFIGS[command])
+        for out, config in ((tmp_path / "plain", []), (tmp_path / "configured", cfg)):
+            assert main(_argv(command, workdir, str(out)) + SMALL_RUN[command] + config) == EXIT_OK
+            stdout = capsys.readouterr().out
+            results.append(stdout if command == "stress" else _contents(out))  # stress writes only its report
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
     def test_input_and_output_keys_are_rejected(self, workdir, tmp_path, command, capsys):
@@ -818,6 +871,7 @@ def _with_header(src, dst, mutate):
 HEADER_PROBES = {
     "spec-not-object": lambda h: h.update(spec=3),
     "physics-without-m": lambda h: h.update(physics={"c": 10.0}),
+    "physics-not-numbers": lambda h: h.update(physics={"c": "10", "m": True}),
     "grid-size-string": lambda h: h["spec"].update(n_steps="10"),
     "unknown-kind": lambda h: h["spec"].update(kind="bogus"),
     "count-string": lambda h: h.update(n_trajectories="6"),
@@ -849,6 +903,21 @@ class TestFileValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: malformed checkpoint") and "must be an integer" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("physics", {"c": "10", "m": True}), ("physics", {"c": True, "m": 1.0}), ("duration", "1.0"),
+         ("duration", True)],
+        ids=["physics-string-and-bool", "c-bool", "duration-string", "duration-bool"],
+    )
+    def test_physics_or_duration_that_is_not_a_number_is_usage_error(self, workdir, tmp_path, capsys, key, value):
+        """``{"c": "10", "m": true}`` sampled with exit 0; ``{"c": true}`` was read as c = 1 and ended in exit 3."""
+        model = _with_header(workdir["models"]["form"], tmp_path / "m.json", lambda h: h.update({key: value}))
+        out = tmp_path / "s.ndjson"
+        assert main(["sample", "--model", str(model), "--data", str(workdir["data"]), "--out", str(out)]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {model}: malformed checkpoint") and "must be positive and finite" in line
         assert not out.exists()
 
     def test_bool_learning_rate_is_usage_error(self, workdir, tmp_path, capsys):

@@ -45,10 +45,7 @@ def _run(argv):
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        try:
-            code = main(argv)
-        except SystemExit as e:  # an argparse refusal prints usage lines too, which the caller rejects
-            code = e.code
+        code = main(argv)
     return code, stderr.getvalue(), [str(w.message) for w in caught]
 
 

@@ -569,7 +569,7 @@ def _assert_same_path(components_fn, x0, v0, n_steps, handedness, duration=1.0):
 
 
 def _stress_case(kind, seed=4):
-    """A 100x stress schedule on 16 points, as scripts/stress_speed_limit.py builds it."""
+    """A 100x stress schedule on 16 points, as `form-lab stress` builds it."""
     sspec = datasets.stress_spec(DatasetSpec(kind=kind, n_points=48, seed=seed), factor=100.0)
     schedule = datasets.force_schedule_for(sspec)
     x0 = datasets.source_points(sspec, list(range(16)))

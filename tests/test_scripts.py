@@ -21,6 +21,15 @@ def run_script(name: str, *args) -> subprocess.CompletedProcess:
     )
 
 
+def run_module(*args) -> subprocess.CompletedProcess:
+    """``python -m form_lab.cli ARGS`` with this checkout's package first on the path."""
+    pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "form_lab.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 def tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -44,11 +53,7 @@ class TestRunTable:
 
     def test_script_is_the_table_subcommand(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-m", "form_lab.cli", "table", "--quick", "--outdir", str(a)],
-            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        done = run_module("table", "--quick", "--outdir", a)
         assert done.returncode == 0, done.stderr
         done = run_script("run_table.py", "--quick", "--outdir", b)
         assert done.returncode == 0, done.stderr
@@ -97,6 +102,19 @@ class TestRunTable:
 
 
 def test_stress_speed_limit_holds():
+    """The script is ``form-lab stress``: the same report, and nothing on stderr."""
     done = run_script("stress_speed_limit.py", "--points", 8, "--seeds", 2)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "speed limit held in every run" in done.stdout
+    module = run_module("stress", "--points", 8, "--seeds", 2)
+    assert module.returncode == 0 and module.stdout == done.stdout
+    assert module.stderr == done.stderr == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--points", 0), ("--factor", "nan"), ("--seeds", -1), ("--seeds", 1.5)])
+def test_stress_bad_flag_is_one_error_line(flag, value):
+    """``--points 0`` and ``--factor nan`` ended in a traceback with exit 1, and ``--seeds -1`` ran."""
+    done = run_script("stress_speed_limit.py", flag, value)
+    assert (done.returncode, done.stdout) == (2, "")
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and flag in line
