@@ -6,12 +6,17 @@ maps option names (with underscores) to values, e.g. ``{"steps": 500}``.
 Each value is converted and checked by its flag's type and choices (an
 option without a type takes only a JSON string), and ``null`` leaves the
 option unset.  An option that maps onto a dataclass field is passed on
-only when set, so the dataclass default is the default.
+only when set, so the dataclass default is the default.  Every refusal names
+the option as it was given: the flag as typed (``--M``, not ``--sampler-steps``),
+or ``config key '<key>'``.  ``_from_options`` names a dataclass's ``FieldError``
+so; an option that is no dataclass field is range-checked by its ``type=``
+converter, whose refusal argparse names.
 
 Each subcommand calls the ``form_lab.pipeline`` stage that ``run_table`` calls for its step; the rule
 pairing a model with its held-out rows is ``pipeline.heldout_for``, the split ``datasets.holdout_split``.
 One flag per setting: ``sample --init-velocity`` takes ``dataset``, ``zero`` or the vector ``vx,vy``,
-and ``gen-data --threads`` is the only thread cap (default: the affinity mask's usable CPUs).
+``sample --seed`` seeds ``--source noise`` draws only (default 0), and ``gen-data --threads`` is the
+only thread cap (default: the affinity mask's usable CPUs).
 ``table`` runs ``pipeline.run_table`` itself, the whole 3 x 3 experiment into ``--outdir``, and
 renders ``<outdir>/table.txt``; ``stress`` prints the speed-limit stress report.  ``scripts/run_table.py``
 and ``scripts/stress_speed_limit.py`` are these two subcommands run from a checkout.
@@ -35,33 +40,12 @@ import numpy as np
 from . import pipeline
 from .datasets import (
     HOLDOUT_FRACTION, KINDS, STRESS_FACTOR, DatasetSpec, force_schedule_for, generate, holdout_split, initial_velocity,
-    source_points, stress_spec,
+    source_points,
 )
-from .errors import (
-    DegenerateVelocityError,
-    NonFiniteError,
-    SchemaError,
-    ShapeError,
-    SpeedLimitError,
-)
-from .evaluate import (
-    EVAL_MODES,
-    SamplerConfig,
-    config_digest,
-    evaluate_model,
-    make_report,
-    render_table,
-    sample_model,
-)
+from .errors import DegenerateVelocityError, FieldError, NonFiniteError, SchemaError, ShapeError, SpeedLimitError
+from .evaluate import EVAL_MODES, SamplerConfig, config_digest, evaluate_model, make_report, render_table, sample_model
 from .figures import scatter_svg, write_svg
-from .formats import (
-    read_checkpoint,
-    read_dataset,
-    read_samples,
-    write_report,
-    write_samples,
-    write_text,
-)
+from .formats import read_checkpoint, read_dataset, read_samples, write_report, write_samples, write_text
 from .neural import MlpParams, mlp_init
 from .relativity import DEFAULT_PHYSICS, PhysicsConfig, speed
 from .sampling import VELOCITY_UPDATES, force_path, sample_form
@@ -76,24 +60,31 @@ NOT_IN_CONFIG = {"help", "config", "data", "dataset", "method", "model", "out", 
 
 # Option name -> dataclass field, where the public flag name differs.
 FIELD_NAMES = {
-    DatasetSpec: {
-        "dataset": "kind",
-        "n": "n_points",
-        "steps": "n_steps",
-        "variance": "source_variance",
-        "perp_handedness": "handedness",
-    },
+    DatasetSpec: {"dataset": "kind", "n": "n_points", "points": "n_points", "steps": "n_steps",
+                  "variance": "source_variance", "factor": "force_scale", "perp_handedness": "handedness"},
     PhysicsConfig: {"mass": "m"},
     TrainConfig: {"lr": "learning_rate", "hidden": "hidden_dims"},
     SamplerConfig: {"sampler_steps": "n_steps", "update": "velocity_update"},
 }
 
 
-def _from_options(cls, args: argparse.Namespace):
-    """Build ``cls`` from the options a flag or the config set; ``cls`` defaults the rest."""
+def _from_options(cls, args: argparse.Namespace, **fixed):
+    """Build ``cls`` from ``fixed`` and the options a flag or the config set, which win; ``cls`` defaults the rest.
+    A field that ``cls`` refuses is named by the option that set it, as :func:`_given_as` names it."""
     names = {f.name for f in fields(cls)}
-    given = {FIELD_NAMES[cls].get(k, k): v for k, v in vars(args).items() if v is not None}
-    return cls(**{k: v for k, v in given.items() if k in names})
+    options = {FIELD_NAMES[cls].get(k, k): k for k, v in vars(args).items() if v is not None}
+    options = {field: option for field, option in options.items() if field in names}
+    try:
+        return cls(**{**fixed, **{field: getattr(args, option) for field, option in options.items()}})
+    except FieldError as e:
+        if e.owner is not cls or e.field not in options:
+            raise
+        raise ValueError(f"{_given_as(args, options[e.field])}: {e}") from e
+
+
+def _given_as(args: argparse.Namespace, option: str) -> str:
+    """How ``option`` was given: the flag as typed, ``config key '<option>'``, or (a default) its flag."""
+    return getattr(args, "given", {}).get(option, "--" + option.replace("_", "-"))
 
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
@@ -127,27 +118,37 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raise each refusal as a ``ValueError``, which ``main`` reports as one line and exit 2 (subparsers inherit it)."""
+    """Raise each refusal as a ``ValueError``, which ``main`` reports as one line and exit 2 (subparsers inherit it),
+    and store each value by :class:`_NamedBy` unless an option names another action."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _NamedBy)
 
     def error(self, message):
         raise ValueError(message)
 
 
-def _check_flags(checks: dict) -> None:
-    """Call each flag's check, which raises ``ValueError`` on a bad value, and name a refused value by its flag."""
-    for flag, check in checks.items():
-        try:
-            check()
-        except ValueError as e:
-            raise ValueError(f"{flag}: {e}") from e
-
-
 class _NamedBy(argparse.Action):
-    """Store the value, and in ``<dest>_flag`` the spelling it was given by, so a refusal names the flag as typed."""
+    """Store the value, and in ``given[dest]`` the spelling it was typed as, so a refusal names the flag as typed."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_flag", option_string)
+        namespace.given = {**getattr(namespace, "given", {}), self.dest: option_string}
+
+
+def _ranged(kind, low, high=None):
+    """A ``type=`` converter: ``kind(text)``, refused below ``low`` or at and above ``high``."""
+
+    def convert(text: str):
+        value = kind(text)
+        if low <= value and (high is None or value < high):
+            return value
+        rule = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+
+    convert.__name__ = kind.__name__  # argparse names a text that kind() refuses by it: "invalid int value"
+    return convert
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -180,8 +181,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         args.perp_handedness = HANDEDNESS[args.perp_handedness]
     spec = _from_options(DatasetSpec, args)
     physics = _from_options(PhysicsConfig, args)
-    if args.threads is not None and args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     batch = pipeline.make_dataset(args.out, spec, physics, args.threads)
     max_speed = float(np.max(speed(batch.v)))
     print(
@@ -195,8 +194,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if args.steps is not None and args.epochs is not None:
         raise ValueError("--steps and --epochs are mutually exclusive")
-    if not 0.0 <= args.holdout_fraction < 1.0:
-        raise ValueError(f"--holdout-fraction must be in [0, 1) (0 trains on all), got {args.holdout_fraction}")
     config = _from_options(TrainConfig, args)  # checked before the dataset is read
     header, batch = read_dataset(args.data)
     batch, _ = holdout_split(batch, args.holdout_fraction)
@@ -204,7 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         try:
             config = replace(config, steps=steps_for_epochs(args.epochs, len(batch), config.batch_size))
         except ValueError as e:
-            raise ValueError(f"--epochs {args.epochs!r}: {e}") from e
+            raise ValueError(f"{_given_as(args, 'epochs')} {args.epochs!r}: {e}") from e
     model = pipeline.fit(args.out, batch, config, header["spec"])
     print(
         f"trained {config.method} on {len(batch)} trajectories "
@@ -219,20 +216,23 @@ def _check_velocity_flags(args: argparse.Namespace, model, sampler: SamplerConfi
     if model.method != "form":
         ignored = []
         if isinstance(init, np.ndarray) or init != "dataset":
-            ignored.append(f"--init-velocity {init if isinstance(init, str) else ','.join(map(repr, init.tolist()))}")
+            shown = init if isinstance(init, str) else ",".join(map(repr, init.tolist()))
+            ignored.append(f"{_given_as(args, 'init_velocity')} {shown}")
         if sampler.velocity_update != SamplerConfig().velocity_update:
-            ignored.append(f"--update {sampler.velocity_update}")
+            ignored.append(f"{_given_as(args, 'update')} {sampler.velocity_update}")
         if ignored:
             raise ValueError(f"{', '.join(ignored)}: only form models have a force sampler, not {model.method}")
     elif isinstance(init, np.ndarray):
         v0_speed = float(np.hypot(*init))
         if v0_speed >= model.physics.c:
-            raise ValueError(f"--init-velocity speed {v0_speed!r} is not below c = {model.physics.c!r}")
+            raise ValueError(f"{_given_as(args, 'init_velocity')} speed {v0_speed!r} is not below "
+                             f"c = {model.physics.c!r}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.n is not None and args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.source == "heldout" and args.seed is not None:
+        raise ValueError(f"{_given_as(args, 'seed')}: held-out source points are read, not drawn; "
+                         "only --source noise takes a seed")
     model = read_checkpoint(args.model)
     sampler = _from_options(SamplerConfig, args)
     _check_velocity_flags(args, model, sampler)
@@ -243,15 +243,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
         header, batch = read_dataset(args.data)
         _, heldout = pipeline.heldout_for(model, {header["spec"]["kind"]: holdout_split(batch)[1]}, args.model)
         if args.n is not None and args.n > len(heldout):
-            raise ValueError(f"--n {args.n} is more than the {len(heldout)} held-out trajectories of {args.data}")
+            raise ValueError(f"{_given_as(args, 'n')} {args.n} is more than the {len(heldout)} held-out trajectories "
+                             f"of {args.data}")
         heldout = heldout[: args.n]
-        indices, x0 = heldout.index, heldout.x0
-    else:  # fresh draws from the model's source distribution
+        indices, x0, seed = heldout.index, heldout.x0, None
+    else:  # fresh draws from the model's source distribution: --n (default 100) points at --seed (default 0)
         if model.dataset_info is None:
             raise ValueError("--source noise needs a model trained with dataset info")
-        n = args.n if args.n is not None else 100
-        spec = replace(DatasetSpec.from_dict(model.dataset_info), seed=args.seed, n_points=n)
-        indices = np.arange(n)
+        spec = _from_options(DatasetSpec, args, **{**DatasetSpec.from_dict(model.dataset_info).to_dict(),
+                                                    "n_points": 100, "seed": 0})
+        indices, seed = np.arange(spec.n_points), spec.seed
         x0 = source_points(spec, indices, model.physics)
 
     # None is the dataset-matched rule; _check_velocity_flags refused any other on a flow model
@@ -272,7 +273,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "method": model.method,
         "dataset": (model.dataset_info or {}).get("kind"),
         "source": args.source,
-        "seed": args.seed if args.source == "noise" else None,
+        "seed": seed,
         "sampler_steps": sampler.n_steps,
         "duration": model.duration,
         "init_velocity": (init if isinstance(init, str) else "explicit") if model.method == "form" else None,
@@ -324,19 +325,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    n_traj = args.trajectories
-    if n_traj < 0:
-        raise ValueError(f"--trajectories must be >= 0, got {n_traj}")
     if args.data is not None:
         header, batch = read_dataset(args.data)
         source, target = batch.x0, batch.endpoint
-        trajectories = list(batch.x[:n_traj])
+        trajectories = list(batch.x[: args.trajectories])
         title = args.title if args.title is not None else header["spec"]["kind"]
     else:
         header, entries = read_samples(args.samples)
         source = np.stack([e["x0"] for e in entries])
         target = np.stack([e["endpoint"] for e in entries])
-        trajectories = [e["path"] for e in entries if "path" in e][:n_traj]
+        trajectories = [e["path"] for e in entries if "path" in e][: args.trajectories]
         default_title = f"{header.get('method', '?')} samples ({header.get('dataset') or 'custom'})"
         title = args.title if args.title is not None else default_title
     write_svg(args.out, scatter_svg(source, target, trajectories, title=title))
@@ -346,14 +344,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    # Each flag's own dataclass checks it first, so a bad value is named by its flag.
-    _check_flags({
-        "--seed": lambda: DatasetSpec(kind=KINDS[0], seed=args.seed),
-        "--steps": lambda: args.steps is None or TrainConfig(method=METHODS[0], steps=args.steps),
-        args.sampler_steps_flag: lambda: SamplerConfig(n_steps=args.sampler_steps),
-    })
-    # run_table builds every config before it writes, so its ValueError comes with nothing written
-    run = pipeline.run_table(args.outdir, args.seed, args.steps, args.sampler_steps, args.quick)
+    # --seed and --steps are checked as a training config, which checks a seed as a dataset spec does
+    config = _from_options(TrainConfig, args, method=METHODS[0])
+    sampler = _from_options(SamplerConfig, args)
+    run = pipeline.run_table(args.outdir, config.seed, args.steps, sampler.n_steps, args.quick)
     table = render_table(run["report"], include_reference=args.reference)
     write_text(args.outdir / "table.txt", [table + "\n"])
     print(table)
@@ -370,18 +364,13 @@ def cmd_stress(args: argparse.Namespace) -> int:
     error by design, so those runs count as "braked".  The integrators keep every ratio below 1 structurally
     (celerity coordinates), not by clipping; a run at or above c raises ``SpeedLimitError`` after the report.
     """
-    if args.seeds < 0:
-        raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
-    _check_flags({
-        "--factor": lambda: stress_spec(DatasetSpec(kind=KINDS[0]), args.factor),
-        "--points": lambda: DatasetSpec(kind=KINDS[0], n_points=args.points),
-    })
+    spec = _from_options(DatasetSpec, args, kind=KINDS[0])  # --points trajectories, forces x --factor
     c = DEFAULT_PHYSICS.c
     resolutions = (10, 100, 1000)
     worst = 0.0
 
     print(f"== simulator, forces x{args.factor:g} ==")
-    stressed = {kind: stress_spec(DatasetSpec(kind=kind, n_points=args.points), args.factor) for kind in KINDS}
+    stressed = {kind: replace(spec, kind=kind) for kind in KINDS}
     for kind, sspec in stressed.items():
         m = float(np.max(speed(generate(sspec).v)))
         worst = max(worst, m / c)
@@ -460,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--perp-handedness", choices=sorted(HANDEDNESS))
     g.add_argument("--c", type=float, help="speed of light (du/s)")
     g.add_argument("--mass", type=float)
-    g.add_argument("--threads", type=int, help="most worker threads, one per 4096 points (default: usable CPUs)")
+    g.add_argument("--threads", type=_ranged(int, 1),
+                   help="most worker threads, one per 4096 points (default: usable CPUs)")
     g.add_argument("--config")
     g.set_defaults(func=cmd_gen_data, parser=g)
 
@@ -476,12 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--hidden", type=_int_list, help="comma-separated hidden widths, e.g. 64,64")
     t.add_argument("--form-input-mode", choices=FORM_INPUT_MODES)
     t.add_argument("--o1o2-coupling", choices=O1O2_COUPLINGS)
-    t.add_argument(
-        "--holdout-fraction",
-        type=float,
-        default=HOLDOUT_FRACTION,
-        help="fraction of trailing indices reserved for eval (0 trains on all)",
-    )
+    t.add_argument("--holdout-fraction", type=_ranged(float, 0, 1), default=HOLDOUT_FRACTION,
+                   help="fraction of trailing indices reserved for eval (0 trains on all)")
     t.add_argument("--config")
     t.set_defaults(func=cmd_train, parser=t)
 
@@ -489,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--data", help="dataset file for held-out source points")
-    s.add_argument("--n", type=int)
+    s.add_argument("--n", type=_ranged(int, 1))
     s.add_argument("--sampler-steps", "--M", type=int)
-    s.add_argument("--seed", type=int, default=0, help="seed for --source noise draws")
+    s.add_argument("--seed", type=int, help="seed for --source noise draws (default 0)")
     s.add_argument("--source", choices=("heldout", "noise"), default="heldout")
     s.add_argument("--init-velocity", type=_init_velocity, default="dataset", help="dataset, zero or 'vx,vy'")
     s.add_argument("--paths", action=btrue, default=False, help="store full paths, not just endpoints")
@@ -514,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--data")
     src.add_argument("--samples")
     p.add_argument("--out", required=True)
-    p.add_argument("--trajectories", type=int, default=0, help="draw the first K paths")
+    p.add_argument("--trajectories", type=_ranged(int, 0), default=0, help="draw the first K paths")
     p.add_argument("--title")
     p.add_argument("--config")
     p.set_defaults(func=cmd_plot, parser=p)
@@ -522,23 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("table", help="the whole experiment: 3 datasets x 3 methods, one loss table")
     r.add_argument("--outdir", type=Path, default=Path("results"))
     r.add_argument("--seed", type=int, default=0, help="dataset and training seed")
-    r.add_argument(
-        "--steps",
-        type=int,
-        help=f"training steps (default: {pipeline.QUICK_TRAIN['steps']} with --quick, else {TrainConfig.steps})",
-    )
-    r.add_argument(
-        "--sampler-steps", "--M", type=int, default=SamplerConfig.n_steps, action=_NamedBy, help="sampler steps"
-    )
+    r.add_argument("--steps", type=int, help=f"training steps (default: {pipeline.QUICK_TRAIN['steps']} with "
+                   f"--quick, else {TrainConfig.steps})")
+    r.add_argument("--sampler-steps", "--M", type=int, default=SamplerConfig.n_steps, help="sampler steps")
     r.add_argument("--quick", action=btrue, default=False, help="tiny datasets and short training, for smoke testing")
     r.add_argument("--reference", action=btrue, default=True, help="append previously reported losses")
     r.add_argument("--config")
-    r.set_defaults(func=cmd_table, parser=r, sampler_steps_flag="--sampler-steps")
+    r.set_defaults(func=cmd_table, parser=r)
 
     st = sub.add_parser("stress", help="speed-limit stress report: the worst |v|/c of extreme runs")
     st.add_argument("--factor", type=float, default=STRESS_FACTOR, help="force and head-output scale factor")
     st.add_argument("--points", type=int, default=48, help="trajectories per simulator run (samplers: at most 16)")
-    st.add_argument("--seeds", type=int, default=6, help="random force heads to try")
+    st.add_argument("--seeds", type=_ranged(int, 0), default=6, help="random force heads to try")
     st.add_argument("--config")
     st.set_defaults(func=cmd_stress, parser=st)
 
@@ -551,8 +532,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             # config values become the subcommand's defaults, so explicit flags still win
-            args.parser.set_defaults(**_config_defaults(args.parser, args.config))
+            config = _config_defaults(args.parser, args.config)
+            args.parser.set_defaults(**config)
             args = parser.parse_args(argv)
+            args.given = {**{key: f"config key {key!r}" for key in config}, **getattr(args, "given", {})}
         with np.errstate(all="ignore"):  # the finite checks report an overflow once, as a numerical failure
             return args.func(args)
     except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import DEFAULT_UNITS, ForceSchedule, TrajectoryBatch, simulate_batch
-from .errors import DegenerateVelocityError
+from .errors import DegenerateVelocityError, FieldError
 from .relativity import DEFAULT_PHYSICS, EPS_V, PhysicsConfig
 
 KINDS = ("onedot", "halfmoons", "spiral")
@@ -63,16 +63,16 @@ def _is_finite(value) -> bool:
         return False
 
 
-def require_positive(name: str, value) -> None:
-    """Refuse a ``value`` that is not a positive finite real number: True is not a duration or a learning rate."""
+def require_positive(owner: type, name: str, value) -> None:
+    """Refuse a value of ``owner``'s field that is not a positive finite real number: True is not a duration."""
     if not (_is_finite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        raise FieldError(owner, name, f"{name} must be positive and finite, got {value!r}")
 
 
-def require_int(name: str, value) -> None:
-    """Refuse a ``value`` that is not an integer, a bool included: 10.0 is not a step count."""
+def require_int(owner: type, name: str, value) -> None:
+    """Refuse a value of ``owner``'s field, or item (``hidden_dims[0]``), that is not an integer: 10.0 is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise FieldError(owner, name.partition("[")[0], f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,24 +95,24 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}; expected one of {KINDS}")
+            raise FieldError(DatasetSpec, "kind", f"unknown dataset kind {self.kind!r}; expected one of {KINDS}")
         if self.n_points is None:
             object.__setattr__(self, "n_points", DEFAULT_N_POINTS[self.kind])
         for name in ("n_points", "n_steps", "seed", "handedness"):
-            require_int(name, getattr(self, name))
+            require_int(DatasetSpec, name, getattr(self, name))
         if self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
+            raise FieldError(DatasetSpec, "n_points", f"n_points must be >= 1, got {self.n_points}")
         if self.n_steps < 2:
-            raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
+            raise FieldError(DatasetSpec, "n_steps", f"n_steps must be >= 2, got {self.n_steps}")
         if self.seed < 0:  # SeedSequence takes non-negative seeds only
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise FieldError(DatasetSpec, "seed", f"seed must be >= 0, got {self.seed}")
         for name in ("duration", "source_variance", "initial_speed", "core_speed", "ring_speed", "disc_radius",
                      "force_scale"):
-            require_positive(name, getattr(self, name))
+            require_positive(DatasetSpec, name, getattr(self, name))
         if not _is_finite(self.velocity_scale):
-            raise ValueError(f"velocity_scale must be finite, got {self.velocity_scale}")
+            raise FieldError(DatasetSpec, "velocity_scale", f"velocity_scale must be finite, got {self.velocity_scale}")
         if self.handedness not in (1, -1):
-            raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
+            raise FieldError(DatasetSpec, "handedness", f"handedness must be +1 or -1, got {self.handedness}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -256,7 +256,9 @@ def simulate_batch(
     All per-particle arithmetic is elementwise, so the result for particle i
     is bit-identical no matter how the batch is chunked.  ``out``, if given,
     is the ``(2, N, K+1, 2)`` float64 array or view, with any strides, whose
-    halves become the batch's ``x`` and ``v``.
+    halves become the batch's ``x`` and ``v``.  Raises ``SpeedLimitError``
+    if a derived speed rounds to ``c`` in float64, a batch that could not
+    give its ``f`` and ``a``.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     v0 = np.atleast_2d(np.asarray(v0, dtype=np.float64))
@@ -287,6 +289,9 @@ def simulate_batch(
             raise NonFiniteError("trajectory integration produced non-finite states")
         w_rows = np.moveaxis(v[rows], 2, 0)
         velocity_rows(w_rows, physics, w_rows)
+        vv = w_rows * w_rows
+        if (vv[0] + vv[1] >= physics.c**2).any():  # the |v|^2 acceleration_rows refuses, so the batch can give f, a
+            raise SpeedLimitError(f"a simulated speed rounds to c = {physics.c!r} in float64 (gamma beyond about 1e7)")
     f_par, f_perp = (physics.m * f for f in schedule_on_grid(schedule, times))  # true force = m * unit-mass force
     return TrajectoryBatch(np.array(indices), times, x, v, f_par, f_perp, physics, handedness)
 

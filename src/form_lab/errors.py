@@ -28,3 +28,11 @@ class ShapeError(FormLabError):
 
 class SchemaError(FormLabError):
     """A file failed structural validation (bad header, field, or index)."""
+
+
+class FieldError(FormLabError, ValueError):
+    """A dataclass ``owner`` refused the value of its ``field``, which a caller may name by the option that set it."""
+
+    def __init__(self, owner: type, field: str, message: str):
+        super().__init__(message)
+        self.owner, self.field = owner, field

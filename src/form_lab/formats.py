@@ -300,7 +300,7 @@ def _read_object(path, kind: str) -> dict:
 
 def _positive(obj: dict, key: str) -> float:
     """``obj[key]`` as a float: a positive finite JSON number, not a string such as ``"10"`` and not ``true``."""
-    require_positive(key, obj[key])
+    require_positive(PhysicsConfig, key, obj[key])
     return float(obj[key])
 
 

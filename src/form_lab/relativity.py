@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVelocityError, NonFiniteError, ShapeError, SpeedLimitError
+from .errors import DegenerateVelocityError, FieldError, NonFiniteError, ShapeError, SpeedLimitError
 
 # Below this speed a velocity direction is numerically meaningless and
 # direction-dependent operations refuse to guess.
@@ -40,9 +40,10 @@ class PhysicsConfig:
 
     def __post_init__(self) -> None:
         if not (self.c > 0.0 and 0.0 < float(self.c) * float(self.c) < np.inf):  # every formula divides by c**2
-            raise ValueError(f"speed of light c must be positive with a finite, nonzero square, got {self.c}")
+            raise FieldError(PhysicsConfig, "c",
+                             f"speed of light c must be positive with a finite, nonzero square, got {self.c}")
         if not (self.m > 0.0 and np.isfinite(self.m)):
-            raise ValueError(f"mass must be positive and finite, got {self.m}")
+            raise FieldError(PhysicsConfig, "m", f"mass must be positive and finite, got {self.m}")
 
 
 DEFAULT_PHYSICS = PhysicsConfig()
@@ -206,11 +207,15 @@ def celerity_from_velocity(v, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.nd
 def velocity_from_celerity(w, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.ndarray:
     """v = w / sqrt(1 + |w|^2 / c^2).
 
-    The exact map satisfies |v| < c for every finite w.  In float64 the
-    strict inequality holds up to |w| ~ c / sqrt(eps) (gamma ~ 1e8); beyond
-    that the nearest representable double is c itself and the result
-    saturates at exactly c, never above it.  A celerity that is not finite,
-    or whose ``|w|^2 / c^2`` overflows (about 1e154 and up), raises.
+    The exact map satisfies |v| < c for every finite w; float64 does not.
+    From about |w| ~ c / sqrt(eps) (gamma ~ 1e7) the derived ``speed(v)``
+    rounds to c, and for some directions to 1 or 2 ulp above it: over
+    random celerities with |w| / c from 1e9 to 1e14, above c for about
+    0.5 % of them at c = 1, 10 % at c = 10 and 6 % at c = 3e8.  The
+    celerity itself keeps the limit; a caller that needs |v| < c in
+    float64 checks the derived speed, as ``simulate_batch`` does.  A
+    celerity that is not finite, or whose ``|w|^2 / c^2`` overflows (about
+    1e154 and up), raises.
     """
     w = _as_float_array(w)
     gamma = np.sqrt(1.0 + _dot(w, w) / physics.c**2)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .datasets import DatasetSpec, initial_velocity, require_int
-from .errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
+from .errors import DegenerateVelocityError, FieldError, NonFiniteError, SpeedLimitError
 from .ode import integrate_fixed_grid, uniform_grid
 from .relativity import (
     DEFAULT_PHYSICS,
@@ -62,11 +62,11 @@ class SamplerConfig:
     velocity_update: str = "momentum-exact"
 
     def __post_init__(self) -> None:
-        require_int("n_steps", self.n_steps)
+        require_int(SamplerConfig, "n_steps", self.n_steps)
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+            raise FieldError(SamplerConfig, "n_steps", f"n_steps must be >= 1, got {self.n_steps}")
         if self.velocity_update not in VELOCITY_UPDATES:
-            raise ValueError(f"velocity_update must be one of {VELOCITY_UPDATES}")
+            raise FieldError(SamplerConfig, "velocity_update", f"velocity_update must be one of {VELOCITY_UPDATES}")
 
 
 @dataclass

@@ -38,7 +38,7 @@ import numpy as np
 
 from .datasets import require_int, require_positive
 from .dynamics import TrajectoryBatch, force_and_acceleration_rows
-from .errors import NonFiniteError
+from .errors import FieldError, NonFiniteError
 from .neural import MlpParams, TrainingWorkspace, mlp_init
 from .relativity import PhysicsConfig
 
@@ -82,26 +82,28 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+            raise FieldError(TrainConfig, "method", f"unknown method {self.method!r}; expected one of {METHODS}")
         for name in ("steps", "batch_size", "seed"):
-            require_int(name, getattr(self, name))
+            require_int(TrainConfig, name, getattr(self, name))
         for i, width in enumerate(self.hidden_dims):
-            require_int(f"hidden_dims[{i}]", width)
+            require_int(TrainConfig, f"hidden_dims[{i}]", width)
         if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+            raise FieldError(TrainConfig, "steps", f"steps must be >= 1, got {self.steps}")
         if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be at most {MAX_STEPS}, the longest loss curve, got {self.steps:.6g}")
+            raise FieldError(TrainConfig, "steps",
+                             f"steps must be at most {MAX_STEPS}, the longest loss curve, got {self.steps:.6g}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        require_positive("learning_rate", self.learning_rate)
+            raise FieldError(TrainConfig, "batch_size", f"batch_size must be >= 1, got {self.batch_size}")
+        require_positive(TrainConfig, "learning_rate", self.learning_rate)
         if self.seed < 0:  # SeedSequence takes non-negative seeds only
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise FieldError(TrainConfig, "seed", f"seed must be >= 0, got {self.seed}")
         if len(self.hidden_dims) < 1 or any(d < 1 for d in self.hidden_dims):
-            raise ValueError(f"hidden_dims needs positive entries, got {self.hidden_dims!r}")
+            raise FieldError(TrainConfig, "hidden_dims",
+                             f"hidden_dims needs positive entries, got {self.hidden_dims!r}")
         if self.form_input_mode not in FORM_INPUT_MODES:
-            raise ValueError(f"form_input_mode must be one of {FORM_INPUT_MODES}")
+            raise FieldError(TrainConfig, "form_input_mode", f"form_input_mode must be one of {FORM_INPUT_MODES}")
         if self.o1o2_coupling not in O1O2_COUPLINGS:
-            raise ValueError(f"o1o2_coupling must be one of {O1O2_COUPLINGS}")
+            raise FieldError(TrainConfig, "o1o2_coupling", f"o1o2_coupling must be one of {O1O2_COUPLINGS}")
 
 
 @dataclass

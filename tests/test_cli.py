@@ -84,6 +84,15 @@ class TestGenData:
         )
         assert code == EXIT_NUMERIC
 
+    def test_speed_that_rounds_to_c_is_numeric_failure_with_nothing_written(self, tmp_path, capsys):
+        """float64 rounds this run's derived speed to c: gen-data exited 0 ("max speed 10 du/s (1 c)") and
+        wrote a dataset that train then refused with exit 2."""
+        out = tmp_path / "d.ndjson"
+        argv = ["gen-data", "--dataset", "onedot", "--n", "20", "--steps", "20", "--force-scale", "1e8"]
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numerical failure: a simulated speed rounds to c = 10.0")
+        assert not out.exists()
+
     def test_thread_variable_is_ignored(self, tmp_path, monkeypatch):
         """``--threads`` is the only thread cap; ``FORM_LAB_THREADS`` used to be a second one."""
         argv = ["gen-data", "--dataset", "onedot", "--n", "3", "--steps", "5"]
@@ -92,8 +101,8 @@ class TestGenData:
         assert main([*argv, "--out", str(tmp_path / "b.ndjson")]) == EXIT_OK
         assert (tmp_path / "a.ndjson").read_bytes() == (tmp_path / "b.ndjson").read_bytes()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_zero_threads_names_the_flag(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("source, named", [("flag", "argument --threads"), ("config", "config key 'threads'")])
+    def test_zero_threads_names_the_flag(self, tmp_path, capsys, source, named):
         out = tmp_path / "d.ndjson"
         argv = ["gen-data", "--dataset", "onedot", "--out", str(out), "--n", "3", "--steps", "5"]
         if source == "flag":
@@ -103,7 +112,7 @@ class TestGenData:
             cfg.write_text(json.dumps({"threads": 0}))
             argv += ["--config", str(cfg)]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: --threads must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {named}: must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_bad_variance_is_usage_error(self, tmp_path):
@@ -207,7 +216,7 @@ class TestTrain:
         out = tmp_path / "m.json"
         argv = ["train", "--data", str(tmp_path / "missing.ndjson"), "--out", str(out), "--method", "o1"]
         assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: --seed: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["-0.5", "-0.001", "1", "nan"])
@@ -528,8 +537,10 @@ class TestPlot:
         assert svg.count("<circle") == 4  # 2 held-out sources + endpoints
         assert svg.count("<polyline") == 2
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_negative_trajectories_names_the_flag(self, workdir, tmp_path, capsys, source):
+    @pytest.mark.parametrize(
+        "source, named", [("flag", "argument --trajectories"), ("config", "config key 'trajectories'")]
+    )
+    def test_negative_trajectories_names_the_flag(self, workdir, tmp_path, capsys, source, named):
         """A negative count drew nothing and exited 0."""
         out = tmp_path / "fig.svg"
         argv = ["plot", "--data", str(workdir["data"]), "--out", str(out)]
@@ -540,7 +551,7 @@ class TestPlot:
             cfg.write_text(json.dumps({"trajectories": -3}))
             argv += ["--config", str(cfg)]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: --trajectories must be >= 0, got -3\n"
+        assert capsys.readouterr().err == f"error: {named}: must be >= 0, got -3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -663,7 +674,7 @@ DEFAULT_CONFIGS = {
         "holdout_fraction": 0.2,
     },
     "sample": {
-        "n": None, "sampler_steps": 100, "seed": 0, "source": "heldout",
+        "n": None, "sampler_steps": 100, "seed": None, "source": "heldout",
         "init_velocity": "dataset", "paths": False, "update": "momentum-exact",
     },
     "eval": {"sampler_steps": 100, "mode": "paired", "reference": False},
@@ -772,6 +783,26 @@ class TestConfig:
         assert main(_argv("plot", workdir, str(out)) + _write_config(tmp_path, {"title": value})) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: config key 'title' must be a string, got {shown}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("gen-data", "n", 0),
+            ("train", "lr", 0),
+            ("sample", "sampler_steps", 0),
+            ("eval", "sampler_steps", -1),
+            ("plot", "trajectories", -1),
+            ("table", "steps", 0),
+            ("stress", "points", 0),
+        ],
+    )
+    def test_value_out_of_range_names_its_config_key(self, workdir, tmp_path, capsys, command, key, value):
+        """A dataclass refusal named the field (``n_points``) or the flag that was not typed (``--steps``)."""
+        out = tmp_path / "o"
+        assert main(_argv(command, workdir, str(out)) + _write_config(tmp_path, {key: value})) == EXIT_USAGE
+        stdout, err = capsys.readouterr()
+        assert err.startswith(f"error: config key {key!r}: ") and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
 
     def test_steps_and_epochs_exclusive_across_sources(self, workdir, tmp_path):
         argv = ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "m.json"), "--method", "o1"]
@@ -982,7 +1013,7 @@ class TestOverflowingSpeedOfLight:
         argv = ["gen-data", "--dataset", "halfmoons", "--out", str(out), "--n", "5", "--steps", "4", "--c", "1e200"]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: speed of light c ") and err.count("\n") == 1
+        assert err.startswith("error: --c: speed of light c ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_sample_from_such_a_checkpoint_is_usage_error(self, workdir, tmp_path, capsys):

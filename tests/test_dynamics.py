@@ -250,6 +250,14 @@ class TestStressScaling:
         with pytest.raises(DegenerateVelocityError):
             simulate_trajectory([0.0, 0.0], [0.0, 0.0], ForceSchedule.constant(5.0, 5.0), 1.0, 10)
 
+    def test_speed_that_rounds_to_c_is_refused(self):
+        """Past a Lorentz factor of about 1e7 the derived speed rounds to c in float64: the batch could not
+        give its ``f`` and ``a``, so the simulator refuses it rather than return it."""
+        spec = DatasetSpec(kind="onedot", n_points=20, n_steps=20, force_scale=1e8)
+        x0 = source_points(spec, np.arange(spec.n_points))
+        with pytest.raises(SpeedLimitError, match="rounds to c"):
+            simulate_batch(x0, initial_velocity(spec, x0), force_schedule_for(spec), spec.duration, spec.n_steps)
+
 
 class TestScheduleGrid:
     def test_schedule_on_grid(self):

@@ -6,6 +6,7 @@ The initial velocity is one flag, `--init-velocity dataset|zero|vx,vy`."""
 import contextlib
 import io
 import itertools
+import json
 import warnings
 
 import pytest
@@ -70,3 +71,32 @@ def test_every_flag_combination_ends_in_one_line_or_none(checkpoints, checkpoint
     assert EXIT_OK in codes  # the matrix reaches the sampler, not only the flag checks
     flow = not checkpoint.startswith("form")
     assert (codes.count(EXIT_OK), codes.count(EXIT_NUMERIC)) == ((8, 0) if flow else (30, 18))
+
+
+@pytest.mark.parametrize(
+    "seed, named", [(["--seed", "0"], "--seed"), (["--seed=-1"], "--seed"), ({"seed": 3}, "config key 'seed'")]
+)
+def test_heldout_source_refuses_a_seed(checkpoints, seed, named):
+    """Held-out points are read, not drawn: a seed there was ignored, exit 0 with ``"seed": null``."""
+    root, data, models = checkpoints
+    out = root / "heldout-seed.json"
+    if isinstance(seed, dict):
+        config = root / "seed.json"
+        config.write_text(json.dumps(seed))
+        seed = ["--config", str(config)]
+    argv = ["sample", "--model", str(models["form-time"]), "--out", str(out), "--data", str(data), *seed]
+    code, stderr, caught = _run(argv)
+    assert (code, caught) == (EXIT_USAGE, [])
+    assert stderr.startswith(f"error: {named}: ") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_noise_source_seed_defaults_to_0(checkpoints):
+    root, _, models = checkpoints
+    written = []
+    for seed in ([], ["--seed", "0"]):
+        out = root / f"noise{len(seed)}.json"
+        argv = ["sample", "--model", str(models["form-time"]), "--out", str(out), "--source", "noise", "--n", "3", *seed]
+        assert _run(argv) == (EXIT_OK, "", [])
+        written.append(out.read_bytes())
+    assert written[0] == written[1] and b'"seed":0' in written[0].replace(b" ", b"")
