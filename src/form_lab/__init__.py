@@ -13,17 +13,3 @@ around it.
 """
 
 __version__ = "0.1.0"
-
-from .relativity import (  # noqa: F401
-    DEFAULT_PHYSICS,
-    EPS_V,
-    PhysicsConfig,
-    acceleration_from_force,
-    lorentz_factor,
-    momentum,
-    relativistic_force,
-)
-from .datasets import DatasetSpec, generate, holdout_split  # noqa: F401
-from .training import TrainConfig, TrainedModel, train  # noqa: F401
-from .sampling import SamplerConfig, sample_form, sample_o1, sample_o1o2  # noqa: F401
-from .evaluate import euclidean_distance_loss  # noqa: F401

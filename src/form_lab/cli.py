@@ -17,9 +17,10 @@ pairing a model with its held-out rows is ``pipeline.heldout_for``, the split ``
 One flag per setting: ``sample --init-velocity`` takes ``dataset``, ``zero`` or the vector ``vx,vy``,
 ``sample --seed`` seeds ``--source noise`` draws only (default 0), and ``gen-data --threads`` is the
 only thread cap (default: the affinity mask's usable CPUs).
-``table`` runs ``pipeline.run_table`` itself, the whole 3 x 3 experiment into ``--outdir``, and
-renders ``<outdir>/table.txt``; ``stress`` prints the speed-limit stress report.  ``scripts/run_table.py``
-and ``scripts/stress_speed_limit.py`` are these two subcommands run from a checkout.
+``table`` runs ``pipeline.run_table`` itself, the whole 3 x 3 experiment into ``--outdir``, on the one
+``TrainConfig`` and ``SamplerConfig`` it builds, and renders ``<outdir>/table.txt``; ``stress`` prints the
+speed-limit stress report.  ``scripts/run_table.py`` and ``scripts/stress_speed_limit.py`` are these two
+subcommands run from a checkout.
 
 Exit codes: 0 success; 2 usage, validation, or file-format problems, argparse's refusals included;
 3 numerical failures (speed-limit, degenerate velocity, non-finite values).  ``main`` maps each failure
@@ -344,10 +345,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    # --seed and --steps are checked as a training config, which checks a seed as a dataset spec does
-    config = _from_options(TrainConfig, args, method=METHODS[0])
-    sampler = _from_options(SamplerConfig, args)
-    run = pipeline.run_table(args.outdir, config.seed, args.steps, sampler.n_steps, args.quick)
+    # --quick trains QUICK_TRAIN's budget unless --steps is given; a training seed is checked as a dataset seed is
+    train = _from_options(TrainConfig, args, method=METHODS[0], **(pipeline.QUICK_TRAIN if args.quick else {}))
+    run = pipeline.run_table(args.outdir, train, _from_options(SamplerConfig, args), args.quick)
     table = render_table(run["report"], include_reference=args.reference)
     write_text(args.outdir / "table.txt", [table + "\n"])
     print(table)
@@ -358,7 +358,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_stress(args: argparse.Namespace) -> int:
     """Speed-limit stress report: the worst |v|/c of three families of extreme runs.
 
-    The simulator runs every dataset kind with its forces scaled by ``--factor``; the force sampler drives
+    The simulator runs every dataset kind with its forces scaled by ``--factor``, and a kind it refuses (a speed
+    that float64 rounds to c) prints its refusal and counts as |v|/c = 1; the force sampler drives
     the same schedules at 10, 100 and 1000 steps (coarse grids are the hard case); untrained force heads with
     outputs scaled by ``--factor`` go through ``sample_form``, where braking through zero celerity is a hard
     error by design, so those runs count as "braked".  The integrators keep every ratio below 1 structurally
@@ -372,9 +373,13 @@ def cmd_stress(args: argparse.Namespace) -> int:
     print(f"== simulator, forces x{args.factor:g} ==")
     stressed = {kind: replace(spec, kind=kind) for kind in KINDS}
     for kind, sspec in stressed.items():
-        m = float(np.max(speed(generate(sspec).v)))
-        worst = max(worst, m / c)
-        print(f"  {kind:<10} max |v|/c = {m / c:.8f}")
+        try:
+            ratio = float(np.max(speed(generate(sspec).v))) / c
+            line = f"max |v|/c = {ratio:.8f}"
+        except SpeedLimitError as e:  # a speed that float64 rounds to c, so it counts as |v|/c = 1
+            ratio, line = 1.0, f"refused: {e}"
+        worst = max(worst, ratio)
+        print(f"  {kind:<10} {line}")
 
     print(f"\n== force sampler, forces x{args.factor:g} ==")
     for kind, sspec in stressed.items():
@@ -507,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("table", help="the whole experiment: 3 datasets x 3 methods, one loss table")
     r.add_argument("--outdir", type=Path, default=Path("results"))
-    r.add_argument("--seed", type=int, default=0, help="dataset and training seed")
+    r.add_argument("--seed", type=int, help=f"dataset and training seed (default {TrainConfig.seed})")
     r.add_argument("--steps", type=int, help=f"training steps (default: {pipeline.QUICK_TRAIN['steps']} with "
                    f"--quick, else {TrainConfig.steps})")
-    r.add_argument("--sampler-steps", "--M", type=int, default=SamplerConfig.n_steps, help="sampler steps")
+    r.add_argument("--sampler-steps", "--M", type=int, help=f"sampler steps (default {SamplerConfig.n_steps})")
     r.add_argument("--quick", action=btrue, default=False, help="tiny datasets and short training, for smoke testing")
     r.add_argument("--reference", action=btrue, default=True, help="append previously reported losses")
     r.add_argument("--config")
@@ -541,7 +546,7 @@ def main(argv=None) -> int:
     except (SpeedLimitError, DegenerateVelocityError, NonFiniteError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SchemaError, ShapeError, ValueError, OSError, json.JSONDecodeError, MemoryError) as e:
+    except (SchemaError, ShapeError, ValueError, OSError, MemoryError) as e:  # JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -492,9 +492,3 @@ def write_report(path, report: dict) -> None:
     if report.get("kind") != REPORT_KIND:
         raise ValueError(f"not a report dict (kind = {report.get('kind')!r})")
     write_text(path, _json_lines(report))
-
-
-def read_report(path) -> dict:
-    payload = _read_object(path, REPORT_KIND)
-    _need(payload, "cells", 1, path)
-    return payload

@@ -19,6 +19,7 @@ alias), so a wrapper installed at that attribute sees every call.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 from . import datasets, evaluate, figures, formats, training
@@ -26,7 +27,7 @@ from .dynamics import TrajectoryBatch
 from .relativity import DEFAULT_PHYSICS, PhysicsConfig
 from .sampling import SamplerConfig
 
-# ``quick``: tiny datasets and short training, for smoke testing the pipeline.
+# ``quick``: tiny datasets, and the short training (``form-lab table --quick``) that goes with them.
 QUICK_POINTS = {"onedot": 40, "halfmoons": 60, "spiral": 60}
 QUICK_DATASET_STEPS = 50
 QUICK_TRAIN = {"steps": 300, "batch_size": 32}
@@ -57,16 +58,16 @@ def heldout_for(model: training.TrainedModel, heldouts_by_kind: dict, name) -> t
 
 def run_table(
     outdir: Path,
-    seed: int = 0,
-    train_steps: int | None = None,
-    sampler_steps: int = SamplerConfig.n_steps,
+    train: training.TrainConfig = training.TrainConfig(training.METHODS[0]),
+    sampler: SamplerConfig = SamplerConfig(),
     quick: bool = False,
 ) -> dict:
     """Generate, train, evaluate and plot the 3 x 3 table into ``outdir``.
 
-    ``train_steps=None`` trains ``QUICK_TRAIN["steps"]`` steps with ``quick`` and
-    ``TrainConfig.steps`` without.  Every spec and config is built before
-    anything is written, so a bad argument raises ``ValueError`` first.
+    Each dataset is seeded with ``train.seed`` and each method trains ``replace(train, method=method)``;
+    every model is sampled with ``sampler``.  ``quick`` only picks the ``QUICK_POINTS`` x
+    ``QUICK_DATASET_STEPS`` datasets (``QUICK_TRAIN`` is the training budget that goes with them).
+    Every spec and config is built before anything is written, so a bad argument raises ``ValueError`` first.
     The writers create ``outdir`` and its subdirectories as they need them.
 
     Returns ``{"data": {kind: {"spec", "records", "heldout"}},
@@ -76,20 +77,16 @@ def run_table(
     """
     outdir = Path(outdir)
     specs = [
-        datasets.DatasetSpec(kind=kind, n_points=QUICK_POINTS[kind], n_steps=QUICK_DATASET_STEPS, seed=seed)
+        datasets.DatasetSpec(kind=kind, n_points=QUICK_POINTS[kind], n_steps=QUICK_DATASET_STEPS, seed=train.seed)
         if quick
-        else datasets.DatasetSpec(kind=kind, seed=seed)
+        else datasets.DatasetSpec(kind=kind, seed=train.seed)
         for kind in datasets.KINDS
     ]
-    options = dict(QUICK_TRAIN) if quick else {}
-    if train_steps is not None:
-        options["steps"] = train_steps
-    configs = [training.TrainConfig(method=method, seed=seed, **options) for method in training.METHODS]
-    sampler = SamplerConfig(n_steps=sampler_steps)
+    configs = [replace(train, method=method) for method in training.METHODS]
     metadata = {
-        "seed": seed,
-        "train_steps": configs[0].steps,
-        "batch_size": configs[0].batch_size,
+        "seed": train.seed,
+        "train_steps": train.steps,
+        "batch_size": train.batch_size,
         "sampler_steps": sampler.n_steps,
         "dataset_steps": specs[0].n_steps,
         "quick": bool(quick),

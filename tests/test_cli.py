@@ -15,7 +15,7 @@ import pytest
 from form_lab import cli, training
 from form_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from form_lab.datasets import DatasetSpec
-from form_lab.formats import read_checkpoint, read_dataset, read_report, read_samples, write_samples
+from form_lab.formats import read_checkpoint, read_dataset, read_samples, write_samples
 from form_lab.training import TrainConfig
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -475,7 +475,7 @@ class TestEval:
         assert main(argv + ["--sampler-steps", "10"]) == EXIT_OK
         stdout = capsys.readouterr().out
         assert "ForM" in stdout and "O1+O2" in stdout and "**" in stdout
-        report = read_report(report_path)
+        report = json.loads(report_path.read_text())
         assert len(report["cells"]) == 3
         assert set(report["ranking"]["onedot"]) == {"o1", "o1o2", "form"}
         assert report["metadata"]["sampler_steps"] == 10
@@ -627,6 +627,17 @@ class TestStress:
         out, err = capsys.readouterr()
         assert err == "numerical failure: speed limit violated: worst observed |v|/c = 1.00000000\n"
         assert "worst observed |v|/c = 1.00000000" in out and "speed limit held" not in out
+
+    def test_a_refused_simulation_is_a_line_of_the_report(self, capsys):
+        """A kind whose speed float64 rounds to c is refused by ``generate``: the report names the refusal, runs on
+        through every family and ends in exit 3 (it used to end at the simulator header)."""
+        assert main(["stress", "--factor", "1e8", "--points", "8", "--seeds", "1"]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        headers = [line for line in out.splitlines() if line.startswith("== ")]
+        assert [h.split(",")[0] for h in headers] == ["== simulator", "== force sampler", "== random force heads"]
+        assert "  onedot     refused: a simulated speed rounds to c" in out
+        assert out.endswith("worst observed |v|/c = 1.00000000\n")
+        assert err == "numerical failure: speed limit violated: worst observed |v|/c = 1.00000000\n"
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,20 @@
 """``form_lab.pipeline.run_table``: the 3 x 3 table in one call."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 
 from form_lab import evaluate
 from form_lab.cli import EXIT_OK, main
 from form_lab.datasets import KINDS, DatasetSpec, generate, holdout_split
-from form_lab.formats import read_checkpoint, read_report, write_checkpoint
+from form_lab.formats import read_checkpoint, write_checkpoint
 from form_lab.pipeline import QUICK_DATASET_STEPS, QUICK_POINTS, QUICK_TRAIN, run_table
 from form_lab.relativity import PhysicsConfig
 from form_lab.sampling import SamplerConfig, sample_form
 from form_lab.training import METHODS, TrainConfig, train
+
+QUICK = TrainConfig(METHODS[0], **QUICK_TRAIN)  # the training that form-lab table --quick runs
 
 
 def test_each_cell_is_sampled_once(tmp_path, monkeypatch):
@@ -21,7 +26,7 @@ def test_each_cell_is_sampled_once(tmp_path, monkeypatch):
         return sample_model(model, *args, **kwargs)
 
     monkeypatch.setattr(evaluate, "sample_model", spy)
-    run = run_table(tmp_path, quick=True, train_steps=5, sampler_steps=3)
+    run = run_table(tmp_path, replace(QUICK, steps=5), SamplerConfig(n_steps=3), quick=True)
     assert sorted(sampled) == sorted(METHODS * len(KINDS))
     assert list(run["models"]) == [(kind, method) for kind in KINDS for method in METHODS]
     assert [cell.to_dict() for cell in run["cells"]] == run["report"]["cells"]
@@ -30,10 +35,22 @@ def test_each_cell_is_sampled_once(tmp_path, monkeypatch):
     assert svgs == {f"{kind}-{name}.svg" for kind in KINDS for name in ("data", *METHODS)}
 
 
+def test_run_table_runs_the_configs_it_is_given(tmp_path):
+    """Each method trains ``config`` with its own method, the datasets are seeded from it, and the sampler given
+    samples; ``run_table`` took loose ints and built its own configs."""
+    config = TrainConfig("o1", steps=5, batch_size=8, hidden_dims=(4,), learning_rate=2e-3, seed=3)
+    run = run_table(tmp_path, config, SamplerConfig(n_steps=3), quick=True)
+    assert {key: model.train_config for key, model in run["models"].items()} == {
+        (kind, method): replace(config, method=method) for kind in KINDS for method in METHODS
+    }
+    assert [data["spec"].seed for data in run["data"].values()] == [3] * len(KINDS)
+    assert run["report"]["metadata"]["sampler_steps"] == 3
+
+
 def test_cli_and_run_table_are_one_pipeline(tmp_path):
     """gen-data, train and eval at run_table(quick=True) sizes write run_table's files and score its cells."""
     table, cli = tmp_path / "table", tmp_path / "cli"
-    run = run_table(table, quick=True)
+    run = run_table(table, QUICK, quick=True)
     data = cli / "halfmoons.ndjson"
     sizes = ["--n", str(QUICK_POINTS["halfmoons"]), "--steps", str(QUICK_DATASET_STEPS), "--seed", "0"]
     assert main(["gen-data", "--dataset", "halfmoons", "--out", str(data), *sizes]) == EXIT_OK
@@ -51,7 +68,7 @@ def test_cli_and_run_table_are_one_pipeline(tmp_path):
     assert main(["eval", *models, "--data", str(data), "--report", str(report)]) == EXIT_OK
     want = [cell for cell in run["report"]["cells"] if cell["dataset"] == "halfmoons"]
     assert len(want) == len(METHODS)
-    assert read_report(report)["cells"] == want
+    assert json.loads(report.read_text())["cells"] == want
 
 
 def test_train_and_the_cli_fit_the_physics_of_the_rows(tmp_path):
