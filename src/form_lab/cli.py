@@ -18,9 +18,9 @@ One flag per setting: ``sample --init-velocity`` takes ``dataset``, ``zero`` or 
 ``sample --seed`` seeds ``--source noise`` draws only (default 0), and ``gen-data --threads`` is the
 only thread cap (default: the affinity mask's usable CPUs).
 ``table`` runs ``pipeline.run_table`` itself, the whole 3 x 3 experiment into ``--outdir``, on the one
-``TrainConfig`` and ``SamplerConfig`` it builds, and renders ``<outdir>/table.txt``; ``stress`` prints the
-speed-limit stress report.  ``scripts/run_table.py`` and ``scripts/stress_speed_limit.py`` are these two
-subcommands run from a checkout.
+``TrainConfig`` and ``SamplerConfig`` it builds, and renders ``<outdir>/table.txt``; ``stress`` prints the runs
+of ``pipeline.stress``, a run refused in any family as a ``refused:`` line, and exits 3 if any run reaches c.
+``scripts/run_table.py`` and ``scripts/stress_speed_limit.py`` are these two subcommands run from a checkout.
 
 Exit codes: 0 success; 2 usage, validation, or file-format problems, argparse's refusals included;
 3 numerical failures (speed-limit, degenerate velocity, non-finite values).  ``main`` maps each failure
@@ -39,18 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .datasets import (
-    HOLDOUT_FRACTION, KINDS, STRESS_FACTOR, DatasetSpec, force_schedule_for, generate, holdout_split, initial_velocity,
-    source_points,
-)
+from .datasets import HOLDOUT_FRACTION, KINDS, STRESS_FACTOR, DatasetSpec, holdout_split, source_points
 from .errors import DegenerateVelocityError, FieldError, NonFiniteError, SchemaError, ShapeError, SpeedLimitError
 from .evaluate import EVAL_MODES, SamplerConfig, config_digest, evaluate_model, make_report, render_table, sample_model
 from .figures import scatter_svg, write_svg
 from .formats import read_checkpoint, read_dataset, read_samples, write_report, write_samples, write_text
-from .neural import MlpParams, mlp_init
-from .relativity import DEFAULT_PHYSICS, PhysicsConfig, speed
-from .sampling import VELOCITY_UPDATES, force_path, sample_form
-from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, TrainedModel, steps_for_epochs
+from .relativity import PhysicsConfig, speed
+from .sampling import VELOCITY_UPDATES
+from .training import FORM_INPUT_MODES, METHODS, O1O2_COUPLINGS, TrainConfig, steps_for_epochs
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 2, 3
 
@@ -355,68 +351,31 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stress(args: argparse.Namespace) -> int:
-    """Speed-limit stress report: the worst |v|/c of three families of extreme runs.
+def _stopped(run) -> str:
+    return "braked to rest" if run is None else f"refused: {run}"
 
-    The simulator runs every dataset kind with its forces scaled by ``--factor``, and a kind it refuses (a speed
-    that float64 rounds to c) prints its refusal and counts as |v|/c = 1; the force sampler drives
-    the same schedules at 10, 100 and 1000 steps (coarse grids are the hard case); untrained force heads with
-    outputs scaled by ``--factor`` go through ``sample_form``, where braking through zero celerity is a hard
-    error by design, so those runs count as "braked".  The integrators keep every ratio below 1 structurally
-    (celerity coordinates), not by clipping; a run at or above c raises ``SpeedLimitError`` after the report.
-    """
-    spec = _from_options(DatasetSpec, args, kind=KINDS[0])  # --points trajectories, forces x --factor
-    c = DEFAULT_PHYSICS.c
-    resolutions = (10, 100, 1000)
-    worst = 0.0
+
+def cmd_stress(args: argparse.Namespace) -> int:
+    """Speed-limit stress report on ``pipeline.stress``'s runs: a run refused because a speed rounds to c in float64
+    prints ``refused: <message>`` in any family; a worst |v|/c at or above 1 raises ``SpeedLimitError`` after it."""
+    runs, worst = pipeline.stress(_from_options(DatasetSpec, args, kind=KINDS[0]), args.seeds)  # forces x --factor
 
     print(f"== simulator, forces x{args.factor:g} ==")
-    stressed = {kind: replace(spec, kind=kind) for kind in KINDS}
-    for kind, sspec in stressed.items():
-        try:
-            ratio = float(np.max(speed(generate(sspec).v))) / c
-            line = f"max |v|/c = {ratio:.8f}"
-        except SpeedLimitError as e:  # a speed that float64 rounds to c, so it counts as |v|/c = 1
-            ratio, line = 1.0, f"refused: {e}"
-        worst = max(worst, ratio)
-        print(f"  {kind:<10} {line}")
+    for kind, run in runs["simulator"].items():
+        print(f"  {kind:<10} " + (f"max |v|/c = {run:.8f}" if isinstance(run, float) else _stopped(run)))
 
     print(f"\n== force sampler, forces x{args.factor:g} ==")
-    for kind, sspec in stressed.items():
-        schedule = force_schedule_for(sspec)
-        x0 = source_points(sspec, list(range(min(16, args.points))))
-        v0 = initial_velocity(sspec, x0)
-
-        def components(x, t, schedule=schedule):
-            return schedule.f_par(t), schedule.f_perp(t)
-
-        ratios = []
-        for n_steps in resolutions:
-            path = force_path(components, x0, v0, sspec.duration, n_steps, handedness=sspec.handedness)
-            ratios.append(float(np.max(speed(path.v))) / c)
-        worst = max(worst, *ratios)
-        cols = "  ".join(f"M={m}: {r:.8f}" for m, r in zip(resolutions, ratios))
-        print(f"  {kind:<10} max |v|/c  {cols}")
+    for kind, row in runs["sampler"].items():  # a row shows its first grid that gave no |v|/c in place of its ratios
+        stopped = [f"M={m}: {_stopped(r)}" for m, r in zip(pipeline.STRESS_STEPS, row) if not isinstance(r, float)]
+        shown = stopped[:1] or ["max |v|/c", *(f"M={m}: {r:.8f}" for m, r in zip(pipeline.STRESS_STEPS, row))]
+        print(f"  {kind:<10} " + "  ".join(shown))
 
     print(f"\n== random force heads, outputs x{args.factor:g} ==")
-    onedot = DatasetSpec(kind="onedot", n_points=min(16, args.points))
-    x0 = source_points(onedot, list(range(onedot.n_points)))
-    braked, random_max = 0, 0.0
-    for seed in range(args.seeds):
-        head = mlp_init((1, 64, 64, 2), seed=seed)
-        head = MlpParams(head.layer_dims, (*head.weights[:-1], head.weights[-1] * args.factor), head.biases)
-        model = TrainedModel(method="form", heads={"F": head}, duration=1.0, physics=DEFAULT_PHYSICS,
-                             train_config=TrainConfig(method="form"), dataset_info=onedot.to_dict())
-        for n_steps in resolutions:
-            try:
-                path = sample_form(model, x0, SamplerConfig(n_steps=n_steps))
-            except DegenerateVelocityError:
-                braked += 1
-                continue
-            random_max = max(random_max, float(np.max(speed(path.v))) / c)
-    worst = max(worst, random_max)
-    completed = args.seeds * len(resolutions) - braked
-    print(f"  {completed} runs completed (max |v|/c = {random_max:.8f}), {braked} braked to rest")
+    ratios = [r for r in runs["random"] if isinstance(r, float)]
+    for refusal in (r for r in runs["random"] if isinstance(r, str)):
+        print(f"  refused: {refusal}")
+    print(f"  {len(ratios)} runs completed (max |v|/c = {max(ratios, default=0.0):.8f}), "
+          f"{runs['random'].count(None)} braked to rest")
 
     print(f"\nworst observed |v|/c = {worst:.8f}")
     if worst >= 1.0:

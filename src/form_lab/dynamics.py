@@ -59,6 +59,7 @@ from .relativity import (
     acceleration_rows,
     celerity_from_velocity,
     lab_force_rows,
+    require_below_c,
     velocity_rows,
 )
 
@@ -289,9 +290,7 @@ def simulate_batch(
             raise NonFiniteError("trajectory integration produced non-finite states")
         w_rows = np.moveaxis(v[rows], 2, 0)
         velocity_rows(w_rows, physics, w_rows)
-        vv = w_rows * w_rows
-        if (vv[0] + vv[1] >= physics.c**2).any():  # the |v|^2 acceleration_rows refuses, so the batch can give f, a
-            raise SpeedLimitError(f"a simulated speed rounds to c = {physics.c!r} in float64 (gamma beyond about 1e7)")
+        require_below_c(w_rows, physics, "simulated")  # so the batch can give its f and a
     f_par, f_perp = (physics.m * f for f in schedule_on_grid(schedule, times))  # true force = m * unit-mass force
     return TrajectoryBatch(np.array(indices), times, x, v, f_par, f_perp, physics, handedness)
 

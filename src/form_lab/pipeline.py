@@ -12,6 +12,7 @@ into one directory:
 
 The CLI subcommands call the same stages, :func:`make_dataset`, :func:`fit` and :func:`heldout_for`,
 the one rule pairing a model with its held-out rows; the split rule is :func:`datasets.holdout_split`.
+:func:`stress` runs the speed-limit stress families that ``form-lab stress`` reports.
 
 Every stage is called through its module (``training.train``, not a local
 alias), so a wrapper installed at that attribute sees every call.
@@ -22,15 +23,21 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from . import datasets, evaluate, figures, formats, training
+import numpy as np
+
+from . import datasets, evaluate, figures, formats, neural, sampling, training
 from .dynamics import TrajectoryBatch
-from .relativity import DEFAULT_PHYSICS, PhysicsConfig
+from .errors import DegenerateVelocityError, SpeedLimitError
+from .relativity import DEFAULT_PHYSICS, PhysicsConfig, speed
 from .sampling import SamplerConfig
 
 # ``quick``: tiny datasets, and the short training (``form-lab table --quick``) that goes with them.
 QUICK_POINTS = {"onedot": 40, "halfmoons": 60, "spiral": 60}
 QUICK_DATASET_STEPS = 50
 QUICK_TRAIN = {"steps": 300, "batch_size": 32}
+
+# The grids of the stress runs' samplers: coarse grids are the hard case.
+STRESS_STEPS = (10, 100, 1000)
 
 
 def make_dataset(path, spec, physics: PhysicsConfig = DEFAULT_PHYSICS, max_workers=None) -> TrajectoryBatch:
@@ -123,3 +130,40 @@ def run_table(
     report = evaluate.make_report(cells, metadata=metadata)
     formats.write_report(outdir / "report.json", report)
     return {"data": data, "models": models, "cells": cells, "report": report}
+
+
+def _stress_run(run, *args, **kwargs) -> float | str | None:
+    """What a stress run shows: the largest |v|/c of ``run(*args, **kwargs).v``, the message of a
+    ``SpeedLimitError`` (a speed that float64 rounds to c), or None for a brake through zero celerity."""
+    try:
+        return float(np.max(speed(run(*args, **kwargs).v))) / DEFAULT_PHYSICS.c
+    except SpeedLimitError as e:
+        return str(e)
+    except DegenerateVelocityError:
+        return None
+
+
+def stress(spec: datasets.DatasetSpec, seeds: int) -> tuple[dict, float]:
+    """The stress runs ``{"simulator": {kind: run}, "sampler": {kind: [run per STRESS_STEPS grid]}, "random": [run]}``
+    as :func:`_stress_run` shows them, and their worst |v|/c, where a refusal counts as 1.  They are ``generate`` of
+    ``spec`` as every kind, ``force_path`` on those schedules from 16 source points, and ``seeds`` untrained force
+    heads through ``sample_form`` on every grid; ``spec.force_scale`` scales the forces and the heads' outputs."""
+    stressed = {kind: replace(spec, kind=kind) for kind in datasets.KINDS}
+    runs = {"simulator": {kind: _stress_run(datasets.generate, s) for kind, s in stressed.items()}, "sampler": {}}
+    for kind, s in stressed.items():
+        schedule = datasets.force_schedule_for(s)
+        x0 = datasets.source_points(s, list(range(min(16, s.n_points))))
+        v0 = datasets.initial_velocity(s, x0)
+        components = lambda x, t: (schedule.f_par(t), schedule.f_perp(t))  # run within this iteration
+        runs["sampler"][kind] = [_stress_run(sampling.force_path, components, x0, v0, s.duration, n_steps,
+                                             handedness=s.handedness) for n_steps in STRESS_STEPS]
+    onedot = datasets.DatasetSpec(kind="onedot", n_points=min(16, spec.n_points))
+    x0, runs["random"] = datasets.source_points(onedot, list(range(onedot.n_points))), []
+    for seed in range(seeds):
+        head = neural.mlp_init((1, 64, 64, 2), seed=seed)
+        head = neural.MlpParams(head.layer_dims, (*head.weights[:-1], head.weights[-1] * spec.force_scale), head.biases)
+        model = training.TrainedModel(method="form", heads={"F": head}, duration=1.0, physics=DEFAULT_PHYSICS,
+                                      train_config=training.TrainConfig(method="form"), dataset_info=onedot.to_dict())
+        runs["random"] += [_stress_run(sampling.sample_form, model, x0, SamplerConfig(n_steps=n)) for n in STRESS_STEPS]
+    every = [*runs["simulator"].values(), *(r for row in runs["sampler"].values() for r in row), *runs["random"]]
+    return runs, max((1.0 if isinstance(r, str) else r for r in every if r is not None), default=0.0)

@@ -213,7 +213,8 @@ def velocity_from_celerity(w, physics: PhysicsConfig = DEFAULT_PHYSICS) -> np.nd
     random celerities with |w| / c from 1e9 to 1e14, above c for about
     0.5 % of them at c = 1, 10 % at c = 10 and 6 % at c = 3e8.  The
     celerity itself keeps the limit; a caller that needs |v| < c in
-    float64 checks the derived speed, as ``simulate_batch`` does.  A
+    float64 checks the derived speed with :func:`require_below_c`, as
+    ``simulate_batch`` and ``force_path`` do.  A
     celerity that is not finite, or whose ``|w|^2 / c^2`` overflows (about
     1e154 and up), raises.
     """
@@ -245,6 +246,14 @@ def velocity_rows(w: np.ndarray, physics: PhysicsConfig, out: np.ndarray) -> np.
     _require_finite_gamma(w, gamma)
     np.divide(w, gamma, out=out)
     return sq
+
+
+def require_below_c(v: np.ndarray, physics: PhysicsConfig, what: str) -> None:
+    """Refuse the velocity rows ``v`` (``(2, ...)``, any strides) if any ``|v|^2`` is not below ``c^2``, as
+    :func:`acceleration_rows` would: a velocity derived from a celerity beyond gamma ~ 1e7 rounds to c."""
+    vv = v * v
+    if (np.add(vv[0], vv[1], out=vv[0]) >= physics.c**2).any():  # summed in place: one temporary of v's size
+        raise SpeedLimitError(f"a {what} speed rounds to c = {physics.c!r} in float64 (gamma beyond about 1e7)")
 
 
 def lab_force_rows(f_par, f_perp, v: np.ndarray, handedness: int, out: np.ndarray) -> np.ndarray:

@@ -9,12 +9,12 @@ Two engines, both on a uniform grid of ``n_steps`` steps of size
   the predicted co-moving force fixed and applies that step *exactly* in
   momentum space: the celerity magnitude grows linearly under ``f_par`` and
   the heading integrates in closed form under ``f_perp``.  Because the state
-  advances through celerity, every recorded speed is strictly below c for
-  any step size and any force magnitude; the textbook per-step Euler
-  velocity update is available as ``velocity_update="euler"`` but can
-  overshoot c on coarse grids, which is then a hard error.  The celerity is
-  held as two contiguous component rows, ``w_x`` and ``w_y``, and each
-  step's velocity is written straight into the path by
+  advances through celerity, the speed it stands for is below c for any step
+  size and force; the velocity derived in float64 rounds to c beyond gamma ~
+  1e7, and ``force_path`` refuses a path holding one (``SpeedLimitError``), as
+  it does a textbook Euler step (``velocity_update="euler"``) that overshoots
+  c.  The celerity is held as two contiguous component rows, ``w_x`` and
+  ``w_y``, and each step's velocity is written straight into the path by
   :func:`~form_lab.relativity.velocity_rows`.  A force shared by every point
   (a time-only head, a dataset schedule) becomes two Python floats per step,
   so its at-rest, braking and ``f_par = 0`` decisions are made once rather
@@ -44,6 +44,7 @@ from .relativity import (
     acceleration_from_force,
     celerity_from_velocity,
     compose_lab_force,
+    require_below_c,
     speed,
     velocity_from_celerity,
     velocity_rows,
@@ -143,6 +144,8 @@ def force_path(
         x_new = np.add(vs[k + 1], vs[k], out=xs[k + 1])
         x_new *= half_d
         x_new += xs[k]  # x + (d/2)(v_new + v), in place in the path
+    for k in range(0, n_steps + 1, block := max(1, 8192 // max(x.size, 1))):  # 64 KB at most beside the path
+        require_below_c(v_rows[k : k + block].swapaxes(0, 1), physics, "sampled")
     _require_finite(xs)  # each v[k+1] was refused in its own step if not finite
     return SamplePath(times=times, x=xs, v=vs)
 

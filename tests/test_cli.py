@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from form_lab import cli, training
+from form_lab import cli, pipeline, training
 from form_lab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from form_lab.datasets import DatasetSpec
 from form_lab.formats import read_checkpoint, read_dataset, read_samples, write_samples
@@ -615,14 +615,14 @@ class TestStress:
 
     def test_a_speed_at_c_is_a_numerical_failure(self, monkeypatch, capsys):
         """One run that reports |v| = c ends the report in exit 3 (the script this replaced exited 1)."""
-        real_speed, calls = cli.speed, []
+        real_speed, calls = pipeline.speed, []
 
         def speed_at_c_once(v):
             calls.append(v)
             s = real_speed(v)
-            return np.full_like(s, cli.DEFAULT_PHYSICS.c) if len(calls) == 1 else s
+            return np.full_like(s, pipeline.DEFAULT_PHYSICS.c) if len(calls) == 1 else s
 
-        monkeypatch.setattr(cli, "speed", speed_at_c_once)
+        monkeypatch.setattr(pipeline, "speed", speed_at_c_once)
         assert main(["stress", "--points", "1", "--seeds", "0"]) == EXIT_NUMERIC
         out, err = capsys.readouterr()
         assert err == "numerical failure: speed limit violated: worst observed |v|/c = 1.00000000\n"
@@ -638,6 +638,37 @@ class TestStress:
         assert "  onedot     refused: a simulated speed rounds to c" in out
         assert out.endswith("worst observed |v|/c = 1.00000000\n")
         assert err == "numerical failure: speed limit violated: worst observed |v|/c = 1.00000000\n"
+
+    def test_a_refused_sampler_run_is_a_line_of_the_report(self, capsys):
+        """``force_path`` wrote velocities that float64 rounds to c, which the report printed as 1.00000000; the
+        sampler row now shows its first refused grid, and the other rows and families are unchanged."""
+        assert main(["stress", "--factor", "1e8", "--points", "8", "--seeds", "1"]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        sampler = out.split("== force sampler, forces x1e+08 ==\n")[1].split("\n\n")[0].splitlines()
+        refusal = "refused: a sampled speed rounds to c = 10.0 in float64 (gamma beyond about 1e7)"
+        assert sampler[0] == f"  onedot     M=1000: {refusal}"
+        assert [line.split()[1:3] for line in sampler[1:]] == [["max", "|v|/c"]] * 2
+        assert "  0 runs completed (max |v|/c = 0.00000000), 3 braked to rest\n" in out
+        assert err == "numerical failure: speed limit violated: worst observed |v|/c = 1.00000000\n"
+
+    def test_every_family_shows_a_refusal_and_a_brake(self, monkeypatch, capsys):
+        """``pipeline.stress`` gives each run as a ratio, a refusal message or None (a brake); the report shows
+        them the same way in every family."""
+        runs = {"simulator": {"onedot": 0.5, "halfmoons": "no", "spiral": None},
+                "sampler": {"onedot": [0.25, None, "no"], "halfmoons": [0.5, "no", 0.75], "spiral": [0.5, 0.5, 0.5]},
+                "random": [0.125, "no", None, 0.25]}
+        monkeypatch.setattr(pipeline, "stress", lambda spec, seeds: (runs, 1.0))
+        assert main(["stress", "--points", "1", "--seeds", "1"]) == EXIT_NUMERIC
+        assert capsys.readouterr().out.splitlines() == [
+            "== simulator, forces x100 ==",
+            "  onedot     max |v|/c = 0.50000000", "  halfmoons  refused: no", "  spiral     braked to rest",
+            "", "== force sampler, forces x100 ==",
+            "  onedot     M=100: braked to rest", "  halfmoons  M=100: refused: no",
+            "  spiral     max |v|/c  M=10: 0.50000000  M=100: 0.50000000  M=1000: 0.50000000",
+            "", "== random force heads, outputs x100 ==",
+            "  refused: no", "  2 runs completed (max |v|/c = 0.25000000), 1 braked to rest",
+            "", "worst observed |v|/c = 1.00000000",
+        ]
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,13 @@ PIPELINE_DIGESTS = {
     "report.json": "f58c21c7674af09e4ec30cd5bf6e4e173a0719780792d0d485b0f1e18257e11a",
 }
 
+# argv -> sha256 of what `form-lab stress ARGV` prints on stdout
+STRESS_DIGESTS = {
+    ("--points", "8", "--seeds", "2"): "7f5f76bcd153eb4873758690ab955c25c8703520521f55bf6c74b9de0c0a439d",
+    ("--factor", "1e7", "--points", "8", "--seeds", "1"):
+        "aeb6f5167835c43aba42b94c4bd1ace0c8a721ebd4cf9a7358aebf3fb8814c53",
+}
+
 PIPELINE_RUN = (
     ("gen-data", "--dataset", "halfmoons", "--n", "60", "--steps", "50", "--out", "{dir}/data.ndjson"),
     ("train", "--data", "{dir}/data.ndjson", "--method", "o1o2", "--steps", "100", "--batch-size", "32",
@@ -127,3 +134,9 @@ def test_pipeline_files_keep_their_bytes(tmp_path):
     for argv in PIPELINE_RUN:
         assert main([arg.format(dir=tmp_path) for arg in argv]) == 0
     assert {name: _sha256((tmp_path / name).read_bytes()) for name in PIPELINE_DIGESTS} == PIPELINE_DIGESTS
+
+
+@pytest.mark.parametrize("argv", STRESS_DIGESTS, ids=" ".join)
+def test_stress_report_keeps_its_bytes(argv, capsys):
+    assert main(["stress", *argv]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == STRESS_DIGESTS[argv]

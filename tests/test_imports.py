@@ -34,3 +34,9 @@ def test_the_package_loads_no_submodule():
     code = ("import sys\nimport form_lab\n"
             "print(sorted(m for m in sys.modules if m.startswith('form_lab.') or m == 'numpy'))\n")
     assert _run(code) == (0, "", "[]\n")
+
+
+def test_the_pipeline_loads_no_cli_code():
+    """``pipeline`` is the package layer that ``cli`` prints; it may never come to depend on the command line."""
+    code = "import sys\nimport form_lab.pipeline\nprint(sorted({'argparse', 'form_lab.cli'} & set(sys.modules)))\n"
+    assert _run(code) == (0, "", "[]\n")

@@ -1,13 +1,16 @@
-"""``form_lab.pipeline.run_table``: the 3 x 3 table in one call."""
+"""``form_lab.pipeline``: the 3 x 3 table in one call, and the measure of every stress run."""
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from form_lab import evaluate
+from form_lab import evaluate, pipeline
 from form_lab.cli import EXIT_OK, main
 from form_lab.datasets import KINDS, DatasetSpec, generate, holdout_split
+from form_lab.errors import DegenerateVelocityError, NonFiniteError, SpeedLimitError
 from form_lab.formats import read_checkpoint, write_checkpoint
 from form_lab.pipeline import QUICK_DATASET_STEPS, QUICK_POINTS, QUICK_TRAIN, run_table
 from form_lab.relativity import PhysicsConfig
@@ -90,3 +93,29 @@ def test_train_and_the_cli_fit_the_physics_of_the_rows(tmp_path):
     x0 = holdout_split(generate(spec, physics))[1].x0
     paths = [sample_form(m, x0, SamplerConfig(n_steps=12)) for m in (model, read_checkpoint(cli_model))]
     assert np.array_equal(paths[0].x, paths[1].x) and np.array_equal(paths[0].v, paths[1].v)
+
+
+
+def _raising(error):
+    def run():
+        raise error
+    return run
+
+
+@pytest.mark.parametrize(
+    "run, shown",
+    [
+        (lambda: SimpleNamespace(v=np.array([[3.0, 4.0], [0.0, -1.0]])), 0.5),
+        (_raising(SpeedLimitError("a sampled speed rounds to c")), "a sampled speed rounds to c"),
+        (_raising(DegenerateVelocityError("braked")), None),
+    ],
+    ids=["ratio", "refusal", "brake"],
+)
+def test_a_stress_run_shows_its_ratio_its_refusal_or_its_brake(run, shown):
+    """The one measure of every ``form-lab stress`` family: |v|/c at c = 10, a refusal's message, or None."""
+    assert pipeline._stress_run(run) == shown
+
+
+def test_a_non_finite_stress_run_is_no_result():
+    with pytest.raises(NonFiniteError):
+        pipeline._stress_run(_raising(NonFiniteError("overflow")))

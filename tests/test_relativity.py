@@ -23,6 +23,7 @@ from form_lab.relativity import (
     lorentz_factor,
     momentum,
     relativistic_force,
+    require_below_c,
     rotate90,
     speed,
     speed_sq_derivative,
@@ -222,6 +223,19 @@ class TestCelerity:
             for run in (lambda: velocity_from_celerity(w), lambda: velocity_rows(rows, DEFAULT_PHYSICS, np.empty_like(rows))):
                 with pytest.raises(NonFiniteError, match="^celerity must be finite$"):
                     run()
+
+
+@pytest.mark.parametrize("c", [1.0, 10.0, 3e8])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_require_below_c_refuses_from_one_ulp_above_c(c, axis):
+    """The check ``simulate_batch`` and ``force_path`` share: ``|v|^2`` at or above ``c^2`` is refused."""
+    physics = PhysicsConfig(c=c)
+    rows = np.zeros((2, 3, 4))
+    rows[axis, 1, 2] = np.nextafter(c, 0.0)
+    require_below_c(rows, physics, "test")
+    rows[axis, 1, 2] = np.nextafter(c, np.inf)
+    with pytest.raises(SpeedLimitError, match=rf"^a test speed rounds to c = {c!r} in float64"):
+        require_below_c(rows, physics, "test")
 
 
 class TestPhysicsConfig:

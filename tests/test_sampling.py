@@ -568,12 +568,29 @@ def _assert_same_path(components_fn, x0, v0, n_steps, handedness, duration=1.0):
     return outcome
 
 
-def _stress_case(kind, seed=4):
-    """A 100x stress schedule on 16 points, as `form-lab stress` builds it."""
-    sspec = datasets.stress_spec(DatasetSpec(kind=kind, n_points=48, seed=seed), factor=100.0)
+def _stress_case(kind, seed=4, factor=100.0):
+    """A stress schedule (100x by default) on 16 points, as `form-lab stress` builds it."""
+    sspec = datasets.stress_spec(DatasetSpec(kind=kind, n_points=48, seed=seed), factor=factor)
     schedule = datasets.force_schedule_for(sspec)
     x0 = datasets.source_points(sspec, list(range(16)))
     return sspec, (lambda x, t: (schedule.f_par(t), schedule.f_perp(t))), x0, datasets.initial_velocity(sspec, x0)
+
+
+@pytest.mark.parametrize("n_steps", [100, 1000])
+def test_a_speed_that_rounds_to_c_is_refused(n_steps):
+    """At 1e8 the onedot schedule's celerity passes gamma ~ 1e7, where some derived |v|^2 round to c^2 (2 of the
+    1 616 velocities at M=100); ``force_path`` wrote them, and the stress report printed them as |v|/c = 1."""
+    sspec, components, x0, v0 = _stress_case("onedot", factor=1e8)
+    with pytest.raises(SpeedLimitError, match=r"^a sampled speed rounds to c = 10\.0 in float64"):
+        force_path(components, x0, v0, sspec.duration, n_steps, handedness=sspec.handedness)
+
+
+@pytest.mark.parametrize("velocity_update", ["momentum-exact", "euler"])
+def test_an_empty_batch_is_an_empty_path(velocity_update):
+    """The speed check's block of steps is sized by the batch, and a batch of no points still gives a path."""
+    path = force_path(lambda x, t: (1.0, 0.5), np.zeros((0, 2)), np.zeros((0, 2)), 1.0, 10,
+                      velocity_update=velocity_update)
+    assert path.x.shape == path.v.shape == (11, 0, 2)
 
 
 class TestForcePathBits:
